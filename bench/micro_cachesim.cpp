@@ -1,27 +1,23 @@
 // Microbenchmark + acceptance proof for the batched cachesim replay
 // engine (src/cachesim/replay.hpp).
 //
-// Replays a set of sweep specs on the SG2042 descriptor through three
+// Replays a set of sweep specs on the SG2042 descriptor through two
 // paths:
 //
 //   vector pass  : generate_sweep materializes every access, then one
 //                  Hierarchy::access call per record per rep (the
 //                  pre-engine behaviour);
 //   stream pass  : arena-decoded LineSegment buffer + SoA batched tag
-//                  lookups + steady-state early exit (replay_stream);
-//   sharded pass : the same replay split across set-shards on the
-//                  thread pool (replay_sharded) — identity-gated, not
-//                  speed-gated, since shard wins need spare cores.
+//                  lookups + steady-state early exit (replay_stream).
 //
 // Every case asserts bit-identical per-level CacheStats, DRAM bytes,
-// access counts and steady miss rates across all three paths, and
+// access counts and steady miss rates across both paths, and
 // carries its own wall-clock speedup gate (vector/stream): >= 10x for
 // the streaming/strided shapes the engine was built for, >= 3x for the
 // stencil/gather/recurrence shapes the SoA batch path and the decoded
 // Gather fast path speed up (previously ~1-1.5x). Counters land in
 // BENCH_cachesim.json; exits 1 on any mismatch or a missed gate, 64 on
 // bad usage.
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <fstream>
@@ -51,11 +47,8 @@ struct BenchCase {
 struct CaseResult {
   double vector_s = 0.0;
   double stream_s = 0.0;
-  double sharded_s = 0.0;
   double speedup = 0.0;
-  bool identical = false;          ///< vector == stream
-  bool sharded_identical = false;  ///< vector == sharded
-  std::size_t shards = 1;
+  bool identical = false;  ///< vector == stream
   std::uint64_t accesses = 0;
   double coalesce_factor = 0.0;  ///< accesses per L1 tag check
 };
@@ -99,17 +92,11 @@ CaseResult run_case(const machine::MachineDescriptor& m,
   const int vec_trials = 3;
   const int stream_trials = 10;
 
-  const auto cfgs = cachesim::hierarchy_configs(m);
-  r.shards = std::min<std::size_t>(cachesim::max_shards(cfgs), 8);
-
   cachesim::ReplayResult vec =
       cachesim::replay_vector(m, c.spec, c.reps);
   cachesim::ReplayResult str =
       cachesim::replay_stream(m, c.spec, c.reps);
-  cachesim::ReplayResult shd =
-      cachesim::replay_sharded(m, c.spec, c.reps, r.shards, /*jobs=*/2);
   r.identical = results_identical(vec, str);
-  r.sharded_identical = results_identical(vec, shd);
   r.accesses = vec.accesses;
   const auto& t = str.hierarchy.telemetry();
   r.coalesce_factor = t.line_segments == 0
@@ -122,10 +109,6 @@ CaseResult run_case(const machine::MachineDescriptor& m,
   });
   r.stream_s = time_best(stream_trials, [&] {
     (void)cachesim::replay_stream(m, c.spec, c.reps);
-  });
-  r.sharded_s = time_best(vec_trials, [&] {
-    (void)cachesim::replay_sharded(m, c.spec, c.reps, r.shards,
-                                   /*jobs=*/2);
   });
   r.speedup = r.stream_s > 0.0 ? r.vector_s / r.stream_s : 0.0;
   return r;
@@ -207,8 +190,7 @@ int main(int argc, char** argv) {
   for (const auto& c : cases) {
     results.push_back(run_case(m, c));
     const auto& r = results.back();
-    identical_all =
-        identical_all && r.identical && r.sharded_identical;
+    identical_all = identical_all && r.identical;
     if (c.min_speedup > 0.0 && r.speedup < c.min_speedup) {
       speed_ok = false;
       missed_gates += " " + c.name;
@@ -217,8 +199,7 @@ int main(int argc, char** argv) {
   const bool pass = identical_all && (identity_only || speed_ok);
 
   report::Table t({"case", "accesses", "vector ms", "stream ms",
-                   "sharded ms", "speedup", "gate", "coalesce",
-                   "identical"});
+                   "speedup", "gate", "coalesce", "identical"});
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const auto& c = cases[i];
     const auto& r = results[i];
@@ -226,11 +207,10 @@ int main(int argc, char** argv) {
         {c.name, std::to_string(r.accesses),
          report::Table::num(r.vector_s * 1e3, 3),
          report::Table::num(r.stream_s * 1e3, 3),
-         report::Table::num(r.sharded_s * 1e3, 3),
          report::Table::num(r.speedup, 1),
          c.min_speedup > 0.0 ? report::Table::num(c.min_speedup, 0) : "-",
          report::Table::num(r.coalesce_factor, 2),
-         r.identical && r.sharded_identical ? "yes" : "NO"});
+         r.identical ? "yes" : "NO"});
   }
   std::cout << t.render();
   if (identity_only) {
@@ -239,7 +219,7 @@ int main(int argc, char** argv) {
     std::cout << "missed speedup gates:" << missed_gates << "\n";
   }
   std::cout << "stats identical on all patterns and paths "
-            << "(vector/stream/sharded): "
+            << "(vector/stream): "
             << (identical_all ? "yes" : "NO") << "\n";
   std::cout << (pass ? "PASS" : "FAIL") << "\n";
 
@@ -257,12 +237,9 @@ int main(int argc, char** argv) {
            << ", \"accesses\": " << r.accesses
            << ", \"vector_s\": " << r.vector_s
            << ", \"stream_s\": " << r.stream_s
-           << ", \"sharded_s\": " << r.sharded_s
-           << ", \"shards\": " << r.shards
            << ", \"speedup\": " << r.speedup
            << ", \"min_speedup\": " << c.min_speedup
-           << ", \"identical\": " << r.identical
-           << ", \"sharded_identical\": " << r.sharded_identical << "}"
+           << ", \"identical\": " << r.identical << "}"
            << (i + 1 < cases.size() ? "," : "") << "\n";
     }
     json << "  ],\n  \"speed_ok\": " << speed_ok

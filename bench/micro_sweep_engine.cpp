@@ -3,21 +3,23 @@
 // Runs the repo's full figure/table pipeline set — every pipeline
 // invocation the pre-engine consumers made in separate processes (the
 // fig1-7/tab1-3 binaries, background_d1_vs_v2, paper_deltas, and the
-// calibration/experiments regression tests) — twice in one process:
+// calibration/experiments regression tests) — in one process:
 //
-//   legacy pass : cache disabled + the pre-engine call graphs
-//                 (per-kernel best-thread search), replicating the
-//                 historical Simulator::run volume;
-//   engine pass : the ported pipelines on a fresh cached engine.
+//   uncached pass : the memo cache disabled, so every request runs
+//                   Simulator::run (the raw hot path);
+//   engine pass   : the same pipelines on a fresh cached engine, then
+//                   again on the same engine (reuse, all hits) and on
+//                   a forced-serial cached engine.
 //
 // It asserts the rendered outputs (tables + CSV text) are byte
-// identical between the passes, between a parallel and a forced-serial
-// engine, and between a first and a reuse (all-hits) run, then writes
-// the counters to BENCH_sweep.json. Exits 1 if any outputs differ, the
-// Simulator::run reduction is below 5x, or the legacy pass's raw
-// simulator throughput (EngineCounters::sims_per_second) falls below
-// kMinSimsPerSecond (--identity-only skips the throughput gate for
-// instrumented builds).
+// identical with the cache on and off, between a parallel and a
+// forced-serial engine, and between a first and a reuse run, then
+// writes the counters to BENCH_sweep.json. Exits 1 if any outputs
+// differ, the forced-serial pass's Simulator::run count is not exactly
+// kPinnedSimulations (or the parallel pass exceeds it), or the
+// uncached pass's raw simulator throughput
+// (EngineCounters::sims_per_second) falls below kMinSimsPerSecond
+// (--identity-only skips the throughput gate for instrumented builds).
 //
 // --persist <dir> instead benchmarks the durable memo cache: a cold
 // persistent pass populates <dir>, a warm pass in a fresh engine must
@@ -40,14 +42,21 @@ using namespace sgp;
 
 /// Simulator::run throughput floor (simulations per aggregate
 /// simulation-second, EngineCounters::sims_per_second) gated on the
-/// legacy pass, which runs every point uncached and so measures the raw
-/// hot path. Per-thread time, so the gate is independent of worker
+/// uncached pass, which runs every point and so measures the raw hot
+/// path. Per-thread time, so the gate is independent of worker
 /// count and machine load. Measured ~1M/s on the 1-core CI box in an
 /// uninstrumented build after the placement-table + batched-evaluation
 /// work (up from ~140k/s when the floor was 30k); the floor sits ~10x
 /// below that so only a real hot-path regression (not timer noise) can
 /// trip it. Sanitizer builds pass --identity-only and skip it.
 constexpr double kMinSimsPerSecond = 100000.0;
+
+/// Exact Simulator::run count of the forced-serial cached pass: every
+/// distinct evaluation point the pipeline set asks for, simulated once.
+/// Any change means a pipeline now asks for different points (or the
+/// memo cache stopped deduplicating them) and must be re-pinned
+/// deliberately. The parallel pass may not exceed it.
+constexpr std::uint64_t kPinnedSimulations = 3162;
 
 double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -74,9 +83,7 @@ std::string render_times(const std::map<std::string, double>& times) {
 }
 
 /// One in-process replay of the whole pre-engine consumer surface.
-/// `legacy_mode` swaps in the historical call graphs where they
-/// differed (multithreaded x86 comparison, best-thread search).
-std::string run_pipeline_set(engine::SweepEngine& eng, bool legacy_mode) {
+std::string run_pipeline_set(engine::SweepEngine& eng) {
   experiments::reset_best_threads_memo();
   std::ostringstream out;
 
@@ -91,14 +98,7 @@ std::string run_pipeline_set(engine::SweepEngine& eng, bool legacy_mode) {
     out << bench::scaling_csv(t).text();
   };
   auto x86 = [&](core::Precision prec, bool multi) {
-    return (legacy_mode && multi)
-               ? experiments::legacy::x86_comparison(prec, multi, eng)
-               : experiments::x86_comparison(prec, multi, eng);
-  };
-  auto best_threads = [&](core::Group g, core::Precision prec) {
-    return legacy_mode
-               ? experiments::legacy::best_sg2042_threads(g, prec, eng)
-               : experiments::best_sg2042_threads(g, prec, eng);
+    return experiments::x86_comparison(prec, multi, eng);
   };
 
   // fig1..fig7, tab1..tab3 binaries.
@@ -171,7 +171,7 @@ std::string run_pipeline_set(engine::SweepEngine& eng, bool legacy_mode) {
   for (const auto prec : {core::Precision::FP32, core::Precision::FP64}) {
     for (const auto g : core::all_groups) {
       out << "best_threads," << core::to_string(g) << ','
-          << best_threads(g, prec) << '\n';
+          << experiments::best_sg2042_threads(g, prec, eng) << '\n';
     }
   }
 
@@ -184,10 +184,10 @@ struct PassResult {
   double wall_s = 0.0;
 };
 
-PassResult run_pass(engine::SweepEngine& eng, bool legacy_mode) {
+PassResult run_pass(engine::SweepEngine& eng) {
   const auto t0 = std::chrono::steady_clock::now();
   PassResult r;
-  r.output = run_pipeline_set(eng, legacy_mode);
+  r.output = run_pipeline_set(eng);
   r.wall_s = seconds_since(t0);
   r.counters = eng.counters();
   return r;
@@ -221,7 +221,7 @@ int run_persist_bench(const std::string& dir, const std::string& json_path,
     engine::EnginePersistence p = persistence;
     p.store.injector = injector;
     engine::SweepEngine eng(EngineOptions{jobs, true, p});
-    return run_pass(eng, /*legacy_mode=*/false);
+    return run_pass(eng);
   };  // engine destructor flushes the final segment
 
   const auto cold = persistent_pass(nullptr);
@@ -347,44 +347,42 @@ int main(int argc, char** argv) {
   if (json_path.empty()) json_path = "BENCH_sweep.json";
 
   std::cout << "== micro_sweep_engine: full figure/table pipeline set, "
-               "legacy vs engine ==\n";
+               "uncached vs cached engine ==\n";
 
-  // Legacy pass: cache off, pre-engine call graphs. This is the
-  // Simulator::run volume the consumer surface used to cost when every
-  // consumer was its own process (no sharing is possible without the
-  // cache, so running them back to back in one process is equivalent).
-  engine::SweepEngine legacy_eng({jobs, /*use_cache=*/false});
-  const auto legacy = run_pass(legacy_eng, /*legacy_mode=*/true);
+  // Uncached pass: every request runs Simulator::run, which is what the
+  // consumer surface costs when every consumer is its own process (no
+  // sharing is possible without the cache, so running them back to
+  // back in one process is equivalent).
+  engine::SweepEngine uncached_eng({jobs, /*use_cache=*/false});
+  const auto uncached = run_pass(uncached_eng);
 
-  // Engine pass: the ported pipelines on one fresh cached engine.
+  // Engine pass: the same pipelines on one fresh cached engine.
   engine::SweepEngine eng({jobs, /*use_cache=*/true});
-  const auto first = run_pass(eng, /*legacy_mode=*/false);
+  const auto first = run_pass(eng);
 
   // Reuse pass: same engine again — everything should be served from
   // the cache (a second bench binary in the same process).
-  const auto reuse = run_pass(eng, /*legacy_mode=*/false);
+  const auto reuse = run_pass(eng);
   const auto reuse_sims =
       reuse.counters.simulations - first.counters.simulations;
 
   // Forced-serial pass: determinism check for the parallel scheduler.
   engine::SweepEngine serial_eng({/*jobs=*/1, /*use_cache=*/true});
-  const auto serial = run_pass(serial_eng, /*legacy_mode=*/false);
+  const auto serial = run_pass(serial_eng);
 
-  const bool legacy_identical = legacy.output == first.output;
+  const bool cache_identical = uncached.output == first.output;
   const bool serial_identical = serial.output == first.output;
   const bool reuse_identical = reuse.output == first.output;
-  const double ratio =
-      first.counters.simulations > 0
-          ? double(legacy.counters.simulations) /
-                double(first.counters.simulations)
-          : 0.0;
+  const bool sims_pinned =
+      serial.counters.simulations == kPinnedSimulations &&
+      first.counters.simulations <= kPinnedSimulations;
   // Throughput gate on the uncached pass: simulations per second of
   // wall time spent inside Simulator::run, summed across workers.
-  const double sims_per_second = legacy.counters.sims_per_second();
+  const double sims_per_second = uncached.counters.sims_per_second();
   const bool sims_ok =
       identity_only || sims_per_second >= kMinSimsPerSecond;
-  const bool pass = legacy_identical && serial_identical &&
-                    reuse_identical && reuse_sims == 0 && ratio >= 5.0 &&
+  const bool pass = cache_identical && serial_identical &&
+                    reuse_identical && reuse_sims == 0 && sims_pinned &&
                     sims_ok;
 
   report::Table t({"pass", "Simulator::run", "requests", "cache hits",
@@ -396,8 +394,8 @@ int main(int argc, char** argv) {
                std::to_string(hits),
                report::Table::num(p.wall_s, 3)});
   };
-  row("legacy (no cache)", legacy, legacy.counters.simulations,
-      legacy.counters.cache_hits);
+  row("uncached", uncached, uncached.counters.simulations,
+      uncached.counters.cache_hits);
   row("engine (first)", first, first.counters.simulations,
       first.counters.cache_hits);
   row("engine (reuse)", reuse, reuse_sims,
@@ -405,9 +403,10 @@ int main(int argc, char** argv) {
   row("engine (serial)", serial, serial.counters.simulations,
       serial.counters.cache_hits);
   std::cout << t.render();
-  std::cout << "Simulator::run reduction: "
-            << report::Table::num(ratio, 2) << "x (need >= 5)\n";
-  std::cout << "simulator throughput (legacy pass): "
+  std::cout << "Simulator::run (serial cached pass): "
+            << serial.counters.simulations << " (pinned at "
+            << kPinnedSimulations << "; parallel pass must not exceed it)\n";
+  std::cout << "simulator throughput (uncached pass): "
             << report::Table::num(sims_per_second, 0) << " sims/s";
   if (identity_only) {
     std::cout << " (gate skipped: --identity-only)\n";
@@ -415,8 +414,8 @@ int main(int argc, char** argv) {
     std::cout << " (need >= " << report::Table::num(kMinSimsPerSecond, 0)
               << ")\n";
   }
-  std::cout << "outputs identical — legacy: "
-            << (legacy_identical ? "yes" : "NO")
+  std::cout << "outputs identical — cache on/off: "
+            << (cache_identical ? "yes" : "NO")
             << ", serial: " << (serial_identical ? "yes" : "NO")
             << ", reuse: " << (reuse_identical ? "yes" : "NO") << "\n";
   std::cout << (pass ? "PASS" : "FAIL") << "\n";
@@ -427,10 +426,10 @@ int main(int argc, char** argv) {
     json << "{\n"
          << "  \"bench\": \"micro_sweep_engine\",\n"
          << "  \"jobs\": " << eng.jobs() << ",\n"
-         << "  \"legacy\": {\"simulations\": "
-         << legacy.counters.simulations
-         << ", \"requests\": " << legacy.counters.requests
-         << ", \"wall_s\": " << legacy.wall_s << "},\n"
+         << "  \"uncached\": {\"simulations\": "
+         << uncached.counters.simulations
+         << ", \"requests\": " << uncached.counters.requests
+         << ", \"wall_s\": " << uncached.wall_s << "},\n"
          << "  \"engine\": {\"simulations\": "
          << first.counters.simulations
          << ", \"requests\": " << first.counters.requests
@@ -439,13 +438,15 @@ int main(int argc, char** argv) {
          << ", \"wall_s\": " << first.wall_s << "},\n"
          << "  \"reuse\": {\"new_simulations\": " << reuse_sims
          << ", \"wall_s\": " << reuse.wall_s << "},\n"
-         << "  \"serial\": {\"wall_s\": " << serial.wall_s << "},\n"
-         << "  \"simulation_reduction\": " << ratio << ",\n"
+         << "  \"serial\": {\"simulations\": "
+         << serial.counters.simulations
+         << ", \"wall_s\": " << serial.wall_s << "},\n"
+         << "  \"pinned_simulations\": " << kPinnedSimulations << ",\n"
          << "  \"sims_per_second\": " << sims_per_second << ",\n"
          << "  \"sims_per_second_min\": " << kMinSimsPerSecond << ",\n"
          << "  \"sims_gate_skipped\": " << identity_only << ",\n"
-         << "  \"outputs_identical\": {\"legacy_vs_engine\": "
-         << legacy_identical << ", \"parallel_vs_serial\": "
+         << "  \"outputs_identical\": {\"cache_vs_nocache\": "
+         << cache_identical << ", \"parallel_vs_serial\": "
          << serial_identical << ", \"first_vs_reuse\": " << reuse_identical
          << "},\n"
          << "  \"pass\": " << pass << "\n"

@@ -2,9 +2,9 @@
 //   1. replays the invariant checker over every paper machine, all 64
 //      kernel signatures and a standard config grid;
 //   2. optionally fuzzes the same invariants over random machines;
-//   3. asserts the streaming cachesim replay engine and the legacy
-//      vector path produce bit-identical statistics on every paper
-//      machine plus random fuzzed ones;
+//   3. asserts the streaming cachesim replay engine and the reference
+//      vector path (the two replay paths) produce bit-identical
+//      statistics on every paper machine plus random fuzzed ones;
 //   4. re-executes every figure/table pipeline through the sweep engine
 //      twice — forced-serial and parallel — and requires byte-identical
 //      CSV artifacts;
@@ -326,7 +326,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 3. Cachesim replay agreement: streaming engine vs the legacy
+  // 3. Cachesim replay agreement: streaming engine vs the reference
   // vector path must be bit-identical on the paper machines and on
   // random fuzzed descriptors.
   {

@@ -105,23 +105,6 @@ const DecodedSweep& ReplayArena::decoded(const SweepSpec& spec,
   return *lru;
 }
 
-const std::vector<std::vector<LineSegment>>& ReplayArena::partition(
-    const DecodedSweep& dec, std::size_t shards) {
-  if (shards == 0 || (shards & (shards - 1)) != 0) {
-    throw std::invalid_argument("ReplayArena: shard count not a power of two");
-  }
-  if (shard_bufs_.size() < shards) shard_bufs_.resize(shards);
-  for (std::size_t s = 0; s < shards; ++s) shard_bufs_[s].clear();
-  std::uint32_t line_shift = 0;
-  while ((std::size_t{1} << line_shift) < dec.line_bytes) ++line_shift;
-  const Addr mask = shards - 1;
-  for (const auto& seg : dec.segments) {
-    shard_bufs_[static_cast<std::size_t>((seg.addr >> line_shift) & mask)]
-        .push_back(seg);
-  }
-  return shard_bufs_;
-}
-
 void ReplayArena::clear() {
   for (auto& slot : slots_) {
     slot.valid = false;

@@ -7,8 +7,8 @@
 // Hierarchy::access_batch. The buffers live in a ReplayArena that the
 // replay engine reuses across calls, so steady-state replays allocate
 // nothing: the arena caches the most recent decodes keyed by
-// (SweepSpec, line_bytes) and hands back shard-partitioned views for
-// the parallel single-replay path without rebuilding them.
+// (SweepSpec, line_bytes), so the timing trials and oracles that replay
+// one sweep several times decode it once.
 //
 // Lifetime rules (docs/CACHESIM.md): a DecodedSweep reference returned
 // by ReplayArena::decoded stays valid until the arena evicts it (after
@@ -64,14 +64,6 @@ class ReplayArena {
   const DecodedSweep& decoded(const SweepSpec& spec,
                               std::size_t line_bytes);
 
-  /// Partitions `dec.segments` into `shards` buffers by line-address
-  /// class ((addr >> log2(line_bytes)) & (shards - 1)), preserving
-  /// order within each shard. `shards` must be a power of two. The
-  /// returned views are owned by the arena and reused by the next
-  /// partition call.
-  const std::vector<std::vector<LineSegment>>& partition(
-      const DecodedSweep& dec, std::size_t shards);
-
   /// Drops all cached decodes (keeps capacity).
   void clear();
 
@@ -80,7 +72,6 @@ class ReplayArena {
 
  private:
   std::vector<DecodedSweep> slots_;
-  std::vector<std::vector<LineSegment>> shard_bufs_;
   std::uint64_t use_clock_ = 0;
 };
 

@@ -9,7 +9,6 @@
 #include "cachesim/arena.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "threading/pool.hpp"
 
 namespace sgp::cachesim {
 
@@ -219,13 +218,10 @@ struct RepLoopOutcome {
   std::uint64_t skipped = 0;            ///< reps extrapolated, not run
 };
 
-/// The rep loop shared by the serial and per-shard replay paths, so
-/// the steady-state detection and extrapolation are the same code on
-/// both sides of the sharded-vs-serial identity oracle: replay the
-/// buffer per rep, and once two consecutive reps have identical
-/// per-level stats deltas the cache state is periodic, so the
-/// remaining reps each add exactly this delta again — extrapolate
-/// instead of simulating them.
+/// The streaming rep loop: replay the buffer per rep, and once two
+/// consecutive reps have identical per-level stats deltas the cache
+/// state is periodic, so the remaining reps each add exactly this
+/// delta again — extrapolate instead of simulating them.
 RepLoopOutcome run_reps(Hierarchy& h, std::span<const LineSegment> segs,
                         std::uint64_t runs, int reps, bool early_exit) {
   const std::size_t nlevels = h.levels();
@@ -301,134 +297,6 @@ ReplayResult replay_stream(const machine::MachineDescriptor& m,
                            const ReplayOptions& opt) {
   return replay_stream(hierarchy_configs(m, opt.l2_sharers, opt.l3_sharers),
                        spec, reps, opt);
-}
-
-std::size_t max_shards(const std::vector<CacheConfig>& cfgs) {
-  if (cfgs.empty()) return 1;
-  constexpr std::size_t kCap = 64;
-  const std::size_t line = cfgs.front().line_bytes;
-  std::size_t min_sets = kCap;
-  for (const auto& c : cfgs) {
-    if (c.line_bytes != line) return 1;  // classes would not partition sets
-    min_sets = std::min(min_sets, c.num_sets());
-  }
-  std::size_t s = 1;
-  while (s * 2 <= min_sets) s *= 2;
-  return s;
-}
-
-ReplayResult replay_sharded(const std::vector<CacheConfig>& cfgs,
-                            const SweepSpec& spec, int reps,
-                            std::size_t shards, int jobs,
-                            const ReplayOptions& opt) {
-  if (reps < 1) throw std::invalid_argument("replay: reps must be >= 1");
-  if (cfgs.empty()) {
-    throw std::invalid_argument("replay: needs at least one level");
-  }
-  if (shards <= 1) return replay_stream(cfgs, spec, reps, opt);
-  if ((shards & (shards - 1)) != 0) {
-    throw std::invalid_argument(
-        "replay_sharded: shard count must be a power of two");
-  }
-  if (shards > max_shards(cfgs)) {
-    throw std::invalid_argument(
-        "replay_sharded: shard count exceeds max_shards for this hierarchy");
-  }
-  obs::Span span("cachesim.replay");
-
-  ReplayArena& arena = pick_arena(opt);
-  const DecodedSweep& dec = arena.decoded(spec, cfgs.front().line_bytes);
-  const auto& parts = arena.partition(dec, shards);
-  std::uint32_t shard_log2 = 0;
-  while ((std::size_t{1} << shard_log2) < shards) ++shard_log2;
-
-  // One persistent hierarchy per shard; shards hold disjoint sets, so
-  // the workers never touch shared mutable state.
-  std::vector<Hierarchy> shard_h;
-  shard_h.reserve(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    shard_h.emplace_back(cfgs,
-                         ShardView{shard_log2, static_cast<std::uint32_t>(s)});
-  }
-
-  const int workers = std::min<int>(threading::recommended_jobs(jobs),
-                                    static_cast<int>(shards));
-  threading::ThreadPool pool(std::max(workers, 1));
-  auto run_rep = [&] {
-    if (workers <= 1) {
-      for (std::size_t s = 0; s < shards; ++s) {
-        shard_h[s].access_batch(parts[s], 0);
-      }
-    } else {
-      pool.parallel_for(shards,
-                        [&](std::size_t begin, std::size_t end, int) {
-                          for (std::size_t s = begin; s < end; ++s) {
-                            shard_h[s].access_batch(parts[s], 0);
-                          }
-                        });
-    }
-  };
-
-  // Lockstep rep loop with the early-exit criterion applied to the
-  // SUMMED per-level deltas. The sum over shards after each rep equals
-  // the serial hierarchy's stats after that rep (disjoint sets, same
-  // per-shard event sequences), so this loop exits at exactly the rep
-  // the serial replay_stream exits at, making the extrapolated totals
-  // and steady rates bit-identical — per-shard exit heuristics could
-  // fire on shard-local coincidences the serial criterion never sees.
-  const std::size_t nlevels = shard_h.front().levels();
-  std::vector<CacheStats> prev(nlevels), delta(nlevels),
-      prev_delta(nlevels);
-  bool have_prev_delta = false;
-  std::uint64_t skipped = 0;
-  for (int r = 0; r < reps; ++r) {
-    run_rep();
-    std::vector<CacheStats> now(nlevels);
-    for (std::size_t s = 0; s < shards; ++s) {
-      for (std::size_t i = 0; i < nlevels; ++i) {
-        now[i] += shard_h[s].level(i).stats();
-      }
-    }
-    for (std::size_t i = 0; i < nlevels; ++i) {
-      delta[i] = now[i];
-      delta[i] -= prev[i];
-    }
-    prev = now;
-    if (opt.early_exit && have_prev_delta && delta == prev_delta &&
-        r + 1 < reps) {
-      skipped = static_cast<std::uint64_t>(reps - (r + 1));
-      break;
-    }
-    prev_delta = delta;
-    have_prev_delta = true;
-  }
-
-  // Shard-index-ordered merge (like check::sharded_reports): integer
-  // stat sums commute, so the order only matters for determinism of
-  // the floating-point steady rates derived below. The extrapolated
-  // reps are added once, on the merged totals.
-  ReplayResult result{Hierarchy(cfgs), 0, {}};
-  for (std::size_t i = 0; i < nlevels; ++i) {
-    CacheStats sum = prev[i];
-    sum += delta[i].scaled(skipped);
-    result.hierarchy.add_stats(i, sum);
-  }
-  for (std::size_t s = 0; s < shards; ++s) {
-    result.hierarchy.merge_telemetry(shard_h[s].telemetry());
-  }
-  result.accesses = dec.accesses * static_cast<std::uint64_t>(reps);
-  push_steady_rates(result, delta);
-  count_replay_obs(result.hierarchy.telemetry(), skipped);
-  obs::registry().counter("cachesim.sharded_replays").add();
-  return result;
-}
-
-ReplayResult replay_sharded(const machine::MachineDescriptor& m,
-                            const SweepSpec& spec, int reps,
-                            std::size_t shards, int jobs,
-                            const ReplayOptions& opt) {
-  return replay_sharded(hierarchy_configs(m, opt.l2_sharers, opt.l3_sharers),
-                        spec, reps, shards, jobs, opt);
 }
 
 ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,

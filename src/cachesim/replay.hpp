@@ -16,26 +16,17 @@
 // pattern, Gather included, because each rep replays the identical
 // decoded buffer).
 //
-// replay_sharded splits ONE replay across set-shards: lines partition
-// by (line_addr mod shards), every level's sets partition the same way
-// (uniform line size, shards <= min sets — see max_shards), so the
-// shards touch disjoint cache state and replay in parallel on the
-// src/threading pool while staying bit-identical to the serial replay
-// (docs/CACHESIM.md has the determinism argument; the src/check
-// three-way oracle enforces it).
-//
 // generate_sweep (trace.hpp) is reimplemented on top of TraceCursor,
 // so the materialized trace, the decoded segment buffer and the
 // streamed runs are the same access sequence by construction and all
 // replay paths produce bit-identical CacheStats — bench/micro_cachesim
-// asserts exactly that, per pattern, while measuring the throughput
-// win.
+// and the src/check vector-vs-stream oracle assert exactly that, per
+// pattern, while the bench measures the throughput win.
 //
 // Obs counters (docs/OBSERVABILITY.md): cachesim.replays,
 // cachesim.runs, cachesim.line_segments, cachesim.accesses_coalesced,
-// cachesim.accesses_simulated, cachesim.reps_skipped,
-// cachesim.sharded_replays; each replay is wrapped in a
-// "cachesim.replay" span.
+// cachesim.accesses_simulated, cachesim.reps_skipped; each replay is
+// wrapped in a "cachesim.replay" span.
 #pragma once
 
 #include <cstdint>
@@ -130,10 +121,10 @@ ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
                            const SweepSpec& spec, int reps,
                            const ReplayOptions& opt = {});
 
-/// The legacy vector-materialized path (generate_sweep once, then one
-/// Hierarchy::access per record per rep, all reps simulated). Kept as
-/// the A/B reference for bench/micro_cachesim and the agreement
-/// fuzzers in src/check.
+/// The vector-materialized reference path (generate_sweep once, then
+/// one Hierarchy::access per record per rep, all reps simulated). Kept
+/// as the oracle that tests, bench/micro_cachesim and the agreement
+/// fuzzers in src/check compare replay_stream against.
 ReplayResult replay_vector(const machine::MachineDescriptor& m,
                            const SweepSpec& spec, int reps,
                            const ReplayOptions& opt = {});
@@ -141,30 +132,5 @@ ReplayResult replay_vector(const machine::MachineDescriptor& m,
 ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
                            const SweepSpec& spec, int reps,
                            const ReplayOptions& opt = {});
-
-/// Largest power-of-two shard count replay_sharded accepts for this
-/// hierarchy: sharding by line-address class only partitions every
-/// level's sets when line geometry is uniform across levels (else 1)
-/// and each level has at least `shards` sets; capped at 64.
-std::size_t max_shards(const std::vector<CacheConfig>& cfgs);
-
-/// Parallelises ONE replay across `shards` set-shards on the
-/// src/threading pool (`jobs` resolved via recommended_jobs; 1 =
-/// serial shard loop on the calling thread). Statistics, steady-state
-/// rates, dram_bytes and the access count are bit-identical to
-/// replay_stream; the merged hierarchy carries statistics only (its
-/// line state is cold — probe/resident_lines reflect no residency)
-/// and its telemetry reports segments/accesses, not runs. shards == 1
-/// delegates to replay_stream; shards must be a power of two and <=
-/// max_shards(cfgs) (throws std::invalid_argument otherwise).
-ReplayResult replay_sharded(const machine::MachineDescriptor& m,
-                            const SweepSpec& spec, int reps,
-                            std::size_t shards, int jobs = 1,
-                            const ReplayOptions& opt = {});
-
-ReplayResult replay_sharded(const std::vector<CacheConfig>& cfgs,
-                            const SweepSpec& spec, int reps,
-                            std::size_t shards, int jobs = 1,
-                            const ReplayOptions& opt = {});
 
 }  // namespace sgp::cachesim

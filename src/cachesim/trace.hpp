@@ -49,9 +49,9 @@ Trace generate_sweep(const SweepSpec& spec);
 Hierarchy hierarchy_for(const machine::MachineDescriptor& m,
                         int l2_sharers = 1, int l3_sharers = 1);
 
-/// The per-level configs hierarchy_for builds — exposed so replays can
-/// construct several hierarchies (e.g. one per set-shard) from the
-/// same descriptor, and so config-level oracles can perturb them.
+/// The per-level configs hierarchy_for builds — exposed so the replay
+/// paths can build their hierarchy from the same descriptor, and so
+/// config-level oracles can perturb them.
 std::vector<CacheConfig> hierarchy_configs(
     const machine::MachineDescriptor& m, int l2_sharers = 1,
     int l3_sharers = 1);

@@ -215,12 +215,12 @@ constexpr AgreeCase kAgreeCases[] = {
     {core::AccessPattern::Sequential, 1, std::size_t{1} << 12, 8, 6},
 };
 
-/// Three-way replay identity (vector vs stream vs set-sharded) of one
-/// case on an explicit hierarchy. `subject` names the machine (plus
-/// any config perturbation) in violation reports.
-void agree_three_way(const std::vector<cachesim::CacheConfig>& cfgs,
-                     const std::string& subject, const AgreeCase& c,
-                     CheckReport& report) {
+/// Replay identity (vector vs stream) of one case on an explicit
+/// hierarchy. `subject` names the machine (plus any config
+/// perturbation) in violation reports.
+void agree_replays(const std::vector<cachesim::CacheConfig>& cfgs,
+                   const std::string& subject, const AgreeCase& c,
+                   CheckReport& report) {
   cachesim::SweepSpec spec;
   spec.pattern = c.pattern;
   spec.arrays = c.arrays;
@@ -229,18 +229,7 @@ void agree_three_way(const std::vector<cachesim::CacheConfig>& cfgs,
 
   const auto vec = cachesim::replay_vector(cfgs, spec, c.reps);
   const auto str = cachesim::replay_stream(cfgs, spec, c.reps);
-  std::string detail = diff_replays(vec, str, "vector", "stream");
-  if (detail.empty()) {
-    // Largest eligible shard count up to 8, exercised in parallel. A
-    // hierarchy too small (or too heterogeneous) to shard degrades to
-    // the stream path via shards == 1, keeping the oracle total
-    // stable.
-    std::size_t shards = std::min<std::size_t>(
-        cachesim::max_shards(cfgs), 8);
-    const auto shd =
-        cachesim::replay_sharded(cfgs, spec, c.reps, shards, /*jobs=*/2);
-    detail = diff_replays(vec, shd, "vector", "sharded");
-  }
+  const std::string detail = diff_replays(vec, str, "vector", "stream");
 
   ++report.points;
   obs::registry().counter("check.cachesim-replay-agreement.points").add();
@@ -264,13 +253,13 @@ CheckReport cachesim_agreement(const machine::MachineDescriptor& m) {
   CheckReport report;
   const auto cfgs = cachesim::hierarchy_configs(m);
   for (const auto& c : kAgreeCases) {
-    agree_three_way(cfgs, m.name, c, report);
+    agree_replays(cfgs, m.name, c, report);
   }
 
   // Config perturbations the descriptor path never builds: FIFO
-  // replacement at every level (fill stamps must survive batching and
-  // shard-local clocks) and a write-around L1 (a missing pure-write
-  // segment forwards at full multiplicity down the hierarchy).
+  // replacement at every level (fill stamps must survive batching)
+  // and a write-around L1 (a missing pure-write segment forwards at
+  // full multiplicity down the hierarchy).
   auto fifo = cfgs;
   for (auto& cfg : fifo) cfg.policy = cachesim::ReplacementPolicy::FIFO;
   auto wa = cfgs;
@@ -281,8 +270,8 @@ CheckReport cachesim_agreement(const machine::MachineDescriptor& m) {
       {AccessPattern::Sequential, 1, std::size_t{1} << 12, 8, 5},
   };
   for (const auto& c : perturbed) {
-    agree_three_way(fifo, m.name + "+fifo", c, report);
-    agree_three_way(wa, m.name + "+write-around", c, report);
+    agree_replays(fifo, m.name + "+fifo", c, report);
+    agree_replays(wa, m.name + "+write-around", c, report);
   }
   return report;
 }

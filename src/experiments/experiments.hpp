@@ -136,28 +136,6 @@ int best_sg2042_threads(core::Group g, core::Precision prec,
 /// microbenchmark use this to measure request counts from a clean slate).
 void reset_best_threads_memo();
 
-// ------------------------------------------------------------ Legacy --
-/// Faithful replicas of the pre-engine call graphs, kept so
-/// bench/micro_sweep_engine can measure the historical Simulator::run
-/// volume empirically (run them against an engine with use_cache =
-/// false) and assert the engine's outputs are identical. Not for new
-/// callers.
-namespace legacy {
-
-/// Pre-engine x86_comparison: when multithreaded, recomputes the best
-/// thread count *per kernel*, each time re-simulating the kernel's
-/// whole class at both candidate counts (no memo, no cache reuse).
-std::vector<RatioSeries> x86_comparison(core::Precision prec,
-                                        bool multithreaded,
-                                        engine::SweepEngine& eng);
-
-/// Pre-engine best_sg2042_threads: unmemoized, 2 x |class| simulations
-/// per call.
-int best_sg2042_threads(core::Group g, core::Precision prec,
-                        engine::SweepEngine& eng);
-
-}  // namespace legacy
-
 // ------------------------------------------------------------ Helpers --
 /// Mean/min/max of encoded ratios per group, given per-kernel ratios and
 /// a name->group mapping.

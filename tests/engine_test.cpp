@@ -2,9 +2,9 @@
 // layer, so (1) a cache hit returns exactly the breakdown the miss
 // computed, (2) a parallel run is bit-identical to a forced-serial run,
 // (3) the counters account for every request, (4) a throwing point
-// fails the batch without poisoning the engine, and (5) the ported
-// pipelines reproduce the legacy call graphs' outputs with far fewer
-// simulations.
+// fails the batch without poisoning the engine, and (5) a pipeline
+// produces identical outputs with the memo cache on and off, with
+// fewer simulations when it is on.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -156,28 +156,36 @@ TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
   EXPECT_EQ(c.cache_hits, 0u);
 }
 
-TEST(SweepEngine, LegacyCallGraphsReproduceThePortedOutputs) {
-  SweepEngine legacy_eng({/*jobs=*/0, /*use_cache=*/false});
-  SweepEngine eng({/*jobs=*/0});
+TEST(SweepEngine, CacheOnAndOffProduceTheSameX86Comparison) {
+  SweepEngine uncached({/*jobs=*/0, /*use_cache=*/false});
+  SweepEngine cached({/*jobs=*/0});
 
   experiments::reset_best_threads_memo();
-  const auto legacy = experiments::legacy::x86_comparison(
-      core::Precision::FP32, /*multithreaded=*/true, legacy_eng);
+  const auto off = experiments::x86_comparison(
+      core::Precision::FP32, /*multithreaded=*/true, uncached);
   experiments::reset_best_threads_memo();
-  const auto ported = experiments::x86_comparison(
-      core::Precision::FP32, /*multithreaded=*/true, eng);
+  const auto on = experiments::x86_comparison(
+      core::Precision::FP32, /*multithreaded=*/true, cached);
+  experiments::reset_best_threads_memo();
 
-  ASSERT_EQ(legacy.size(), ported.size());
-  for (std::size_t s = 0; s < legacy.size(); ++s) {
-    EXPECT_EQ(legacy[s].label, ported[s].label);
-    EXPECT_TRUE(legacy[s].per_kernel_ratio == ported[s].per_kernel_ratio)
-        << legacy[s].label;
+  ASSERT_EQ(off.size(), on.size());
+  for (std::size_t s = 0; s < off.size(); ++s) {
+    EXPECT_EQ(off[s].label, on[s].label);
+    EXPECT_TRUE(off[s].per_kernel_ratio == on[s].per_kernel_ratio)
+        << off[s].label;
+    ASSERT_EQ(off[s].groups.size(), on[s].groups.size()) << off[s].label;
+    for (std::size_t g = 0; g < off[s].groups.size(); ++g) {
+      EXPECT_EQ(off[s].groups[g].group, on[s].groups[g].group);
+      EXPECT_EQ(off[s].groups[g].mean, on[s].groups[g].mean);
+      EXPECT_EQ(off[s].groups[g].min, on[s].groups[g].min);
+      EXPECT_EQ(off[s].groups[g].max, on[s].groups[g].max);
+      EXPECT_EQ(off[s].groups[g].kernels, on[s].groups[g].kernels);
+    }
   }
 
-  // The whole point of the engine: the legacy graph re-simulates the
-  // per-kernel best-thread search, the ported one does not.
-  EXPECT_GT(legacy_eng.counters().simulations,
-            2 * eng.counters().simulations);
+  // The x86 baselines share the best-thread search's points, so only
+  // the cached engine stops re-simulating them.
+  EXPECT_LT(cached.counters().simulations, uncached.counters().simulations);
 }
 
 TEST(SweepEngine, BestThreadsMemoAsksTheEngineOnce) {
