@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "engine/engine.hpp"
+#include "obs/json.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -119,7 +120,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--persist") {
       dir = value();
     } else if (arg == "--jobs") {
-      const auto v = serve::parse_u64(value());
+      const auto v = obs::parse_u64(value());
       if (!v || *v > 4096) {
         std::cerr << argv[0] << ": bad value for --jobs\n";
         std::exit(64);

@@ -49,9 +49,11 @@
 // Exit codes: 0 = all checks pass, 1 = violations or divergences,
 // 64 = usage error (matching the suite/bench CLI conventions).
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -66,6 +68,7 @@
 #include "machine/descriptor.hpp"
 #include "machine/registry.hpp"
 #include "machine/serialize.hpp"
+#include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/fault_injector.hpp"
 
@@ -111,32 +114,36 @@ Options parse_args(int argc, char** argv) {
       if (i + 1 >= argc) usage_error(argv[0], "missing value for " + arg);
       return argv[++i];
     };
-    auto number = [&](const std::string& v) -> long {
-      try {
-        std::size_t used = 0;
-        const long n = std::stol(v, &used);
-        if (used != v.size() || n < 0) throw std::invalid_argument(v);
-        return n;
-      } catch (const std::exception&) {
+    // A count flag's value: a plain decimal integer (obs::parse_u64)
+    // no larger than its target type can hold, so it never wraps.
+    auto count = [&](std::uint64_t max) -> std::uint64_t {
+      const std::string v = value();
+      const auto n = sgp::obs::parse_u64(v);
+      if (!n || *n > max) {
         usage_error(argv[0], "bad value '" + v + "' for " + arg);
       }
+      return *n;
+    };
+    auto seeds = [&] {
+      return static_cast<unsigned>(
+          count(std::numeric_limits<unsigned>::max()));
     };
     if (arg == "--golden") {
       opt.golden_dir = value();
     } else if (arg == "--write-golden") {
       opt.write_golden_dir = value();
     } else if (arg == "--fuzz") {
-      opt.fuzz_seeds = static_cast<unsigned>(number(value()));
+      opt.fuzz_seeds = seeds();
     } else if (arg == "--fuzz-cachesim") {
-      opt.fuzz_cachesim_seeds = static_cast<unsigned>(number(value()));
+      opt.fuzz_cachesim_seeds = seeds();
     } else if (arg == "--fuzz-segments") {
-      opt.fuzz_segment_seeds = static_cast<unsigned>(number(value()));
+      opt.fuzz_segment_seeds = seeds();
     } else if (arg == "--fuzz-requests") {
-      opt.fuzz_request_seeds = static_cast<unsigned>(number(value()));
+      opt.fuzz_request_seeds = seeds();
     } else if (arg == "--fuzz-ini") {
-      opt.fuzz_ini_seeds = static_cast<unsigned>(number(value()));
+      opt.fuzz_ini_seeds = seeds();
     } else if (arg == "--fuzz-batch") {
-      opt.fuzz_batch_seeds = static_cast<unsigned>(number(value()));
+      opt.fuzz_batch_seeds = seeds();
     } else if (arg == "--machine") {
       opt.machines.push_back(value());
     } else if (arg == "--machine-dir") {
@@ -152,7 +159,7 @@ Options parse_args(int argc, char** argv) {
         usage_error(argv[0], e.what());
       }
     } else if (arg == "--jobs") {
-      opt.jobs = static_cast<int>(number(value()));
+      opt.jobs = static_cast<int>(count(std::numeric_limits<int>::max()));
     } else if (arg == "--skip-invariants") {
       opt.skip_invariants = true;
     } else {

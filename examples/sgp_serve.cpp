@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "machine/registry.hpp"
-#include "serve/json.hpp"
+#include "obs/json.hpp"
 #include "serve/server.hpp"
 
 namespace {
@@ -69,7 +69,7 @@ Options parse_args(int argc, char** argv) {
   };
   auto next_u64 = [&](int& i, const char* flag) -> std::uint64_t {
     const std::string raw = next_value(i, flag);
-    const auto v = sgp::serve::parse_u64(raw);
+    const auto v = sgp::obs::parse_u64(raw);
     if (!v) {
       usage_error("bad value '" + raw + "' for " + flag);
     }

@@ -82,7 +82,6 @@
 #include "report/csv.hpp"
 #include "report/table.hpp"
 #include "resilience/fault_injector.hpp"
-#include "serve/json.hpp"
 
 namespace {
 
@@ -194,7 +193,7 @@ Options parse_args(int argc, char** argv) {
       // used to flow through as max_attempts == -1 and only die inside
       // the runner (exit 2 instead of the usage exit 64).
       const auto v = next();
-      const auto n = serve::parse_u64(v);
+      const auto n = obs::parse_u64(v);
       if (!n || *n > 1000000) {
         throw std::invalid_argument("bad value '" + v + "' for " + arg);
       }
@@ -215,7 +214,7 @@ Options parse_args(int argc, char** argv) {
       // request validator). std::stoi + static_cast<unsigned> used to
       // wrap negatives silently and reject any seed above INT_MAX.
       const auto v = next();
-      const auto seed = serve::parse_u64(v);
+      const auto seed = obs::parse_u64(v);
       if (!seed) {
         throw std::invalid_argument("bad value '" + v + "' for " + arg);
       }

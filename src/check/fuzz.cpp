@@ -23,6 +23,41 @@
 
 namespace sgp::check {
 
+namespace {
+
+/// One fuzz seed's bookkeeping for one invariant: points and violations
+/// land in the shard's report and in the check.<invariant>.points and
+/// .violations counters; each violation names `subject` and the seed.
+class SeedTally {
+ public:
+  SeedTally(CheckReport& report, std::string invariant, std::string subject,
+            unsigned seed)
+      : report_(report),
+        invariant_(std::move(invariant)),
+        subject_(std::move(subject)),
+        seed_("seed-" + std::to_string(seed)) {}
+
+  void point() const {
+    ++report_.points;
+    obs::registry().counter("check." + invariant_ + ".points").add();
+  }
+
+  void violation(std::string stage, std::string detail) const {
+    obs::registry().counter("check." + invariant_ + ".violations").add();
+    report_.violations.push_back(Violation{invariant_, subject_, seed_,
+                                           std::move(stage),
+                                           std::move(detail)});
+  }
+
+ private:
+  CheckReport& report_;
+  std::string invariant_;
+  std::string subject_;
+  std::string seed_;
+};
+
+}  // namespace
+
 machine::MachineDescriptor random_machine(unsigned seed) {
   std::mt19937 rng(seed);
   auto uniform = [&rng](double lo, double hi) {
@@ -376,15 +411,6 @@ const char* mutation_name(Mutation m) {
   return "?";
 }
 
-void add_segment_violation(CheckReport& report, unsigned seed,
-                           const std::string& stage,
-                           const std::string& detail) {
-  obs::registry().counter("check.persist-segment-robustness.violations").add();
-  report.violations.push_back(Violation{
-      "persist-segment-robustness", "segment-fuzz",
-      "seed-" + std::to_string(seed), stage, detail});
-}
-
 }  // namespace
 
 CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
@@ -393,10 +419,8 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
   return sharded_reports(num_seeds, jobs, [&](std::size_t i) {
     const unsigned seed = first_seed + static_cast<unsigned>(i);
     CheckReport shard;
-    auto point = [&shard] {
-      ++shard.points;
-      obs::registry().counter("check.persist-segment-robustness.points").add();
-    };
+    const SeedTally tally(shard, "persist-segment-robustness",
+                          "segment-fuzz", seed);
 
     std::mt19937_64 rng(seed);
     const auto payloads = random_payloads(rng);
@@ -410,10 +434,10 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
           bytes, [&](std::span<const std::byte> p) {
             got.emplace_back(p.begin(), p.end());
           });
-      point();
+      tally.point();
       if (parse.status != engine::SegmentStatus::Ok || got != payloads) {
-        add_segment_violation(
-            shard, seed, "round-trip",
+        tally.violation(
+            "round-trip",
             "status=" + std::string(engine::to_string(parse.status)) +
                 " delivered=" + std::to_string(got.size()) + "/" +
                 std::to_string(payloads.size()));
@@ -431,16 +455,16 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
         bytes, [&](std::span<const std::byte>) { ++delivered; });
     const auto second = engine::parse_segment(
         bytes, [](std::span<const std::byte>) {});
-    point();
+    tally.point();
     if (first.status == engine::SegmentStatus::Ok || delivered != 0) {
-      add_segment_violation(
-          shard, seed, mutation_name(m),
+      tally.violation(
+          mutation_name(m),
           "mutation not detected: status=" +
               std::string(engine::to_string(first.status)) +
               " delivered=" + std::to_string(delivered));
     } else if (first.status != second.status) {
-      add_segment_violation(
-          shard, seed, mutation_name(m),
+      tally.violation(
+          mutation_name(m),
           "nondeterministic classification: " +
               std::string(engine::to_string(first.status)) + " vs " +
               std::string(engine::to_string(second.status)));
@@ -464,17 +488,17 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
         loaded.status == engine::SegmentStatus::Corrupt;
     const bool quarantined = fs::exists(path + ".quarantine");
     const bool in_place = fs::exists(path);
-    point();
+    tally.point();
     if (loaded.status != first.status) {
-      add_segment_violation(
-          shard, seed, mutation_name(m),
+      tally.violation(
+          mutation_name(m),
           "loader/parser disagree: " +
               std::string(engine::to_string(loaded.status)) + " vs " +
               std::string(engine::to_string(first.status)));
     } else if (quarantined != expect_quarantine ||
                in_place == expect_quarantine) {
-      add_segment_violation(
-          shard, seed, mutation_name(m),
+      tally.violation(
+          mutation_name(m),
           "wrong disk artifact for " +
               std::string(engine::to_string(loaded.status)) +
               ": quarantined=" + (quarantined ? "yes" : "no") +
@@ -605,15 +629,6 @@ void req_mutate(std::string& line, ReqMutation m, std::mt19937_64& rng,
   }
 }
 
-void add_request_violation(CheckReport& report, unsigned seed,
-                           const std::string& stage,
-                           const std::string& detail) {
-  obs::registry().counter("check.serve-request-robustness.violations").add();
-  report.violations.push_back(Violation{
-      "serve-request-robustness", "request-fuzz",
-      "seed-" + std::to_string(seed), stage, detail});
-}
-
 /// Canonical rendering of a parse outcome, for determinism comparison
 /// and diagnostics.
 std::string outcome_repr(const serve::ParseOutcome& o) {
@@ -638,26 +653,22 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
   return sharded_reports(num_seeds, jobs, [&](std::size_t i) {
     const unsigned seed = first_seed + static_cast<unsigned>(i);
     CheckReport shard;
-    auto point = [&shard] {
-      ++shard.points;
-      obs::registry().counter("check.serve-request-robustness.points").add();
-    };
+    const SeedTally tally(shard, "serve-request-robustness",
+                          "request-fuzz", seed);
 
     std::mt19937_64 rng(seed);
     std::string line = random_request_line(rng);
 
     // 1. The untouched line is accepted.
-    point();
+    tally.point();
     try {
       const auto ok = serve::parse_request(line, limits);
       if (!std::holds_alternative<serve::Request>(ok)) {
-        add_request_violation(shard, seed, "valid-line",
-                              "rejected: " + outcome_repr(ok) +
-                                  " line=" + line);
+        tally.violation("valid-line",
+                        "rejected: " + outcome_repr(ok) + " line=" + line);
       }
     } catch (const std::exception& e) {
-      add_request_violation(shard, seed, "valid-line",
-                            std::string("threw: ") + e.what());
+      tally.violation("valid-line", std::string("threw: ") + e.what());
       return shard;
     }
 
@@ -670,12 +681,11 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
     try {
       const auto first = serve::parse_request(line, limits);
       const auto second = serve::parse_request(line, limits);
-      point();
+      tally.point();
       if (outcome_repr(first) != outcome_repr(second)) {
-        add_request_violation(shard, seed, stage,
-                              "nondeterministic classification: " +
-                                  outcome_repr(first) + " vs " +
-                                  outcome_repr(second));
+        tally.violation(stage, "nondeterministic classification: " +
+                                   outcome_repr(first) + " vs " +
+                                   outcome_repr(second));
       }
       // Structural mutations are guaranteed rejections; byte-level ones
       // may legitimately still parse (a flip inside a string literal).
@@ -686,32 +696,27 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
       if (const auto* failed =
               std::get_if<std::pair<std::string, serve::ServeError>>(
                   &first)) {
-        point();
+        tally.point();
         const auto& err = failed->second;
         const std::string rendered =
             serve::render_error(failed->first, err);
         if (err.message.empty() ||
             serve::to_string(err.code) == std::string_view("?") ||
             !obs::json_valid(rendered)) {
-          add_request_violation(shard, seed, stage,
-                                "unstructured error: " + rendered);
+          tally.violation(stage, "unstructured error: " + rendered);
         }
         if (m == ReqMutation::Oversize &&
             err.code != serve::ErrorCode::TooLarge) {
-          add_request_violation(
-              shard, seed, stage,
-              "oversize line classified as " +
-                  std::string(serve::to_string(err.code)));
+          tally.violation(stage,
+                          "oversize line classified as " +
+                              std::string(serve::to_string(err.code)));
         }
       } else if (must_fail) {
-        point();
-        add_request_violation(shard, seed, stage,
-                              "mutation not detected: " +
-                                  outcome_repr(first));
+        tally.point();
+        tally.violation(stage, "mutation not detected: " + outcome_repr(first));
       }
     } catch (const std::exception& e) {
-      add_request_violation(shard, seed, stage,
-                            std::string("threw: ") + e.what());
+      tally.violation(stage, std::string("threw: ") + e.what());
     }
     return shard;
   });
@@ -720,15 +725,6 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
 // --------------------------------------------- machine INI round trip --
 
 namespace {
-
-void add_ini_violation(CheckReport& report, unsigned seed,
-                       const std::string& stage,
-                       const std::string& detail) {
-  obs::registry().counter("check.machine-ini-roundtrip.violations").add();
-  report.violations.push_back(Violation{
-      "machine-ini-roundtrip", "ini-fuzz",
-      "seed-" + std::to_string(seed), stage, detail});
-}
 
 /// A valid but non-uniform cluster variant of `m`: merges the first
 /// two clusters when they share a NUMA region, otherwise splits the
@@ -763,31 +759,28 @@ CheckReport fuzz_ini_roundtrip(unsigned first_seed, unsigned num_seeds,
   return sharded_reports(num_seeds, jobs, [&](std::size_t i) {
     const unsigned seed = first_seed + static_cast<unsigned>(i);
     CheckReport shard;
-    auto point = [&shard] {
-      ++shard.points;
-      obs::registry().counter("check.machine-ini-roundtrip.points").add();
-    };
+    const SeedTally tally(shard, "machine-ini-roundtrip", "ini-fuzz",
+                          seed);
 
     const auto m = random_machine(seed);
     const std::string text = machine::to_ini(m);
 
     // 1. The generated machine round-trips byte-identically.
-    point();
+    tally.point();
     try {
       const auto back = machine::from_ini(text);
       if (machine::to_ini(back) != text || back.clusters != m.clusters ||
           back.numa.size() != m.numa.size()) {
-        add_ini_violation(shard, seed, "round-trip",
-                          "to_ini(from_ini(text)) differs from text");
+        tally.violation("round-trip",
+                        "to_ini(from_ini(text)) differs from text");
       }
     } catch (const std::exception& e) {
-      add_ini_violation(shard, seed, "round-trip",
-                        std::string("threw: ") + e.what());
+      tally.violation("round-trip", std::string("threw: ") + e.what());
     }
 
     // 2. Non-uniform clusters survive via explicit cluster.N lists
     //    (the topology to_ini used to flatten to cluster_width).
-    point();
+    tally.point();
     try {
       const auto het = heterogeneous_variant(m);
       het.validate();
@@ -795,54 +788,50 @@ CheckReport fuzz_ini_roundtrip(unsigned first_seed, unsigned num_seeds,
       const auto back = machine::from_ini(het_text);
       if (back.clusters != het.clusters ||
           machine::to_ini(back) != het_text) {
-        add_ini_violation(shard, seed, "heterogeneous-clusters",
-                          "cluster topology lost in round trip");
+        tally.violation("heterogeneous-clusters",
+                        "cluster topology lost in round trip");
       }
     } catch (const std::exception& e) {
-      add_ini_violation(shard, seed, "heterogeneous-clusters",
-                        std::string("threw: ") + e.what());
+      tally.violation("heterogeneous-clusters",
+                      std::string("threw: ") + e.what());
     }
 
     // 3. A repeated section header is rejected, with a line number
     //    (it used to merge silently).
-    point();
+    tally.point();
     try {
       (void)machine::from_ini(text + "\n[core]\nclock_ghz = 1\n");
-      add_ini_violation(shard, seed, "duplicate-section",
-                        "repeated [core] header accepted");
+      tally.violation("duplicate-section", "repeated [core] header accepted");
     } catch (const std::invalid_argument& e) {
       const std::string what = e.what();
       if (what.find("duplicate section") == std::string::npos ||
           what.find("line ") == std::string::npos) {
-        add_ini_violation(shard, seed, "duplicate-section",
-                          "wrong error: " + what);
+        tally.violation("duplicate-section", "wrong error: " + what);
       }
     }
 
     // 4. A repeated key is rejected, with a line number (last-one-wins
     //    was silent data loss).
-    point();
+    tally.point();
     {
       std::string dup = text;
       const auto pos = dup.find("num_cores = ");
       dup.insert(pos, "num_cores = 1\n");
       try {
         (void)machine::from_ini(dup);
-        add_ini_violation(shard, seed, "duplicate-key",
-                          "repeated num_cores accepted");
+        tally.violation("duplicate-key", "repeated num_cores accepted");
       } catch (const std::invalid_argument& e) {
         const std::string what = e.what();
         if (what.find("duplicate key 'num_cores'") == std::string::npos ||
             what.find("line ") == std::string::npos) {
-          add_ini_violation(shard, seed, "duplicate-key",
-                            "wrong error: " + what);
+          tally.violation("duplicate-key", "wrong error: " + what);
         }
       }
     }
 
     // 5. An empty value is a clear parse error, not a silent default
     //    (the shape a formatting failure used to produce).
-    point();
+    tally.point();
     {
       std::string empty_value = text;
       const auto pos = empty_value.find("clock_ghz = ");
@@ -850,26 +839,23 @@ CheckReport fuzz_ini_roundtrip(unsigned first_seed, unsigned num_seeds,
       empty_value.replace(pos, eol - pos, "clock_ghz =");
       try {
         (void)machine::from_ini(empty_value);
-        add_ini_violation(shard, seed, "empty-value",
-                          "empty clock_ghz accepted");
+        tally.violation("empty-value", "empty clock_ghz accepted");
       } catch (const std::invalid_argument&) {
         // rejected, as required
       }
     }
 
     // 6. The descriptor registers and resolves through a registry.
-    point();
+    tally.point();
     try {
       machine::MachineRegistry registry;
       registry.add(m.name, m);
       if (!registry.contains(m.name) ||
           registry.descriptor(m.name).num_cores != m.num_cores) {
-        add_ini_violation(shard, seed, "registry",
-                          "registered machine did not resolve");
+        tally.violation("registry", "registered machine did not resolve");
       }
     } catch (const std::exception& e) {
-      add_ini_violation(shard, seed, "registry",
-                        std::string("threw: ") + e.what());
+      tally.violation("registry", std::string("threw: ") + e.what());
     }
 
     return shard;

@@ -31,7 +31,8 @@ class RunManifest {
 
   /// Adds one key under `section` (sections render as nested JSON
   /// objects, keys in insertion order). Re-adding a key appends — the
-  /// writer does not deduplicate.
+  /// writer does not deduplicate, and to_json's self-check then
+  /// rejects the duplicate key, so callers add each key once.
   void add(const std::string& section, const std::string& key,
            const std::string& value);
   void add(const std::string& section, const std::string& key,

@@ -2,6 +2,8 @@
 // JSON response line per request out (docs/SERVICE.md documents the
 // schema; tests/serve_test.cpp and check::fuzz_requests enforce it).
 //
+// Request lines are read with the repository's one JSON grammar
+// (obs::json_parse in obs/json.hpp) under ProtocolLimits::json.
 // Request validation is strict: unknown fields, wrong types, unknown
 // machines/kernels/enum spellings, out-of-range numbers and oversized
 // grids are all rejected with a structured error *before* any
@@ -19,7 +21,7 @@
 
 #include "core/types.hpp"
 #include "machine/placement.hpp"
-#include "serve/json.hpp"
+#include "obs/json.hpp"
 
 namespace sgp::serve {
 
@@ -95,7 +97,7 @@ struct ProtocolLimits {
   std::size_t max_points = 4096;          ///< grid size per request
   std::size_t max_id_bytes = 128;
   double max_deadline_ms = 3600.0 * 1000.0;
-  JsonLimits json;
+  obs::JsonLimits json;
 };
 
 /// Parses and validates one request line. The failure side carries the

@@ -50,6 +50,77 @@ TEST(ObsJson, ValidatorRejectsMalformedValues) {
   EXPECT_FALSE(obs::json_valid("{\"a\": nan}"));    // not a JSON token
   EXPECT_FALSE(obs::json_valid("{\"a\": 1} extra"));
   EXPECT_FALSE(obs::json_valid("{\"a\""));          // truncated
+  EXPECT_FALSE(obs::json_valid("{\"a\":1,\"a\":2}"));  // duplicate key
+  EXPECT_FALSE(obs::json_valid("[\"\xff\"]"));          // invalid byte
+  EXPECT_FALSE(obs::json_valid("[\"\\ud800\"]"));      // lone surrogate
+  EXPECT_FALSE(obs::json_valid("[1e999]"));            // out of range
+  EXPECT_FALSE(obs::json_valid("[\"\xc0\x80\"]"));      // overlong
+}
+
+TEST(ObsJson, QuoteReplacesInvalidUtf8) {
+  const std::string fffd = "\xef\xbf\xbd";
+  // Valid UTF-8 passes through byte-identically.
+  EXPECT_EQ(obs::json_quote("caf\xc3\xa9 \xf0\x9f\x98\x80"),
+            "\"caf\xc3\xa9 \xf0\x9f\x98\x80\"");
+  EXPECT_EQ(obs::json_quote("\xff.seg"), "\"" + fffd + ".seg\"");
+  EXPECT_EQ(obs::json_quote("\xc0\x80"), "\"" + fffd + fffd + "\"");
+  EXPECT_EQ(obs::json_quote("\xed\xa0\x80"),
+            "\"" + fffd + fffd + fffd + "\"");
+  EXPECT_EQ(obs::json_quote("a\xe2\x82"), "\"a" + fffd + fffd + "\"");
+  EXPECT_TRUE(obs::json_valid(obs::json_quote("\x80\xbf\xf8\xfe")));
+}
+
+// ------------------------------------------------------- parse_u64 --
+
+TEST(ParseU64, AcceptsFullRange) {
+  EXPECT_EQ(obs::parse_u64("0"), 0u);
+  EXPECT_EQ(obs::parse_u64("4242"), 4242u);
+  EXPECT_EQ(obs::parse_u64("18446744073709551615"),
+            18446744073709551615ull);
+}
+
+TEST(ParseU64, RejectsJunk) {
+  EXPECT_FALSE(obs::parse_u64(""));
+  EXPECT_FALSE(obs::parse_u64("-1"));
+  EXPECT_FALSE(obs::parse_u64("+1"));
+  EXPECT_FALSE(obs::parse_u64("1.5"));
+  EXPECT_FALSE(obs::parse_u64("1e3"));
+  EXPECT_FALSE(obs::parse_u64("12x"));
+  EXPECT_FALSE(obs::parse_u64(" 12"));
+  EXPECT_FALSE(obs::parse_u64("012"));  // no leading zeros
+  EXPECT_FALSE(obs::parse_u64("18446744073709551616"));  // 2^64
+  EXPECT_FALSE(obs::parse_u64("99999999999999999999999"));
+}
+
+// ------------------------------------------------------ JSON parser --
+
+TEST(ServeJson, StrictGrammar) {
+  EXPECT_TRUE(obs::json_parse("{\"a\":[1,2.5,-3e2,null,true]}").value);
+  EXPECT_FALSE(obs::json_parse("").value);
+  EXPECT_FALSE(obs::json_parse("{}trailing").value);
+  EXPECT_FALSE(obs::json_parse("{\"a\":1,}").value);
+  EXPECT_FALSE(obs::json_parse("{'a':1}").value);
+  EXPECT_FALSE(obs::json_parse("{\"a\":01}").value);
+  EXPECT_FALSE(obs::json_parse("{\"a\":1 \"b\":2}").value);
+}
+
+TEST(ServeJson, RejectsDuplicateKeys) {
+  EXPECT_FALSE(obs::json_parse("{\"a\":1,\"a\":2}").value);
+}
+
+TEST(ServeJson, RejectsBadUtf8) {
+  EXPECT_FALSE(obs::json_parse("{\"a\":\"\xff\"}").value);
+  EXPECT_FALSE(obs::json_parse("{\"a\":\"\xc0\x80\"}").value);
+  EXPECT_FALSE(obs::json_parse("{\"a\":\"\xed\xa0\x80\"}").value);
+  EXPECT_TRUE(obs::json_parse("{\"a\":\"\xc3\xa9\"}").value);  // é
+}
+
+TEST(ServeJson, EnforcesLimits) {
+  obs::JsonLimits limits;
+  limits.max_depth = 3;
+  std::string deep = "[[[[0]]]]";
+  EXPECT_FALSE(obs::json_parse(deep, limits).value);
+  EXPECT_TRUE(obs::json_parse("[[[0]]]", limits).value);
 }
 
 // ---------------------------------------------------------- metrics --
@@ -241,6 +312,20 @@ TEST(ObsManifest, RendersWellFormedJson) {
   EXPECT_NE(json.find("\"obs_test_tool\""), std::string::npos);
   EXPECT_NE(json.find("\"warmup\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
+}
+
+TEST(ObsManifest, NonUtf8ValueRendersAsReplacementCharacter) {
+  obs::RunManifest man("obs_test_tool");
+  man.add("run", "checkpoint", "\xff.seg");
+  const std::string json = man.to_json(obs::MetricsSnapshot{});
+  EXPECT_TRUE(obs::json_valid(json)) << json;
+  const auto parsed = obs::json_parse(json);
+  ASSERT_TRUE(parsed.ok()) << parsed.error;
+  const obs::JsonValue* run = parsed.value->find("run");
+  ASSERT_NE(run, nullptr);
+  const obs::JsonValue* checkpoint = run->find("checkpoint");
+  ASSERT_NE(checkpoint, nullptr);
+  EXPECT_EQ(checkpoint->string, "\xef\xbf\xbd.seg");
 }
 
 TEST(ObsManifest, EmbeddedMetricsEqualRegistrySnapshot) {

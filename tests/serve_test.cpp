@@ -1,7 +1,7 @@
-// Tests for the sgp-serve subsystem: the strict JSON/request parsers,
-// the shared uint64 flag parser, the Server's admission control,
-// request coalescing, deadline handling, and the cold -> drain ->
-// restart -> warm end-to-end contract over a persistent memo cache.
+// Tests for the sgp-serve subsystem: the strict request parser, the
+// Server's admission control, request coalescing, deadline handling,
+// and the cold -> drain -> restart -> warm end-to-end contract over a
+// persistent memo cache.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,7 +17,7 @@
 #include <sys/un.h>
 
 #include "check/fuzz.hpp"
-#include "serve/json.hpp"
+#include "obs/json.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 
@@ -65,75 +65,22 @@ serve::ServeError parse_err(const std::string& line) {
 }
 
 /// Extracts a top-level field from a rendered response line via the
-/// serve JSON parser itself (dogfooding: every emitted line must be
-/// parseable by the same strict grammar requests use).
-const serve::JsonValue* response_field(const serve::JsonValue& doc,
-                                       const std::string& key) {
-  EXPECT_EQ(doc.kind, serve::JsonValue::Kind::Object);
+/// parser requests are read with (dogfooding: every emitted line must
+/// be parseable by the same strict grammar requests use).
+const obs::JsonValue* response_field(const obs::JsonValue& doc,
+                                     const std::string& key) {
+  EXPECT_EQ(doc.kind, obs::JsonValue::Kind::Object);
   return doc.find(key);
 }
 
-serve::JsonValue parse_response(const std::string& line) {
-  const auto parsed = serve::json_parse(line);
+obs::JsonValue parse_response(const std::string& line) {
+  const auto parsed = obs::json_parse(line);
   EXPECT_TRUE(parsed.value.has_value())
       << "response not valid JSON: " << parsed.error << " in " << line;
-  return parsed.value ? *parsed.value : serve::JsonValue{};
+  return parsed.value ? *parsed.value : obs::JsonValue{};
 }
 
 }  // namespace
-
-// ------------------------------------------------------- parse_u64 --
-
-TEST(ParseU64, AcceptsFullRange) {
-  EXPECT_EQ(serve::parse_u64("0"), 0u);
-  EXPECT_EQ(serve::parse_u64("4242"), 4242u);
-  EXPECT_EQ(serve::parse_u64("18446744073709551615"),
-            18446744073709551615ull);
-}
-
-TEST(ParseU64, RejectsJunk) {
-  EXPECT_FALSE(serve::parse_u64(""));
-  EXPECT_FALSE(serve::parse_u64("-1"));
-  EXPECT_FALSE(serve::parse_u64("+1"));
-  EXPECT_FALSE(serve::parse_u64("1.5"));
-  EXPECT_FALSE(serve::parse_u64("1e3"));
-  EXPECT_FALSE(serve::parse_u64("12x"));
-  EXPECT_FALSE(serve::parse_u64(" 12"));
-  EXPECT_FALSE(serve::parse_u64("012"));  // no leading zeros
-  EXPECT_FALSE(serve::parse_u64("18446744073709551616"));  // 2^64
-  EXPECT_FALSE(serve::parse_u64("99999999999999999999999"));
-}
-
-// ------------------------------------------------------ JSON parser --
-
-TEST(ServeJson, StrictGrammar) {
-  EXPECT_TRUE(serve::json_parse("{\"a\":[1,2.5,-3e2,null,true]}").value);
-  EXPECT_FALSE(serve::json_parse("").value);
-  EXPECT_FALSE(serve::json_parse("{}trailing").value);
-  EXPECT_FALSE(serve::json_parse("{\"a\":1,}").value);
-  EXPECT_FALSE(serve::json_parse("{'a':1}").value);
-  EXPECT_FALSE(serve::json_parse("{\"a\":01}").value);
-  EXPECT_FALSE(serve::json_parse("{\"a\":1 \"b\":2}").value);
-}
-
-TEST(ServeJson, RejectsDuplicateKeys) {
-  EXPECT_FALSE(serve::json_parse("{\"a\":1,\"a\":2}").value);
-}
-
-TEST(ServeJson, RejectsBadUtf8) {
-  EXPECT_FALSE(serve::json_parse("{\"a\":\"\xff\"}").value);
-  EXPECT_FALSE(serve::json_parse("{\"a\":\"\xc0\x80\"}").value);
-  EXPECT_FALSE(serve::json_parse("{\"a\":\"\xed\xa0\x80\"}").value);
-  EXPECT_TRUE(serve::json_parse("{\"a\":\"\xc3\xa9\"}").value);  // é
-}
-
-TEST(ServeJson, EnforcesLimits) {
-  serve::JsonLimits limits;
-  limits.max_depth = 3;
-  std::string deep = "[[[[0]]]]";
-  EXPECT_FALSE(serve::json_parse(deep, limits).value);
-  EXPECT_TRUE(serve::json_parse("[[[0]]]", limits).value);
-}
 
 // --------------------------------------------------- request schema --
 
@@ -328,7 +275,7 @@ TEST(Server, ExpiredDeadlineGetsStructuredErrorWithoutSimulating) {
   const auto doc = parse_response(lines[0]);
   const auto* ok = response_field(doc, "ok");
   ASSERT_NE(ok, nullptr);
-  EXPECT_EQ(ok->kind, serve::JsonValue::Kind::Bool);
+  EXPECT_EQ(ok->kind, obs::JsonValue::Kind::Bool);
   EXPECT_FALSE(ok->boolean);
 }
 
@@ -354,7 +301,7 @@ TEST(Server, PipeModeAnswersEveryLine) {
   ASSERT_EQ(lines.size(), 4u);  // "never" is after shutdown: loop exits
   std::size_t parse_errors = 0;
   for (const auto& l : lines) {
-    EXPECT_TRUE(serve::json_parse(l).value) << l;
+    EXPECT_TRUE(obs::json_parse(l).value) << l;
     if (l.find("parse-error") != std::string::npos) ++parse_errors;
   }
   // Responses may interleave (rejects are synchronous, results come
@@ -398,7 +345,7 @@ TEST(Server, WarmRestartServesFromDiskWithIdenticalPayloads) {
       const auto* id = response_field(doc, "id");
       EXPECT_NE(id, nullptr) << line;
       const std::string key =
-          id && id->kind == serve::JsonValue::Kind::String ? id->string
+          id && id->kind == obs::JsonValue::Kind::String ? id->string
                                                            : "<null>";
       by_id.emplace(key, line);
     }
