@@ -1,10 +1,15 @@
 #include "cachesim/cache.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdlib>
 #include <limits>
 #include <new>
 #include <stdexcept>
+#include <utility>
+
+#include <sys/mman.h>
 
 namespace sgp::cachesim {
 
@@ -37,15 +42,88 @@ void CacheConfig::validate() const {
   }
 }
 
-template <typename T>
-Cache::ZeroedArray<T> Cache::zeroed(std::size_t n) {
-  T* const p = static_cast<T*>(std::calloc(n, sizeof(T)));
-  if (p == nullptr) throw std::bad_alloc();
-  return ZeroedArray<T>(p);
+namespace {
+
+/// Zero-filled mappings released on this thread, kept for the next
+/// block of the same size: replays build a fresh hierarchy each, mostly
+/// of the shape the last one had, and a recycled block's touched pages
+/// are resident already. Bounded; unmapped at thread exit.
+class MapPool {
+ public:
+  ~MapPool() {
+    for (const auto& [bytes, p] : free_) ::munmap(p, bytes);
+    closed_ = true;
+  }
+
+  std::byte* take(std::size_t bytes) {
+    for (auto it = free_.begin(); it != free_.end(); ++it) {
+      if (it->first == bytes) {
+        std::byte* const p = it->second;
+        free_.erase(it);
+        return p;
+      }
+    }
+    return nullptr;
+  }
+
+  void give(std::size_t bytes, std::byte* p) {
+    // A Cache destroyed after this thread's pool (by another
+    // thread_local's destructor) unmaps directly.
+    if (closed_ || free_.size() == kSlots) {
+      ::munmap(p, bytes);
+      return;
+    }
+    free_.emplace_back(bytes, p);
+  }
+
+ private:
+  static constexpr std::size_t kSlots = 4;
+  std::vector<std::pair<std::size_t, std::byte*>> free_;
+  // Trivially destructible, so still readable after ~MapPool.
+  static thread_local bool closed_;
+};
+
+thread_local bool MapPool::closed_ = false;
+thread_local MapPool map_pool;
+
+CacheConfig validated(CacheConfig config) {
+  config.validate();
+  return config;
 }
 
-Cache::Cache(CacheConfig config) : config_(std::move(config)) {
-  config_.validate();
+}  // namespace
+
+Cache::ZeroBlock::ZeroBlock(std::size_t bytes) : bytes_(bytes) {
+  if (recycled()) {
+    data_ = map_pool.take(bytes);
+    if (data_ == nullptr) {
+      void* const p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                             MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+      data_ = static_cast<std::byte*>(p);
+    }
+  } else {
+    data_ = static_cast<std::byte*>(std::calloc(bytes, 1));
+    if (data_ == nullptr) throw std::bad_alloc();
+  }
+}
+
+Cache::ZeroBlock::ZeroBlock(ZeroBlock&& other) noexcept
+    : data_(std::exchange(other.data_, nullptr)), bytes_(other.bytes_) {}
+
+Cache::ZeroBlock::~ZeroBlock() {
+  if (data_ == nullptr) return;
+  if (recycled()) {
+    map_pool.give(bytes_, data_);
+  } else {
+    std::free(data_);
+  }
+}
+
+Cache::Cache(CacheConfig config)
+    : config_(validated(std::move(config))),
+      block_(config_.size_bytes / config_.line_bytes *
+             (sizeof(Addr) + sizeof(std::uint64_t) + sizeof(std::uint8_t))) {
   line_shift_ = log2_pow2(config_.line_bytes);
   set_shift_ = log2_pow2(config_.num_sets());
   set_mask_ = config_.num_sets() - 1;
@@ -53,9 +131,32 @@ Cache::Cache(CacheConfig config) : config_(std::move(config)) {
   lru_ = config_.policy == ReplacementPolicy::LRU;
   write_allocate_ = config_.write_allocate;
   lines_ = config_.num_sets() * ways_;
-  tags_ = zeroed<Addr>(lines_);
-  stamps_ = zeroed<std::uint64_t>(lines_);
-  dirty_ = zeroed<std::uint8_t>(lines_);
+  tags_ = reinterpret_cast<Addr*>(block_.data());
+  stamps_ = reinterpret_cast<std::uint64_t*>(tags_ + lines_);
+  dirty_ = reinterpret_cast<std::uint8_t*>(stamps_ + lines_);
+  filled_.assign((config_.num_sets() + 63) / 64, 0);
+}
+
+Cache::~Cache() {
+  if (block_.recycled()) clear_filled_sets();
+}
+
+void Cache::clear_filled_sets() noexcept {
+  for (std::size_t word = 0; word < filled_.size(); ++word) {
+    // One fill per array for each run of consecutive filled sets.
+    for (std::uint64_t bits = filled_[word]; bits != 0;) {
+      const int first = std::countr_zero(bits);
+      const int run = std::countr_one(bits >> first);
+      const std::size_t begin = (word * 64 + first) * ways_;
+      const std::size_t n = static_cast<std::size_t>(run) * ways_;
+      std::fill_n(tags_ + begin, n, Addr{0});
+      std::fill_n(stamps_ + begin, n, std::uint64_t{0});
+      std::fill_n(dirty_ + begin, n, std::uint8_t{0});
+      bits = run == 64 ? 0
+                       : bits & ~(((std::uint64_t{1} << run) - 1) << first);
+    }
+    filled_[word] = 0;
+  }
 }
 
 bool Cache::access(Addr addr, bool is_write) {
@@ -88,9 +189,10 @@ Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
   // bumps: no other line's stamp changes in between, so victim
   // comparisons see the same relative order.
   clock_ += n;
-  const std::size_t base = set_of(addr) * ways_;
+  const std::size_t set = set_of(addr);
+  const std::size_t base = set * ways_;
   const Addr tag = tag_of(addr);
-  Addr* const tags = tags_.get() + base;
+  Addr* const tags = tags_ + base;
   const std::size_t ways = ways_;
 
   // Linear probe over the contiguous tag row; invalid ways hold a
@@ -125,7 +227,7 @@ Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
   // Victim: minimum stamp, earliest way on ties. Invalid ways have
   // stamp 0 and valid ones >= 1 (the clock pre-increments), so this is
   // exactly the legacy "first invalid way, else oldest stamp" walk.
-  std::uint64_t* const stamps = stamps_.get() + base;
+  std::uint64_t* const stamps = stamps_ + base;
   std::size_t v = 0;
   for (std::size_t i = 1; i < ways; ++i) {
     if (stamps[i] < stamps[v]) v = i;
@@ -136,10 +238,12 @@ Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
     if (dirty_[base + v]) {
       ++stats_.writebacks;
       out.writeback = true;
-      // The victim shares the incoming line's set (row base / ways).
-      const Addr set = static_cast<Addr>(base / ways);
+      // The victim shares the incoming line's set.
       out.victim_addr = (((tags[v] - 1) << set_shift_) | set) << line_shift_;
     }
+  } else if (v == 0) {
+    // Ways fill in order, so an invalid way 0 means an empty set.
+    filled_[set / 64] |= std::uint64_t{1} << (set % 64);
   }
   tags[v] = tag;
   dirty_[base + v] = static_cast<std::uint8_t>(writes != 0);
@@ -161,7 +265,7 @@ bool Cache::write_back_line(Addr addr) {
   ++clock_;
   const std::size_t base = set_of(addr) * ways_;
   const Addr tag = tag_of(addr);
-  Addr* const tags = tags_.get() + base;
+  Addr* const tags = tags_ + base;
   for (std::size_t w = 0; w < ways_; ++w) {
     if (tags[w] == tag) {
       if (lru_) stamps_[base + w] = clock_;
@@ -183,15 +287,11 @@ bool Cache::probe(Addr addr) const {
   return false;
 }
 
-void Cache::flush() {
-  std::fill_n(tags_.get(), lines_, Addr{0});
-  std::fill_n(stamps_.get(), lines_, std::uint64_t{0});
-  std::fill_n(dirty_.get(), lines_, std::uint8_t{0});
-}
+void Cache::flush() { clear_filled_sets(); }
 
 std::size_t Cache::resident_lines() const {
   return lines_ - static_cast<std::size_t>(
-                      std::count(tags_.get(), tags_.get() + lines_, Addr{0}));
+                      std::count(tags_, tags_ + lines_, Addr{0}));
 }
 
 Hierarchy::Hierarchy(std::vector<CacheConfig> levels) {

@@ -18,9 +18,8 @@
 // and evict the line between them (see docs/CACHESIM.md).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -142,6 +141,8 @@ class Cache {
   };
 
   explicit Cache(CacheConfig config);
+  Cache(Cache&&) noexcept = default;
+  ~Cache();
 
   const CacheConfig& config() const noexcept { return config_; }
   const CacheStats& stats() const noexcept { return stats_; }
@@ -206,31 +207,58 @@ class Cache {
     return ((addr >> line_shift_) >> set_shift_) + 1;
   }
 
-  struct FreeDeleter {
-    void operator()(void* p) const noexcept { std::free(p); }
+  /// The memory behind the line state: one block, all-zero when
+  /// handed out. Blocks of kMapBytes or more are anonymous mappings,
+  /// whose pages the kernel zero-fills on first touch, and go back to a
+  /// per-thread free list for the next Cache of the same size; the
+  /// owner must hand them back all-zero (~Cache clears the sets it
+  /// filled). Smaller blocks come from calloc.
+  class ZeroBlock {
+   public:
+    /// Throws std::bad_alloc.
+    explicit ZeroBlock(std::size_t bytes);
+    ZeroBlock(ZeroBlock&& other) noexcept;
+    ZeroBlock& operator=(ZeroBlock&&) = delete;
+    ~ZeroBlock();
+
+    std::byte* data() const noexcept { return data_; }
+    bool recycled() const noexcept { return bytes_ >= kMapBytes; }
+
+   private:
+    std::byte* data_ = nullptr;
+    std::size_t bytes_ = 0;
   };
-  template <typename T>
-  using ZeroedArray = std::unique_ptr<T[], FreeDeleter>;
-  /// `n` zero elements from calloc; throws std::bad_alloc.
-  template <typename T>
-  static ZeroedArray<T> zeroed(std::size_t n);
+  /// Block size from which line state is mapped and recycled: caches
+  /// of 4 MiB and up, where the untouched sets are worth not paying
+  /// for. Smaller blocks come from calloc; the heap serves them without
+  /// a system call, and clearing one whole costs little.
+  static constexpr std::size_t kMapBytes = std::size_t{1} << 20;
+
+  /// Zeroes the rows of every set filled since the last clear.
+  void clear_filled_sets() noexcept;
 
   CacheConfig config_;
   CacheStats stats_;
 
-  // Structure-of-arrays per-set state, each sized sets * ways and
-  // indexed row-major by (set, way). Invalid ways are all-zero: tag 0
-  // (never a stored tag, see tag_of) and stamp 0 (valid lines always
-  // stamp >= 1, so the victim scan is a single min-stamp probe that
-  // naturally prefers the first invalid way, exactly like the legacy
-  // first-invalid-else-oldest walk). The arrays come from calloc,
-  // whose fresh pages are zero already, so a large last-level cache
-  // costs no stores or page faults for the sets a replay never
-  // touches.
-  ZeroedArray<Addr> tags_;
-  ZeroedArray<std::uint64_t> stamps_;
-  ZeroedArray<std::uint8_t> dirty_;
+  // Structure-of-arrays per-set state, each sized sets * ways, indexed
+  // row-major by (set, way) and carved from block_. Invalid ways are
+  // all-zero: tag 0 (never a stored tag, see tag_of) and stamp 0 (valid
+  // lines always stamp >= 1, so the victim scan is a single min-stamp
+  // probe that naturally prefers the first invalid way, exactly like
+  // the legacy first-invalid-else-oldest walk). So a zero block needs
+  // no initialising stores, and a large last-level cache costs no
+  // stores or page faults for the sets a replay never touches, for
+  // every hierarchy a thread builds: a fresh mapping is untouched, and
+  // a recycled one was cleared set by set (calloc cannot promise that:
+  // once the heap recycles freed memory, calloc clears all of it).
+  ZeroBlock block_;
+  Addr* tags_ = nullptr;
+  std::uint64_t* stamps_ = nullptr;
+  std::uint8_t* dirty_ = nullptr;
   std::size_t lines_ = 0;  ///< sets * ways
+  /// One bit per set: set once a line is installed in the set since the
+  /// last clear. Sets without it are all-zero.
+  std::vector<std::uint64_t> filled_;
 
   std::uint64_t clock_ = 0;
   std::uint32_t line_shift_ = 0;  ///< log2(line_bytes)

@@ -28,6 +28,8 @@ namespace {
 /// One fuzz seed's bookkeeping for one invariant: points and violations
 /// land in the shard's report and in the check.<invariant>.points and
 /// .violations counters; each violation names `subject` and the seed.
+/// Each counter is looked up once per tally, the .violations one on the
+/// first violation, so a clean seed registers none.
 class SeedTally {
  public:
   SeedTally(CheckReport& report, std::string invariant, std::string subject,
@@ -35,15 +37,20 @@ class SeedTally {
       : report_(report),
         invariant_(std::move(invariant)),
         subject_(std::move(subject)),
-        seed_("seed-" + std::to_string(seed)) {}
+        seed_("seed-" + std::to_string(seed)),
+        points_(obs::registry().counter("check." + invariant_ + ".points")) {}
 
   void point() const {
     ++report_.points;
-    obs::registry().counter("check." + invariant_ + ".points").add();
+    points_.add();
   }
 
   void violation(std::string stage, std::string detail) const {
-    obs::registry().counter("check." + invariant_ + ".violations").add();
+    if (violations_ == nullptr) {
+      violations_ =
+          &obs::registry().counter("check." + invariant_ + ".violations");
+    }
+    violations_->add();
     report_.violations.push_back(Violation{invariant_, subject_, seed_,
                                            std::move(stage),
                                            std::move(detail)});
@@ -54,6 +61,8 @@ class SeedTally {
   std::string invariant_;
   std::string subject_;
   std::string seed_;
+  obs::Counter& points_;
+  mutable obs::Counter* violations_ = nullptr;
 };
 
 }  // namespace

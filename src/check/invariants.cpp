@@ -1,8 +1,10 @@
 #include "check/invariants.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "cachesim/replay.hpp"
@@ -32,33 +34,80 @@ std::string num(double v) {
   return os.str();
 }
 
-/// Records one invariant evaluation: bumps the per-invariant obs
-/// counters and appends a Violation when `holds` is false.
+/// The obs counters of one invariant, each resolved once per process:
+/// `check.<name>.points` on the first evaluation and
+/// `check.<name>.violations` on the first violation, so a clean run
+/// registers no violation counter and no evaluation takes the registry
+/// lock after the first. Concurrent first uses resolve to the same
+/// counter (the registry hands out stable references).
+class InvariantCounters {
+ public:
+  constexpr explicit InvariantCounters(const char* name) : name_(name) {}
+
+  const char* name() const noexcept { return name_; }
+  obs::Counter& points() { return resolve(points_, ".points"); }
+  obs::Counter& violations() { return resolve(violations_, ".violations"); }
+
+ private:
+  obs::Counter& resolve(std::atomic<obs::Counter*>& slot,
+                        const char* suffix) {
+    obs::Counter* c = slot.load(std::memory_order_acquire);
+    if (c == nullptr) {
+      c = &obs::registry().counter(std::string("check.") + name_ + suffix);
+      slot.store(c, std::memory_order_release);
+    }
+    return *c;
+  }
+
+  const char* name_;
+  std::atomic<obs::Counter*> points_{nullptr};
+  std::atomic<obs::Counter*> violations_{nullptr};
+};
+
+InvariantCounters kFinitePositive{"finite-positive"};
+InvariantCounters kBreakdownConsistency{"breakdown-consistency"};
+InvariantCounters kRooflineComputeBound{"roofline-compute-bound"};
+InvariantCounters kRooflineBandwidthBound{"roofline-bandwidth-bound"};
+InvariantCounters kScalarFloor{"scalar-floor"};
+InvariantCounters kRepsLinearity{"reps-linearity"};
+InvariantCounters kSizeMonotonicity{"size-monotonicity"};
+InvariantCounters kThreadMonotonicCompute{"thread-monotonic-compute"};
+InvariantCounters kThreadMonotonicSync{"thread-monotonic-sync"};
+InvariantCounters kCachesimServingLevel{"cachesim-serving-level"};
+InvariantCounters kCachesimSteadyHits{"cachesim-steady-hits"};
+InvariantCounters kCachesimSteadyMisses{"cachesim-steady-misses"};
+InvariantCounters kCachesimTraffic{"cachesim-traffic"};
+
+/// Records invariant evaluations for one (machine, kernel, config):
+/// bumps the per-invariant obs counters and appends a Violation when
+/// the invariant fails. `where` and each observation's `detail` are
+/// callables returning the text, invoked only on a violation, so a
+/// holding invariant formats nothing.
+template <typename Where>
 class Recorder {
  public:
-  Recorder(CheckReport& report, std::string machine, std::string kernel,
-           std::string where)
-      : report_(report),
-        machine_(std::move(machine)),
-        kernel_(std::move(kernel)),
-        where_(std::move(where)) {}
+  Recorder(CheckReport& report, std::string_view machine,
+           std::string_view kernel, Where where)
+      : report_(report), machine_(machine), kernel_(kernel), where_(where) {}
 
-  void observe(const std::string& invariant, bool holds,
-               const std::string& detail) {
+  template <typename Detail>
+  void observe(InvariantCounters& invariant, bool holds,
+               const Detail& detail) {
     ++report_.points;
-    obs::registry().counter("check." + invariant + ".points").add();
-    if (!holds) {
-      obs::registry().counter("check." + invariant + ".violations").add();
+    invariant.points().add();
+    if (!holds) [[unlikely]] {
+      invariant.violations().add();
       report_.violations.push_back(
-          Violation{invariant, machine_, kernel_, where_, detail});
+          Violation{invariant.name(), std::string(machine_),
+                    std::string(kernel_), where_(), detail()});
     }
   }
 
  private:
   CheckReport& report_;
-  std::string machine_;
-  std::string kernel_;
-  std::string where_;
+  std::string_view machine_;
+  std::string_view kernel_;
+  Where where_;
 };
 
 }  // namespace
@@ -84,23 +133,26 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
                                    CheckReport& report) const {
   const auto& m = sim_.machine();
   const auto bd = sim_.run(sig, cfg);
-  Recorder rec(report, m.name, sig.name, render_config(cfg));
+  Recorder rec(report, m.name, sig.name, [&] { return render_config(cfg); });
   const double tol = opt_.rel_tol;
 
-  rec.observe("finite-positive",
+  rec.observe(kFinitePositive,
               std::isfinite(bd.total_s) && bd.total_s > 0.0 &&
                   bd.compute_s >= 0.0 && bd.memory_s >= 0.0 &&
                   bd.sync_s >= 0.0 && bd.atomic_s >= 0.0,
-              "total=" + num(bd.total_s));
+              [&] { return "total=" + num(bd.total_s); });
 
   {
     const double recombined =
         std::max(bd.compute_s, bd.memory_s) + bd.sync_s + bd.atomic_s;
-    rec.observe("breakdown-consistency",
+    rec.observe(kBreakdownConsistency,
                 std::abs(bd.total_s - recombined) <=
                     tol * std::max(bd.total_s, recombined),
-                "total=" + num(bd.total_s) +
-                    " != max(compute,memory)+sync+atomic=" + num(recombined));
+                [&] {
+                  return "total=" + num(bd.total_s) +
+                         " != max(compute,memory)+sync+atomic=" +
+                         num(recombined);
+                });
   }
 
   // Lower bound from the roofline compute ceiling. The ceiling already
@@ -114,11 +166,13 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
     const auto pt = sim::roofline_points(m, cfg, {sig}).front();
     const double bound_s = flops_total / (pt.compute_ceiling_gflops * 1e9 *
                                           cfg.nthreads);
-    rec.observe("roofline-compute-bound",
-                bd.total_s * (1.0 + tol) >= bound_s,
-                "total=" + num(bd.total_s) + " < flops/(ceiling*t)=" +
-                    num(bound_s) + " (ceiling=" +
-                    num(pt.compute_ceiling_gflops) + " GFLOP/s)");
+    rec.observe(kRooflineComputeBound, bd.total_s * (1.0 + tol) >= bound_s,
+                [&] {
+                  return "total=" + num(bd.total_s) +
+                         " < flops/(ceiling*t)=" + num(bound_s) +
+                         " (ceiling=" + num(pt.compute_ceiling_gflops) +
+                         " GFLOP/s)";
+                });
   }
 
   // Lower bound from the bandwidth roof, valid only when the analytic
@@ -132,32 +186,37 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
     const double bw_cap =
         m.core.stream_bw_gbs * std::max(1.0, m.memory_derating);
     const double bound_s = bytes_total / (bw_cap * 1e9 * cfg.nthreads);
-    rec.observe("roofline-bandwidth-bound",
-                bd.total_s * (1.0 + tol) >= bound_s,
-                "total=" + num(bd.total_s) + " < bytes/(stream_bw*t)=" +
-                    num(bound_s));
+    rec.observe(kRooflineBandwidthBound, bd.total_s * (1.0 + tol) >= bound_s,
+                [&] {
+                  return "total=" + num(bd.total_s) +
+                         " < bytes/(stream_bw*t)=" + num(bound_s);
+                });
   }
 
   if (opt_.scalar_floor && cfg.vector_mode != core::VectorMode::Scalar) {
     sim::SimConfig scalar = cfg;
     scalar.vector_mode = core::VectorMode::Scalar;
     const double floor_s = sim_.seconds(sig, scalar);
-    rec.observe("scalar-floor",
+    rec.observe(kScalarFloor,
                 bd.total_s <= floor_s * (1.0 + opt_.scalar_floor_slack),
-                "total=" + num(bd.total_s) + " > scalar total " +
-                    num(floor_s) + " * " +
-                    num(1.0 + opt_.scalar_floor_slack));
+                [&] {
+                  return "total=" + num(bd.total_s) + " > scalar total " +
+                         num(floor_s) + " * " +
+                         num(1.0 + opt_.scalar_floor_slack);
+                });
   }
 
   {
     core::KernelSignature doubled = sig;
     doubled.reps = sig.reps * 2.0;
     const auto bd2 = sim_.run(doubled, cfg);
-    rec.observe("reps-linearity",
+    rec.observe(kRepsLinearity,
                 std::abs(bd2.total_s - 2.0 * bd.total_s) <=
                     tol * std::max(bd2.total_s, 2.0 * bd.total_s),
-                "2x reps gives " + num(bd2.total_s) + ", expected " +
-                    num(2.0 * bd.total_s));
+                [&] {
+                  return "2x reps gives " + num(bd2.total_s) +
+                         ", expected " + num(2.0 * bd.total_s);
+                });
   }
 
   {
@@ -165,10 +224,12 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
     scaled.iters_per_rep = sig.iters_per_rep * opt_.size_scale;
     scaled.working_set_elems = sig.working_set_elems * opt_.size_scale;
     const auto big = sim_.run(scaled, cfg);
-    rec.observe("size-monotonicity",
-                big.total_s >= bd.total_s * (1.0 - tol),
-                num(opt_.size_scale) + "x problem size shrank total from " +
-                    num(bd.total_s) + " to " + num(big.total_s));
+    rec.observe(kSizeMonotonicity, big.total_s >= bd.total_s * (1.0 - tol),
+                [&] {
+                  return num(opt_.size_scale) +
+                         "x problem size shrank total from " +
+                         num(bd.total_s) + " to " + num(big.total_s);
+                });
   }
 }
 
@@ -188,16 +249,19 @@ void InvariantChecker::check_thread_monotonicity(
     cfg.nthreads = t;
     const auto bd = sim_.run(sig, cfg);
     if (prev_t > 0) {
-      Recorder rec(report, sim_.machine().name, sig.name,
-                   render_config(cfg) + " vs t=" + std::to_string(prev_t));
-      rec.observe("thread-monotonic-compute",
-                  bd.compute_s <= prev.compute_s * (1.0 + tol),
-                  "compute rose from " + num(prev.compute_s) + " to " +
-                      num(bd.compute_s));
-      rec.observe("thread-monotonic-sync",
-                  bd.sync_s >= prev.sync_s * (1.0 - tol),
-                  "sync fell from " + num(prev.sync_s) + " to " +
-                      num(bd.sync_s));
+      Recorder rec(report, sim_.machine().name, sig.name, [&] {
+        return render_config(cfg) + " vs t=" + std::to_string(prev_t);
+      });
+      rec.observe(kThreadMonotonicCompute,
+                  bd.compute_s <= prev.compute_s * (1.0 + tol), [&] {
+                    return "compute rose from " + num(prev.compute_s) +
+                           " to " + num(bd.compute_s);
+                  });
+      rec.observe(kThreadMonotonicSync,
+                  bd.sync_s >= prev.sync_s * (1.0 - tol), [&] {
+                    return "sync fell from " + num(prev.sync_s) + " to " +
+                           num(bd.sync_s);
+                  });
     }
     prev = bd;
     prev_t = t;
@@ -227,20 +291,23 @@ void InvariantChecker::check_cachesim_consistency(
         machine::analyze(m, machine::assign_cores(m, machine::Placement::Block, 1));
     const auto level = cm.serving_level(ws_bytes, stats, 1);
     Recorder rec(report, m.name, "synthetic-l1-resident",
-                 "ws=" + num(ws_bytes) + "B t=1");
-    rec.observe("cachesim-serving-level", level == sim::MemLevel::L1,
-                "analytic model serves a half-L1 working set from " +
-                    std::string(sim::to_string(level)));
+                 [&] { return "ws=" + num(ws_bytes) + "B t=1"; });
+    rec.observe(kCachesimServingLevel, level == sim::MemLevel::L1, [&] {
+      return "analytic model serves a half-L1 working set from " +
+             std::string(sim::to_string(level));
+    });
 
     const auto rr = cachesim::replay(m, spec, 3);
-    rec.observe("cachesim-steady-hits",
+    rec.observe(kCachesimSteadyHits,
                 !rr.steady_miss_rate.empty() &&
                     rr.steady_miss_rate.front() < 0.02,
-                "steady L1 miss rate " +
-                    num(rr.steady_miss_rate.empty()
-                            ? 1.0
-                            : rr.steady_miss_rate.front()) +
-                    " for an L1-resident sweep");
+                [&] {
+                  return "steady L1 miss rate " +
+                         num(rr.steady_miss_rate.empty()
+                                 ? 1.0
+                                 : rr.steady_miss_rate.front()) +
+                         " for an L1-resident sweep";
+                });
   }
 
   // Case 2: a working set at 2.5x the aggregate last-level capacity
@@ -270,12 +337,13 @@ void InvariantChecker::check_cachesim_consistency(
     const auto stats = machine::analyze(
         m, machine::assign_cores(m, machine::Placement::Block, m.num_cores));
     const auto level = cm.serving_level(ws_total, stats, m.num_cores);
-    Recorder rec(report, m.name, "synthetic-dram-stream",
-                 "ws=" + num(ws_total) + "B t=" +
-                     std::to_string(m.num_cores));
-    rec.observe("cachesim-serving-level", level == sim::MemLevel::DRAM,
-                "analytic model serves a 2.5x-LLC working set from " +
-                    std::string(sim::to_string(level)));
+    Recorder rec(report, m.name, "synthetic-dram-stream", [&] {
+      return "ws=" + num(ws_total) + "B t=" + std::to_string(m.num_cores);
+    });
+    rec.observe(kCachesimServingLevel, level == sim::MemLevel::DRAM, [&] {
+      return "analytic model serves a 2.5x-LLC working set from " +
+             std::string(sim::to_string(level));
+    });
 
     const int l2_sharers = std::max(1, m.l2.shared_by);
     const int l3_sharers = m.l3.present() ? std::max(1, m.l3.shared_by) : 1;
@@ -291,20 +359,23 @@ void InvariantChecker::check_cachesim_consistency(
 
     const std::size_t last = hier.levels() - 1;
     const double steady_last_miss = hier.level(last).stats().miss_rate();
-    rec.observe("cachesim-steady-misses", steady_last_miss > 0.5,
-                "steady last-level miss rate " + num(steady_last_miss) +
-                    " for a DRAM-streaming sweep");
+    rec.observe(kCachesimSteadyMisses, steady_last_miss > 0.5, [&] {
+      return "steady last-level miss rate " + num(steady_last_miss) +
+             " for a DRAM-streaming sweep";
+    });
 
     // The analytic model prices one logical element move per iteration:
     // arrays * elem_bytes of streamed traffic per element.
     const double analytic_bytes = static_cast<double>(
         spec.arrays * spec.elems * spec.elem_bytes);
-    rec.observe("cachesim-traffic",
+    rec.observe(kCachesimTraffic,
                 rep_bytes >= 0.5 * analytic_bytes &&
                     rep_bytes <= 3.0 * analytic_bytes,
-                "simulated per-rep DRAM traffic " + num(rep_bytes) +
-                    "B vs analytic streamed bytes " + num(analytic_bytes) +
-                    "B (outside 0.5x..3x)");
+                [&] {
+                  return "simulated per-rep DRAM traffic " + num(rep_bytes) +
+                         "B vs analytic streamed bytes " +
+                         num(analytic_bytes) + "B (outside 0.5x..3x)";
+                });
   }
 }
 
@@ -338,12 +409,21 @@ CheckReport check_machine(const machine::MachineDescriptor& m,
   thread_grid.erase(std::unique(thread_grid.begin(), thread_grid.end()),
                     thread_grid.end());
 
-  // One shard per kernel signature; sim::Simulator::run is const and
-  // thread-safe, and shard reports merge in signature order.
+  // Index 0 is the cachesim consistency pass, the longest single task:
+  // dynamic scheduling starts it first and the signature shards (index
+  // si + 1, sim::Simulator::run is const and thread-safe) fill the other
+  // workers around it. Its report is kept aside and merged after the
+  // shards', so the report reads in serial order: signatures in order,
+  // then the cachesim pass.
+  CheckReport cachesim;
   CheckReport report = sharded_reports(
-      sigs.size(), jobs, [&](std::size_t si) {
-        const auto& sig = sigs[si];
+      sigs.size() + 1, jobs, [&](std::size_t i) {
         CheckReport shard;
+        if (i == 0) {
+          checker.check_cachesim_consistency(cachesim);
+          return shard;
+        }
+        const auto& sig = sigs[i - 1];
         for (const auto prec : core::all_precisions) {
           sim::SimConfig cfg;
           cfg.precision = prec;
@@ -368,7 +448,7 @@ CheckReport check_machine(const machine::MachineDescriptor& m,
         return shard;
       });
 
-  checker.check_cachesim_consistency(report);
+  report.merge(std::move(cachesim));
   return report;
 }
 

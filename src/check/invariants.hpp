@@ -30,7 +30,8 @@
 //     decision and DRAM traffic term.
 //
 // Per-check metrics land in the obs registry as check.<invariant>.points
-// and check.<invariant>.violations.
+// and check.<invariant>.violations (the latter registered on the first
+// violation).
 #pragma once
 
 #include <cstddef>
@@ -125,9 +126,11 @@ CheckReport sharded_reports(
 /// Every invariant for one machine over the given kernels at a standard
 /// config grid (both precisions; serial, half and full threads; the
 /// three placements at full width), plus the cachesim consistency pass.
-/// `jobs` shards the kernel signatures over a ThreadPool; reports merge
-/// in signature order, so the output does not depend on the worker
-/// count.
+/// One sharded_reports dispatch over `jobs` workers runs the cachesim
+/// pass (index 0, the longest task, so it starts first) alongside one
+/// shard per kernel signature. Reports merge in signature order with
+/// the cachesim pass last, so the output does not depend on the worker
+/// count. Violation text is rendered only for failing invariants.
 CheckReport check_machine(const machine::MachineDescriptor& m,
                           const std::vector<core::KernelSignature>& sigs,
                           const CheckOptions& opt = {}, int jobs = 1);

@@ -5,9 +5,11 @@
 // writeback-propagation fix in Hierarchy.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cachesim/arena.hpp"
@@ -396,6 +398,56 @@ TEST(Replay, RejectsNonPositiveReps) {
   const auto spec = small_spec(AccessPattern::Streaming);
   EXPECT_THROW((void)replay_stream(m, spec, 0), std::invalid_argument);
   EXPECT_THROW((void)replay_vector(m, spec, 0), std::invalid_argument);
+}
+
+/// A field of /proc/self/status in KiB ("VmRSS:", "VmHWM:"), or -1
+/// where the file or the field is missing.
+long status_kib(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field, 0) == 0) return std::stol(line.substr(field.size()));
+  }
+  return -1;
+}
+
+/// Restarts VmHWM from the current VmRSS; false where the kernel does
+/// not support it.
+bool reset_peak_rss() {
+  std::ofstream clear_refs("/proc/self/clear_refs");
+  clear_refs << "5";
+  clear_refs.flush();
+  return clear_refs.good();
+}
+
+TEST(Replay, UntouchedCacheLineStateStaysFreeAcrossHierarchies) {
+  // The SG2042's full 64 MiB L3 carries 17 MiB of line state, of which
+  // a small sweep touches a few pages. That must hold for every
+  // hierarchy, not only the first: once the allocator recycles the
+  // memory a freed hierarchy gave back, calloc has to clear it and the
+  // whole 17 MiB becomes resident. The validation oracle replays on
+  // pool workers, so this runs on a thread of its own; the peak is what
+  // counts, since the arrays are released before the replay returns.
+  if (status_kib("VmRSS:") < 0 || !reset_peak_rss()) {
+    GTEST_SKIP() << "no VmRSS/VmHWM in /proc/self/status";
+  }
+  const auto m = machine::sg2042();
+  const auto spec = small_spec(AccessPattern::Streaming);
+  std::vector<long> growth_kib;
+  std::thread([&] {
+    for (int i = 0; i < 3; ++i) {
+      reset_peak_rss();
+      const long before = status_kib("VmRSS:");
+      (void)replay_stream(m, spec, 2);
+      growth_kib.push_back(status_kib("VmHWM:") - before);
+    }
+  }).join();
+  // The first replay also sizes the thread's decode arena.
+  for (std::size_t i = 1; i < growth_kib.size(); ++i) {
+    EXPECT_LT(growth_kib[i], 2048)
+        << "full-L3 replay " << i << " raised the peak resident set by "
+        << growth_kib[i] << " KiB";
+  }
 }
 
 // --------------------------------------------------- writeback propagation --

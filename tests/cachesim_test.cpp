@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "cachesim/cache.hpp"
 #include "cachesim/trace.hpp"
@@ -160,6 +161,43 @@ TEST(Cache, FlushInvalidatesEverything) {
   c.flush();
   EXPECT_EQ(c.resident_lines(), 0u);
   EXPECT_FALSE(c.probe(0x0));
+}
+
+TEST(Cache, ReleasedLineStateComesBackEmpty) {
+  // 8 MiB of 64-byte lines: line state large enough to be mapped and,
+  // once its cache is gone, recycled for the next cache of that shape
+  // on this thread. Whichever sets the last user filled (all of them in
+  // runs, or a scattered few), a flushed cache and the next cache must
+  // be empty: no resident lines, no stale stamps (a fill of every way
+  // would count evictions) and no stale dirt (writebacks).
+  const auto cfg = tiny_cache(std::size_t{8} << 20, 16);
+  const std::uint64_t lines = cfg.size_bytes / cfg.line_bytes;
+  const auto expect_empty = [&](Cache& c) {
+    EXPECT_EQ(c.resident_lines(), 0u);
+    const CacheStats before = c.stats();
+    for (Addr i = 0; i < lines; ++i) c.access(i * 64, false);
+    EXPECT_EQ(c.stats().read_misses - before.read_misses, lines);
+    EXPECT_EQ(c.stats().evictions, before.evictions);
+    EXPECT_EQ(c.stats().writebacks, before.writebacks);
+  };
+  const std::pair<Addr, std::uint64_t> fills[] = {{64, 2 * lines},
+                                                  {64 * 4099, 1000}};
+  for (const auto& [step, count] : fills) {
+    const auto fill = [&](Cache& c) {
+      for (Addr i = 0; i < count; ++i) c.access(i * step, i % 3 == 0);
+      ASSERT_GT(c.resident_lines(), 0u);
+    };
+    {
+      Cache used(cfg);
+      fill(used);
+    }
+    Cache next(cfg);
+    expect_empty(next);
+    Cache flushed(cfg);
+    fill(flushed);
+    flushed.flush();
+    expect_empty(flushed);
+  }
 }
 
 // ---------------------------------------------------------- Hierarchy --

@@ -12,6 +12,7 @@
 #include "check/invariants.hpp"
 #include "engine/engine.hpp"
 #include "kernels/register_all.hpp"
+#include "obs/metrics.hpp"
 
 namespace sgp::check {
 namespace {
@@ -21,6 +22,16 @@ core::KernelSignature find_sig(const std::string& name) {
     if (s.name == name) return s;
   }
   throw std::runtime_error("no kernel " + name);
+}
+
+/// sg2042 with a vector unit realising 1% of ideal scaling: its vector
+/// path loses to forced-scalar code, so check_machine reports
+/// scalar-floor violations.
+machine::MachineDescriptor broken_vector_sg2042() {
+  auto m = machine::sg2042();
+  m.name = "sg2042-broken-vector";
+  m.core.vector->efficiency_fp32 = 0.01;
+  return m;
 }
 
 // ---------------------------------------------------------- parse_csv --
@@ -135,10 +146,7 @@ TEST(InvariantChecker, ScalarFloorFiresOnMiscalibratedVectorUnit) {
   // A machine whose vector unit realises 1% of ideal scaling executes
   // the vector path far slower than forced-scalar code on a
   // compute-bound kernel — exactly the drift the floor exists to catch.
-  auto m = machine::sg2042();
-  m.name = "sg2042-broken-vector";
-  m.core.vector->efficiency_fp32 = 0.01;
-  InvariantChecker checker(m);
+  InvariantChecker checker(broken_vector_sg2042());
   CheckReport report;
   sim::SimConfig cfg;
   cfg.precision = core::Precision::FP32;
@@ -150,6 +158,10 @@ TEST(InvariantChecker, ScalarFloorFiresOnMiscalibratedVectorUnit) {
   ASSERT_NE(hit, report.violations.end());
   EXPECT_EQ(hit->machine, "sg2042-broken-vector");
   EXPECT_EQ(hit->kernel, "GEMM");
+  // The text is rendered only on failure; pin it exactly.
+  EXPECT_EQ(hit->where, "FP32 GCC VLS t=1 block");
+  EXPECT_EQ(hit->detail,
+            "total=3.42671895425 > scalar total 0.350224384 * 1.05");
 }
 
 TEST(InvariantChecker, CheckMachineCoversTheGrid) {
@@ -207,12 +219,65 @@ TEST(Sharding, SerialAndParallelReportsAreIdentical) {
 }
 
 TEST(Sharding, CheckMachineIsJobCountInvariant) {
-  const auto sigs = std::vector<core::KernelSignature>{find_sig("TRIAD")};
-  const auto m = machine::visionfive_v2();
-  const auto serial = check_machine(m, sigs, {}, /*jobs=*/1);
-  const auto parallel = check_machine(m, sigs, {}, /*jobs=*/4);
-  EXPECT_EQ(serial.points, parallel.points);
-  EXPECT_EQ(serial.violations.size(), parallel.violations.size());
+  // Machines with violations, so the comparison covers the rendered
+  // violation text, not only the counts, whichever worker ran a shard.
+  // The second one's 64 MiB L2 also fails the cachesim pass, whose
+  // violations follow every signature's.
+  auto big_l2 = broken_vector_sg2042();
+  big_l2.name = "sg2042-broken-vector-64mib-l2";
+  big_l2.l2.size_bytes *= 64;
+  const auto sigs = std::vector<core::KernelSignature>{find_sig("TRIAD"),
+                                                       find_sig("GEMM")};
+  for (const auto& m : {broken_vector_sg2042(), big_l2}) {
+    const auto serial = check_machine(m, sigs, {}, /*jobs=*/1);
+    const auto parallel = check_machine(m, sigs, {}, /*jobs=*/4);
+    ASSERT_FALSE(serial.ok()) << m.name;
+    EXPECT_EQ(serial.points, parallel.points) << m.name;
+    ASSERT_EQ(serial.violations.size(), parallel.violations.size())
+        << m.name;
+    for (std::size_t i = 0; i < serial.violations.size(); ++i) {
+      EXPECT_EQ(to_string(serial.violations[i]),
+                to_string(parallel.violations[i]));
+    }
+  }
+  const auto report = check_machine(big_l2, sigs, {}, /*jobs=*/4);
+  ASSERT_GE(report.violations.size(), 3u);
+  EXPECT_EQ(report.violations.front().kernel, "TRIAD");
+  EXPECT_EQ(report.violations.back().kernel, "synthetic-dram-stream");
+}
+
+TEST(Sharding, CheckMachineCountersMatchTheReport) {
+  // Sum of every check.<invariant><suffix> counter.
+  const auto total = [](const obs::MetricsSnapshot& snap,
+                        const std::string& suffix) {
+    std::uint64_t sum = 0;
+    for (const auto& [name, value] : snap.counters) {
+      if (name.rfind("check.", 0) == 0 && name.size() > suffix.size() &&
+          name.compare(name.size() - suffix.size(), suffix.size(),
+                       suffix) == 0) {
+        sum += value;
+      }
+    }
+    return sum;
+  };
+  const auto sigs = std::vector<core::KernelSignature>{find_sig("TRIAD"),
+                                                       find_sig("GEMM")};
+  for (const int jobs : {1, 4}) {
+    const auto before = obs::registry().snapshot();
+    const auto report = check_machine(broken_vector_sg2042(), sigs, {}, jobs);
+    const auto after = obs::registry().snapshot();
+    ASSERT_FALSE(report.ok());
+    EXPECT_EQ(total(after, ".points") - total(before, ".points"),
+              report.points)
+        << "jobs=" << jobs;
+    EXPECT_EQ(total(after, ".violations") - total(before, ".violations"),
+              report.violations.size())
+        << "jobs=" << jobs;
+    EXPECT_EQ(after.counter_or("check.scalar-floor.violations") -
+                  before.counter_or("check.scalar-floor.violations"),
+              report.violations.size())
+        << "jobs=" << jobs;
+  }
 }
 
 // --------------------------------------------------- cachesim agreement --
