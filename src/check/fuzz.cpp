@@ -25,19 +25,20 @@ namespace sgp::check {
 
 namespace {
 
-/// One fuzz seed's bookkeeping for one invariant: points and violations
+/// Bookkeeping for one invariant on one subject: points and violations
 /// land in the shard's report and in the check.<invariant>.points and
-/// .violations counters; each violation names `subject` and the seed.
-/// Each counter is looked up once per tally, the .violations one on the
-/// first violation, so a clean seed registers none.
+/// .violations counters; each violation names `subject` and `kernel`
+/// (a fuzz seed, a sweep pattern or a kernel name). Each counter is
+/// looked up once per tally, the .violations one on the first
+/// violation, so a clean tally registers none.
 class SeedTally {
  public:
   SeedTally(CheckReport& report, std::string invariant, std::string subject,
-            unsigned seed)
+            std::string kernel)
       : report_(report),
         invariant_(std::move(invariant)),
         subject_(std::move(subject)),
-        seed_("seed-" + std::to_string(seed)),
+        kernel_(std::move(kernel)),
         points_(obs::registry().counter("check." + invariant_ + ".points")) {}
 
   void point() const {
@@ -51,7 +52,7 @@ class SeedTally {
           &obs::registry().counter("check." + invariant_ + ".violations");
     }
     violations_->add();
-    report_.violations.push_back(Violation{invariant_, subject_, seed_,
+    report_.violations.push_back(Violation{invariant_, subject_, kernel_,
                                            std::move(stage),
                                            std::move(detail)});
   }
@@ -60,7 +61,7 @@ class SeedTally {
   CheckReport& report_;
   std::string invariant_;
   std::string subject_;
-  std::string seed_;
+  std::string kernel_;
   obs::Counter& points_;
   mutable obs::Counter* violations_ = nullptr;
 };
@@ -275,18 +276,14 @@ void agree_replays(const std::vector<cachesim::CacheConfig>& cfgs,
   const auto str = cachesim::replay_stream(cfgs, spec, c.reps);
   const std::string detail = diff_replays(vec, str, "vector", "stream");
 
-  ++report.points;
-  obs::registry().counter("check.cachesim-replay-agreement.points").add();
+  const SeedTally tally(
+      report, "cachesim-replay-agreement", subject,
+      std::string("sweep-") + std::string(core::to_string(c.pattern)));
+  tally.point();
   if (!detail.empty()) {
-    obs::registry()
-        .counter("check.cachesim-replay-agreement.violations")
-        .add();
-    report.violations.push_back(Violation{
-        "cachesim-replay-agreement", subject,
-        std::string("sweep-") + std::string(core::to_string(c.pattern)),
-        "elems=" + std::to_string(c.elems) +
-            " reps=" + std::to_string(c.reps),
-        detail});
+    tally.violation("elems=" + std::to_string(c.elems) +
+                        " reps=" + std::to_string(c.reps),
+                    detail);
   }
 }
 
@@ -429,7 +426,7 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
     const unsigned seed = first_seed + static_cast<unsigned>(i);
     CheckReport shard;
     const SeedTally tally(shard, "persist-segment-robustness",
-                          "segment-fuzz", seed);
+                          "segment-fuzz", "seed-" + std::to_string(seed));
 
     std::mt19937_64 rng(seed);
     const auto payloads = random_payloads(rng);
@@ -663,7 +660,7 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
     const unsigned seed = first_seed + static_cast<unsigned>(i);
     CheckReport shard;
     const SeedTally tally(shard, "serve-request-robustness",
-                          "request-fuzz", seed);
+                          "request-fuzz", "seed-" + std::to_string(seed));
 
     std::mt19937_64 rng(seed);
     std::string line = random_request_line(rng);
@@ -769,7 +766,7 @@ CheckReport fuzz_ini_roundtrip(unsigned first_seed, unsigned num_seeds,
     const unsigned seed = first_seed + static_cast<unsigned>(i);
     CheckReport shard;
     const SeedTally tally(shard, "machine-ini-roundtrip", "ini-fuzz",
-                          seed);
+                          "seed-" + std::to_string(seed));
 
     const auto m = random_machine(seed);
     const std::string text = machine::to_ini(m);
@@ -943,15 +940,12 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
     const auto m = random_machine(seed);
     const sim::Simulator sim(m);
     std::mt19937_64 rng(seed);
-
-    auto violation = [&](const core::KernelSignature& sig,
-                         const sim::SimConfig& cfg,
-                         const std::string& detail) {
-      obs::registry().counter("check.sim-batch-identity.violations").add();
-      shard.violations.push_back(Violation{"sim-batch-identity", m.name,
-                                           sig.name,
-                                           render_batch_config(cfg), detail});
-    };
+    // One tally per kernel: a violation names the kernel it hit.
+    std::vector<SeedTally> tallies;
+    tallies.reserve(sigs.size());
+    for (const auto& sig : sigs) {
+      tallies.emplace_back(shard, "sim-batch-identity", m.name, sig.name);
+    }
 
     auto random_config = [&] {
       sim::SimConfig cfg;
@@ -1024,8 +1018,8 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
       const auto engine_hit = eng.run_batch(points);
 
       for (std::size_t p = 0; p < count; ++p) {
-        ++shard.points;
-        obs::registry().counter("check.sim-batch-identity.points").add();
+        const SeedTally& tally = tallies[which[p]];
+        tally.point();
         std::string detail =
             diff_breakdowns(scalar[p], batched[p], "run", "run_batch");
         if (detail.empty()) {
@@ -1036,7 +1030,9 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
           detail = diff_breakdowns(scalar[p], engine_hit[p], "run",
                                    "engine-hit");
         }
-        if (!detail.empty()) violation(sigs[which[p]], cfgs[p], detail);
+        if (!detail.empty()) {
+          tally.violation(render_batch_config(cfgs[p]), std::move(detail));
+        }
       }
     }
     return shard;

@@ -209,11 +209,6 @@ class SweepEngine {
   /// thread; a no-op without a store.
   bool flush_persistent();
 
-  /// The attached store, for tests/diagnostics (nullptr when none).
-  const PersistentStore* persistent_store() const noexcept {
-    return store_.get();
-  }
-
  private:
   const sim::Simulator& simulator_for(const machine::MachineDescriptor& m,
                                       std::uint64_t machine_fp);

@@ -96,29 +96,10 @@ int best_threads_uncached(Group g, Precision prec, SweepEngine& eng) {
 std::mutex best_threads_mu;
 std::map<std::pair<Group, Precision>, int> best_threads_memo;
 
-std::mutex pipeline_machine_mu;
-std::string pipeline_machine_name = "sg2042";
-
 }  // namespace
 
 const machine::MachineDescriptor& pipeline_machine() {
-  std::lock_guard<std::mutex> lock(pipeline_machine_mu);
-  return machine::shared_registry().descriptor(pipeline_machine_name);
-}
-
-std::string set_pipeline_machine(const std::string& name) {
-  // Resolve first so an unknown name throws (with its did-you-mean
-  // hint) before any state changes.
-  (void)machine::shared_registry().descriptor(name);
-  std::string prev;
-  {
-    std::lock_guard<std::mutex> lock(pipeline_machine_mu);
-    prev = pipeline_machine_name;
-    pipeline_machine_name = name;
-  }
-  // The best-threads winners belong to the previous machine.
-  if (prev != name) reset_best_threads_memo();
-  return prev;
+  return machine::shared_registry().descriptor("sg2042");
 }
 
 std::map<std::string, core::Group> suite_groups() {

@@ -31,17 +31,9 @@ namespace sgp::experiments {
 // --------------------------------------------------- pipeline machine --
 /// The machine the SG2042-centric pipelines (figure1's SG series,
 /// figure2/3, scaling tables, the x86 comparison baseline and the
-/// best-threads memo) run on: machine::shared_registry()'s "sg2042"
-/// by default. Returns a registry-stable reference.
+/// best-threads memo) run on: machine::shared_registry()'s "sg2042".
+/// Returns a registry-stable reference.
 const machine::MachineDescriptor& pipeline_machine();
-
-/// Re-points those pipelines at any registered machine — built-in or
-/// INI-loaded — and returns the previous name. Throws
-/// std::out_of_range (with a did-you-mean hint) on an unknown name.
-/// Clears the best-threads memo, which belongs to the previous
-/// machine. Not synchronised against concurrently *running* pipelines:
-/// re-point between runs, not during them.
-std::string set_pipeline_machine(const std::string& name);
 
 /// Per-kernel simulated times (seconds over all reps) for one machine
 /// under one configuration, keyed by kernel name.

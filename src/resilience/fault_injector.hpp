@@ -46,13 +46,6 @@ constexpr std::string_view to_string(FaultKind k) noexcept {
   return "?";
 }
 
-/// True for the fault kinds that target filesystem operations rather
-/// than kernel execution.
-constexpr bool is_io_fault(FaultKind k) noexcept {
-  return k == FaultKind::TornWrite || k == FaultKind::NoSpace ||
-         k == FaultKind::BitFlipRead || k == FaultKind::RenameFail;
-}
-
 /// One injection rule, scoped to a kernel name ("*" matches any kernel).
 struct FaultSpec {
   std::string kernel;

@@ -41,10 +41,6 @@ std::string_view to_string(Op op) noexcept {
   return "?";
 }
 
-std::vector<std::string> known_machines() {
-  return machine::shared_registry().names();
-}
-
 namespace {
 
 /// Registry-backed kernel name validation with did-you-mean.

@@ -108,11 +108,6 @@ using ParseOutcome =
 ParseOutcome parse_request(std::string_view line,
                            const ProtocolLimits& limits);
 
-/// Servable machine names in registration order (sg2042 first):
-/// machine::shared_registry()'s current listing — built-ins plus any
-/// INI packs registered at startup.
-std::vector<std::string> known_machines();
-
 /// Descriptor for a registered machine name; nullptr when unknown. The
 /// returned pointer is stable for the life of the process (the server
 /// borrows it in engine::SweepPoint); it comes straight from

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "check/artifacts.hpp"
 #include "check/fuzz.hpp"
@@ -262,21 +263,34 @@ TEST(Sharding, CheckMachineCountersMatchTheReport) {
   };
   const auto sigs = std::vector<core::KernelSignature>{find_sig("TRIAD"),
                                                        find_sig("GEMM")};
-  for (const int jobs : {1, 4}) {
-    const auto before = obs::registry().snapshot();
-    const auto report = check_machine(broken_vector_sg2042(), sigs, {}, jobs);
-    const auto after = obs::registry().snapshot();
-    ASSERT_FALSE(report.ok());
-    EXPECT_EQ(total(after, ".points") - total(before, ".points"),
-              report.points)
-        << "jobs=" << jobs;
-    EXPECT_EQ(total(after, ".violations") - total(before, ".violations"),
-              report.violations.size())
-        << "jobs=" << jobs;
-    EXPECT_EQ(after.counter_or("check.scalar-floor.violations") -
-                  before.counter_or("check.scalar-floor.violations"),
-              report.violations.size())
-        << "jobs=" << jobs;
+  const std::pair<std::string, std::function<CheckReport(int)>> runs[] = {
+      {"check_machine",
+       [&](int jobs) {
+         return check_machine(broken_vector_sg2042(), sigs, {}, jobs);
+       }},
+      {"fuzz_cachesim", [](int jobs) { return fuzz_cachesim(1, 3, jobs); }},
+      {"fuzz_batch_identity",
+       [](int jobs) { return fuzz_batch_identity(1, 3, jobs); }},
+  };
+  for (const auto& [what, run] : runs) {
+    for (const int jobs : {1, 4}) {
+      const auto before = obs::registry().snapshot();
+      const auto report = run(jobs);
+      const auto after = obs::registry().snapshot();
+      EXPECT_GT(report.points, 0u) << what << " jobs=" << jobs;
+      EXPECT_EQ(total(after, ".points") - total(before, ".points"),
+                report.points)
+          << what << " jobs=" << jobs;
+      EXPECT_EQ(total(after, ".violations") - total(before, ".violations"),
+                report.violations.size())
+          << what << " jobs=" << jobs;
+      if (what != "check_machine") continue;
+      ASSERT_FALSE(report.ok());
+      EXPECT_EQ(after.counter_or("check.scalar-floor.violations") -
+                    before.counter_or("check.scalar-floor.violations"),
+                report.violations.size())
+          << "jobs=" << jobs;
+    }
   }
 }
 
