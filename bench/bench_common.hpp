@@ -210,11 +210,11 @@ inline void print_perf(std::ostream& out,
 
 /// Prints a figure-style series set (one row per class, one column pair
 /// per series: mean and min..max whiskers, in the paper's encoding).
-inline void print_series(std::ostream& out, const std::string& title,
+inline void print_series(const std::string& title,
                          const std::vector<experiments::RatioSeries>& series) {
-  out << "== " << title << " ==\n";
-  out << "(encoding: 0 = same speed, +1 = 2x faster, -1 = 2x "
-         "slower than baseline)\n";
+  std::cout << "== " << title << " ==\n";
+  std::cout << "(encoding: 0 = same speed, +1 = 2x faster, -1 = 2x "
+               "slower than baseline)\n";
   std::vector<std::string> headers{"class"};
   for (const auto& s : series) {
     headers.push_back(s.label + " avg");
@@ -232,31 +232,21 @@ inline void print_series(std::ostream& out, const std::string& title,
     }
     t.add_row(std::move(row));
   }
-  out << t.render() << "\n";
+  std::cout << t.render() << "\n";
 }
 
-inline void print_series(const std::string& title,
-                         const std::vector<experiments::RatioSeries>& s) {
-  print_series(std::cout, title, s);
-}
-
-/// A series set as CSV (long format). The rendering lives in
+/// Writes a series set as CSV (long format). The rendering lives in
 /// check/artifacts so the golden differential runner checks the exact
 /// format the bench binaries emit.
-inline report::CsvWriter series_csv(
-    const std::vector<experiments::RatioSeries>& s) {
-  return check::series_csv(s);
-}
-
 inline void write_series_csv(const std::string& path,
                              const std::vector<experiments::RatioSeries>& s) {
-  series_csv(s).write(path);
+  check::series_csv(s).write(path);
 }
 
 /// Prints a Tables 1-3 style scaling table.
-inline void print_scaling(std::ostream& out, const std::string& title,
+inline void print_scaling(const std::string& title,
                           const experiments::ScalingTable& table) {
-  out << "== " << title << " ==\n";
+  std::cout << "== " << title << " ==\n";
   std::vector<std::string> headers{"Threads"};
   for (const auto g : core::all_groups) {
     headers.push_back(std::string(core::to_string(g)) + " SU");
@@ -273,23 +263,14 @@ inline void print_scaling(std::ostream& out, const std::string& title,
     }
     t.add_row(std::move(row));
   }
-  out << t.render() << "\n";
+  std::cout << t.render() << "\n";
 }
 
-inline void print_scaling(const std::string& title,
-                          const experiments::ScalingTable& table) {
-  print_scaling(std::cout, title, table);
-}
-
-/// A Tables 1-3 style scaling table as CSV (see series_csv on why this
-/// delegates to check/artifacts).
-inline report::CsvWriter scaling_csv(const experiments::ScalingTable& table) {
-  return check::scaling_csv(table);
-}
-
+/// Writes a Tables 1-3 style scaling table as CSV (see write_series_csv
+/// on why this delegates to check/artifacts).
 inline void write_scaling_csv(const std::string& path,
                               const experiments::ScalingTable& table) {
-  scaling_csv(table).write(path);
+  check::scaling_csv(table).write(path);
 }
 
 }  // namespace sgp::bench

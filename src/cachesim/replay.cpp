@@ -300,9 +300,7 @@ ReplayResult replay_stream(const machine::MachineDescriptor& m,
 }
 
 ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt) {
-  (void)opt;  // no decode scratch or early exit on the reference path
+                           const SweepSpec& spec, int reps) {
   if (reps < 1) throw std::invalid_argument("replay: reps must be >= 1");
   if (cfgs.empty()) {
     throw std::invalid_argument("replay: needs at least one level");
@@ -327,13 +325,6 @@ ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
   for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
   push_steady_rates(result, delta);
   return result;
-}
-
-ReplayResult replay_vector(const machine::MachineDescriptor& m,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt) {
-  return replay_vector(hierarchy_configs(m, opt.l2_sharers, opt.l3_sharers),
-                       spec, reps, opt);
 }
 
 }  // namespace sgp::cachesim

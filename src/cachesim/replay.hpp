@@ -1,10 +1,10 @@
 // Zero-materialization streaming replay engine over the trace-driven
 // cache simulator.
 //
-// The legacy path materialized every access of a sweep into a
-// std::vector<AccessRecord> and walked it one address at a time —
-// O(elems x arrays x reps) memory traffic just to *build* the input.
-// Here the sweep is decoded ONCE (arena.hpp) into a flat
+// The reference path (replay_vector) materializes every access of a
+// sweep into a std::vector<AccessRecord> and walks it one address at a
+// time — O(elems x arrays x reps) memory traffic just to *build* the
+// input. Here the sweep is decoded ONCE (arena.hpp) into a flat
 // LineSegment buffer — same-line accesses fused into read-then-write
 // segments, Gather's random index stream precomputed — and every rep
 // replays that buffer through Hierarchy::access_batch: one
@@ -18,10 +18,12 @@
 //
 // generate_sweep (trace.hpp) is reimplemented on top of TraceCursor,
 // so the materialized trace, the decoded segment buffer and the
-// streamed runs are the same access sequence by construction and all
-// replay paths produce bit-identical CacheStats — bench/micro_cachesim
-// and the src/check vector-vs-stream oracle assert exactly that, per
-// pattern, while the bench measures the throughput win.
+// streamed runs are the same access sequence by construction and both
+// replay paths produce bit-identical CacheStats. The vector-vs-stream
+// oracle (check::cachesim_agreement) and cachesim_replay_test assert
+// exactly that, per pattern; perfbench's validate_machines workload
+// records the stream path's cost (cachesim.replay_ms,
+// cachesim.accesses_simulated).
 //
 // Obs counters (docs/OBSERVABILITY.md): cachesim.replays,
 // cachesim.runs, cachesim.line_segments, cachesim.accesses_coalesced,
@@ -122,15 +124,12 @@ ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
                            const ReplayOptions& opt = {});
 
 /// The vector-materialized reference path (generate_sweep once, then
-/// one Hierarchy::access per record per rep, all reps simulated). Kept
-/// as the oracle that tests, bench/micro_cachesim and the agreement
-/// fuzzers in src/check compare replay_stream against.
-ReplayResult replay_vector(const machine::MachineDescriptor& m,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt = {});
-
+/// one Hierarchy::access per record per rep, all reps simulated, no
+/// decode scratch and no early exit). Kept as the reference that
+/// check::cachesim_agreement and cachesim_replay_test compare
+/// replay_stream against; build `cfgs` with hierarchy_configs(m) for
+/// a descriptor's hierarchy.
 ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt = {});
+                           const SweepSpec& spec, int reps);
 
 }  // namespace sgp::cachesim

@@ -38,8 +38,8 @@ struct SweepSpec {
 
 /// Materializes one full sweep by flattening the TraceCursor run
 /// stream (replay.hpp); reserves the exact per-pattern access count up
-/// front. Kept for the legacy vector-replay path and tools that want a
-/// concrete trace.
+/// front. Its callers are replay_vector (the reference path of the
+/// vector-vs-stream oracle) and the trace-order tests.
 Trace generate_sweep(const SweepSpec& spec);
 
 /// Cache hierarchy mirroring a machine descriptor's per-core view

@@ -151,15 +151,7 @@ sim::TimeBreakdown SweepEngine::run_point(const SweepPoint& p) {
   auto compute = [&] {
     simulations_.fetch_add(1, std::memory_order_relaxed);
     EngineMetrics::get().simulations.add();
-    const auto t0 = std::chrono::steady_clock::now();
-    auto out = simulator.run(*p.signature, p.config);
-    sim_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
-    return out;
+    return simulator.run(*p.signature, p.config);
   };
   if (!use_cache_) return compute();
   const CacheKey key{machine_fp, signature_fingerprint(*p.signature),
@@ -284,14 +276,7 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
       cfgs[k] = points[i].config;
       miss_keys[k] = keys[i];
     }
-    const auto t0 = std::chrono::steady_clock::now();
     g.simulator->run_batch(ctx, cfgs, outs);
-    sim_ns_.fetch_add(
-        static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count()),
-        std::memory_order_relaxed);
     simulations_.fetch_add(len, std::memory_order_relaxed);
     EngineMetrics::get().simulations.add(len);
     for (std::size_t k = 0; k < len; ++k) {
@@ -392,7 +377,6 @@ EngineCounters SweepEngine::counters() const {
   out.simulators_built =
       simulators_built_.load(std::memory_order_relaxed);
   out.batches = batches_.load(std::memory_order_relaxed);
-  out.sim_ns = sim_ns_.load(std::memory_order_relaxed);
   const CacheStats cs = cache_.stats();
   out.cache_hits = cs.hits;
   out.cache_misses = cs.misses;
@@ -419,7 +403,6 @@ void SweepEngine::reset_counters() {
   simulations_.store(0, std::memory_order_relaxed);
   simulators_built_.store(0, std::memory_order_relaxed);
   batches_.store(0, std::memory_order_relaxed);
-  sim_ns_.store(0, std::memory_order_relaxed);
   cache_.reset_stats();
   std::lock_guard<std::mutex> lock(phases_mu_);
   phases_.clear();

@@ -15,7 +15,7 @@
 //     forced-serial run;
 //   * count everything (requests, hits, Simulator::run executions,
 //     simulators built, batches, wall time per named phase) for the
-//     bench binaries' --perf flag and BENCH_sweep.json.
+//     bench binaries' --perf flag and the engine tests' simulation pin.
 //
 // Exception contract (inherits PR 1's resilience rules): if any point
 // throws, unstarted points are skipped cooperatively, the batch joins,
@@ -67,7 +67,8 @@ struct EngineOptions {
   /// hardware thread (threading::recommended_jobs).
   int jobs = 0;
   /// false replicates the pre-engine behaviour (every request runs the
-  /// simulator); used for A/B accounting in bench/micro_sweep_engine.
+  /// simulator); the tests use it as the reference that cached output
+  /// must match byte for byte.
   bool use_cache = true;
   /// Crash-safe persistence; disabled by default (and ignored when
   /// use_cache is false — there is nothing to persist).
@@ -90,6 +91,9 @@ struct EnginePersistCounters {
   std::uint64_t pending_entries = 0;      ///< computed but not yet durable
 };
 
+/// Per-engine accounting. Counts only, no timings: perfbench's
+/// --trace records where the time goes (sim.batch_ns_per_point,
+/// sim.run_ns_p50).
 struct EngineCounters {
   std::uint64_t requests = 0;      ///< evaluation points asked for
   std::uint64_t cache_hits = 0;    ///< served from the memo cache
@@ -98,22 +102,8 @@ struct EngineCounters {
   std::uint64_t simulators_built = 0;
   std::uint64_t batches = 0;      ///< run_batch/run_grid calls
   std::uint64_t cache_entries = 0;
-  /// Wall nanoseconds spent inside Simulator::run, summed across
-  /// workers — the hot-path cost the memo cache and the replay engine
-  /// exist to shrink. Per-thread time, so sims_per_second() measures
-  /// simulator throughput independent of worker count and scheduling.
-  std::uint64_t sim_ns = 0;
   std::vector<PhaseStat> phases;  ///< in first-use order
   EnginePersistCounters persist;
-
-  /// Simulations per aggregate simulation second (0 when nothing ran).
-  /// bench/micro_sweep_engine gates on this so hot-path regressions
-  /// fail CI, not code review.
-  double sims_per_second() const {
-    return sim_ns == 0 ? 0.0
-                       : static_cast<double>(simulations) /
-                             (static_cast<double>(sim_ns) * 1e-9);
-  }
 };
 
 /// One evaluation point for run_batch. The machine and signature are
@@ -249,7 +239,6 @@ class SweepEngine {
   std::atomic<std::uint64_t> simulations_{0};
   std::atomic<std::uint64_t> simulators_built_{0};
   std::atomic<std::uint64_t> batches_{0};
-  std::atomic<std::uint64_t> sim_ns_{0};  ///< wall ns inside Simulator::run
 
   mutable std::mutex phases_mu_;
   std::vector<PhaseStat> phases_;

@@ -124,8 +124,8 @@ int best_sg2042_threads(core::Group g, core::Precision prec);
 int best_sg2042_threads(core::Group g, core::Precision prec,
                         engine::SweepEngine& eng);
 
-/// Drops the best_sg2042_threads memo (tests and the sweep-engine
-/// microbenchmark use this to measure request counts from a clean slate).
+/// Drops the best_sg2042_threads memo, so a test can count a fresh
+/// engine's requests and simulations from a clean slate.
 void reset_best_threads_memo();
 
 // ------------------------------------------------------------ Helpers --

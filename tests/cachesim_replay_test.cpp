@@ -338,15 +338,21 @@ TEST(ReplayArena, CachesDecodesAcrossReplaysAndSpecs) {
 // ------------------------------------------------- stream/vector replay --
 TEST(Replay, StreamMatchesVectorOnEveryPattern) {
   const auto m = machine::sg2042();
-  for (const auto p : kAllPatterns) {
-    const auto spec = small_spec(p, 2, 1 << 12);
-    const auto vec = replay_vector(m, spec, 5);
-    const auto str = replay_stream(m, spec, 5);
-    EXPECT_EQ(vec.accesses, str.accesses) << core::to_string(p);
-    EXPECT_EQ(vec.steady_miss_rate, str.steady_miss_rate)
-        << core::to_string(p);
-    expect_same_stats(vec.hierarchy, str.hierarchy,
-                      std::string(core::to_string(p)));
+  const auto cfgs = hierarchy_configs(m);
+  // 1 << 17 elements x 2 arrays x 8 bytes = 2 MiB, past sg2042's 1 MiB
+  // L2, so the identity also covers sweeps that miss to DRAM.
+  for (const std::size_t elems :
+       {std::size_t{1} << 12, std::size_t{1} << 17}) {
+    for (const auto p : kAllPatterns) {
+      const auto spec = small_spec(p, 2, elems);
+      const auto what =
+          std::string(core::to_string(p)) + " elems=" + std::to_string(elems);
+      const auto vec = replay_vector(cfgs, spec, 5);
+      const auto str = replay_stream(m, spec, 5);
+      EXPECT_EQ(vec.accesses, str.accesses) << what;
+      EXPECT_EQ(vec.steady_miss_rate, str.steady_miss_rate) << what;
+      expect_same_stats(vec.hierarchy, str.hierarchy, what);
+    }
   }
 }
 
@@ -397,7 +403,8 @@ TEST(Replay, RejectsNonPositiveReps) {
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Streaming);
   EXPECT_THROW((void)replay_stream(m, spec, 0), std::invalid_argument);
-  EXPECT_THROW((void)replay_vector(m, spec, 0), std::invalid_argument);
+  EXPECT_THROW((void)replay_vector(hierarchy_configs(m), spec, 0),
+               std::invalid_argument);
 }
 
 /// A field of /proc/self/status in KiB ("VmRSS:", "VmHWM:"), or -1

@@ -2,13 +2,18 @@
 // layer, so (1) a cache hit returns exactly the breakdown the miss
 // computed, (2) a parallel run is bit-identical to a forced-serial run,
 // (3) the counters account for every request, (4) a throwing point
-// fails the batch without poisoning the engine, and (5) a pipeline
+// fails the batch without poisoning the engine, (5) a pipeline
 // produces identical outputs with the memo cache on and off, with
-// fewer simulations when it is on.
+// fewer simulations when it is on, and (6) the whole pipeline set is
+// pinned to an exact simulation count.
 #include <gtest/gtest.h>
 
+#include <iomanip>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "check/artifacts.hpp"
 #include "engine/engine.hpp"
 #include "experiments/experiments.hpp"
 #include "kernels/register_all.hpp"
@@ -216,6 +221,70 @@ TEST(SweepEngine, PhasesAttributeRequests) {
   EXPECT_EQ(c.phases[0].name, "unit-test-phase");
   EXPECT_EQ(c.phases[0].requests, 2u);
   EXPECT_GE(c.phases[0].wall_s, 0.0);
+}
+
+/// Exact Simulator::run count of a forced-serial cached engine over
+/// render_pipeline_set: every distinct evaluation point the pipelines
+/// ask for, simulated once. Any change means a pipeline now asks for
+/// different points (or the memo cache stopped deduplicating them) and
+/// must be re-pinned deliberately.
+constexpr std::uint64_t kPinnedSimulations = 3162;
+
+/// Every pipeline the bench binaries run, rendered to text: the 11
+/// paper artifacts, background_d1_vs_v2's three whole-suite sweeps and
+/// the best-thread search over every class and precision.
+std::string render_pipeline_set(SweepEngine& eng) {
+  experiments::reset_best_threads_memo();
+  std::ostringstream out;
+  out << std::setprecision(17);
+  for (const auto& a : check::run_all_artifacts(eng)) {
+    out << a.name << '\n' << a.csv.text();
+  }
+  auto kernel_times = [&](const machine::MachineDescriptor& m,
+                          core::VectorMode mode, core::CompilerId comp) {
+    sim::SimConfig cfg;
+    cfg.precision = core::Precision::FP32;
+    cfg.vector_mode = mode;
+    cfg.compiler = comp;
+    cfg.nthreads = 1;
+    for (const auto& [name, t] : experiments::kernel_times(m, cfg, eng)) {
+      out << m.name << ',' << name << ',' << t << '\n';
+    }
+  };
+  kernel_times(machine::visionfive_v2(), core::VectorMode::VLS,
+               core::CompilerId::Gcc);
+  kernel_times(machine::allwinner_d1(), core::VectorMode::Scalar,
+               core::CompilerId::Gcc);
+  kernel_times(machine::allwinner_d1(), core::VectorMode::VLS,
+               core::CompilerId::Clang);
+  for (const auto prec : {core::Precision::FP32, core::Precision::FP64}) {
+    for (const auto g : core::all_groups) {
+      out << "best_threads," << core::to_string(g) << ','
+          << experiments::best_sg2042_threads(g, prec, eng) << '\n';
+    }
+  }
+  return out.str();
+}
+
+TEST(SweepEngine, PipelineSetIsPinnedAndIdenticalAcrossCacheJobsAndReuse) {
+  SweepEngine uncached({/*jobs=*/1, /*use_cache=*/false});
+  SweepEngine parallel({/*jobs=*/4});
+  SweepEngine serial({/*jobs=*/1});
+
+  const auto reference = render_pipeline_set(uncached);
+  const auto first = render_pipeline_set(parallel);
+  const auto sims_first = parallel.counters().simulations;
+  const auto reuse = render_pipeline_set(parallel);
+  const auto forced_serial = render_pipeline_set(serial);
+
+  EXPECT_EQ(serial.counters().simulations, kPinnedSimulations);
+  EXPECT_LE(sims_first, kPinnedSimulations);
+  EXPECT_EQ(parallel.counters().simulations, sims_first)
+      << "the reuse pass simulated";
+  // Whole-text comparisons; a mismatch names the pair, not the diff.
+  EXPECT_TRUE(first == reference) << "cache on vs off";
+  EXPECT_TRUE(forced_serial == first) << "serial vs parallel";
+  EXPECT_TRUE(reuse == first) << "first run vs reuse";
 }
 
 }  // namespace

@@ -396,7 +396,6 @@ TEST(EnginePersist, WarmEngineReplaysWithoutSimulating) {
 
 TEST(EnginePersist, KilledMidFlushResumesByteIdentically) {
   const TempDir ref_dir("killref");
-  const TempDir dir("kill");
 
   // Reference: one uninterrupted run.
   std::vector<sim::TimeBreakdown> reference;
@@ -405,38 +404,55 @@ TEST(EnginePersist, KilledMidFlushResumesByteIdentically) {
     reference = small_sweep(eng);
   }
 
-  // "Crash": run the same sweep, then model a kill mid-flush by tearing
-  // the tail segment to a torn length (header + half an entry).
-  {
-    engine::SweepEngine eng(persistent_options(dir.str(), 1));
-    small_sweep(eng);
-  }
-  std::string last;
-  for (const auto& e : fs::directory_iterator(dir.str())) {
-    const auto name = e.path().filename().string();
-    if (name.rfind("seg-", 0) == 0 && name > last) last = name;
-  }
-  ASSERT_FALSE(last.empty());
-  auto bytes = read_bytes(dir.file(last));
-  ASSERT_GT(bytes.size(), engine::kSegmentHeaderSize + 6);
-  bytes.resize(engine::kSegmentHeaderSize + 6);
-  write_bytes(dir.file(last), bytes);
+  // Two kinds of damage to a finished store: a kill mid-flush, modelled
+  // by tearing the tail segment to a torn length (header + half an
+  // entry), and one bit flipped in the first segment the resumed
+  // engine reads.
+  for (const bool torn : {true, false}) {
+    const std::string kind = torn ? "torn tail" : "read bitflip";
+    const TempDir dir(torn ? "kill" : "bitflip");
+    {
+      engine::SweepEngine eng(persistent_options(dir.str(), 1));
+      small_sweep(eng);
+    }
+    auto opts = persistent_options(dir.str(), 1);
+    resilience::FaultInjector injector(
+        resilience::FaultPlan::parse("persist.read:bitflip:1"), 99u);
+    std::string last;
+    if (torn) {
+      for (const auto& e : fs::directory_iterator(dir.str())) {
+        const auto name = e.path().filename().string();
+        if (name.rfind("seg-", 0) == 0 && name > last) last = name;
+      }
+      ASSERT_FALSE(last.empty());
+      auto bytes = read_bytes(dir.file(last));
+      ASSERT_GT(bytes.size(), engine::kSegmentHeaderSize + 6);
+      bytes.resize(engine::kSegmentHeaderSize + 6);
+      write_bytes(dir.file(last), bytes);
+    } else {
+      opts.persist->store.injector = &injector;
+    }
 
-  // Resume: the torn segment is quarantined, its points recomputed, and
-  // the sweep output is byte-identical to the uninterrupted run.
-  engine::SweepEngine resumed(persistent_options(dir.str(), 1));
-  const auto out = small_sweep(resumed);
-  const auto c = resumed.counters();
-  EXPECT_EQ(c.persist.store.quarantined_segments, 1u);
-  EXPECT_TRUE(fs::exists(dir.file(last + ".quarantine")));
-  EXPECT_GT(c.simulations, 0u);      // the lost points were recomputed
-  EXPECT_GT(c.persist.cache.resumed_points, 0u);  // the rest replayed
-  ASSERT_EQ(out.size(), reference.size());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_DOUBLE_EQ(out[i].total_s, reference[i].total_s) << i;
-    EXPECT_DOUBLE_EQ(out[i].compute_s, reference[i].compute_s) << i;
-    EXPECT_EQ(out[i].note, reference[i].note) << i;
-    EXPECT_EQ(out[i].note_rollback, reference[i].note_rollback) << i;
+    // Resume: the damaged segment is quarantined, its points recomputed,
+    // and the sweep output is byte-identical to the uninterrupted run.
+    engine::SweepEngine resumed(opts);
+    const auto out = small_sweep(resumed);
+    const auto c = resumed.counters();
+    EXPECT_EQ(c.persist.store.quarantined_segments, 1u) << kind;
+    if (torn) {
+      EXPECT_TRUE(fs::exists(dir.file(last + ".quarantine")));
+    }
+    // The lost points were recomputed and the rest replayed.
+    EXPECT_GT(c.simulations, 0u) << kind;
+    EXPECT_GT(c.persist.cache.resumed_points, 0u) << kind;
+    ASSERT_EQ(out.size(), reference.size()) << kind;
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(out[i].total_s, reference[i].total_s) << kind << ' ' << i;
+      EXPECT_EQ(out[i].compute_s, reference[i].compute_s) << kind << ' ' << i;
+      EXPECT_EQ(out[i].note, reference[i].note) << kind << ' ' << i;
+      EXPECT_EQ(out[i].note_rollback, reference[i].note_rollback)
+          << kind << ' ' << i;
+    }
   }
 }
 

@@ -63,7 +63,7 @@ std::vector<sim::SimConfig> full_grid(const machine::MachineDescriptor& m) {
       {core::CompilerId::Clang, core::VectorMode::VLS},
       {core::CompilerId::Clang, core::VectorMode::VLA},
   };
-  for (const int t : {1, 2, 7, 32, 64}) {
+  for (const int t : {1, 2, 4, 7, 16, 32, 64}) {
     if (t > m.num_cores) continue;
     for (const auto prec : core::all_precisions) {
       for (const auto placement : machine::all_placements) {
@@ -85,7 +85,8 @@ std::vector<sim::SimConfig> full_grid(const machine::MachineDescriptor& m) {
 TEST(SimBatch, BatchMatchesScalarBitForBitAcrossTheGrid) {
   const sim::Simulator sim(machine::sg2042());
   const auto grid = full_grid(sim.machine());
-  for (const char* name : {"TRIAD", "GEMM", "DOT", "SORT", "JACOBI_2D"}) {
+  for (const char* name :
+       {"TRIAD", "DAXPY", "GEMM", "DOT", "FIR", "SORT", "JACOBI_2D"}) {
     const auto sig = find_sig(name);
     sim::EvalContext ctx(sim, sig);
     std::vector<sim::TimeBreakdown> batch(grid.size());
