@@ -474,7 +474,6 @@ int main(int argc, char** argv) {
     engine::EnginePersistence persistence;
     persistence.store.dir = store_dir;
     persistence.store.injector = io_injector ? &*io_injector : nullptr;
-    persistence.note = "check_cli --persist";
 
     engine::EngineOptions warm_opt{1, true, persistence};
     std::vector<check::Artifact> cold_artifacts, warm_artifacts;

@@ -35,7 +35,6 @@ SweepEngine::SweepEngine(EngineOptions opt)
   if (!opt.persist || !use_cache_) return;
   store_ = std::make_unique<PersistentStore>(opt.persist->store);
   flush_min_entries_ = std::max<std::size_t>(1, opt.persist->flush_min_entries);
-  persist_note_ = opt.persist->note;
   cache_.set_persist_tracking(true);
   {
     const obs::Span span("SweepEngine::persist_load");
@@ -46,32 +45,13 @@ SweepEngine::SweepEngine(EngineOptions opt)
         // The frame verified but the payload is not a cache entry this
         // build understands — count it and move on, never abort.
         undecodable_entries_.fetch_add(1, std::memory_order_relaxed);
-        obs::registry().counter("persist.corrupt_entries").add();
-      }
-    });
-  }
-  if (opt.persist->flush_interval_ms > 0.0) {
-    const double interval_ms = opt.persist->flush_interval_ms;
-    flush_thread_ = std::thread([this, interval_ms] {
-      std::unique_lock<std::mutex> lk(flush_cv_mu_);
-      for (;;) {
-        flush_cv_.wait_for(
-            lk, std::chrono::duration<double, std::milli>(interval_ms),
-            [this] { return stop_flusher_; });
-        if (stop_flusher_) return;
-        lk.unlock();
-        if (cache_.fresh_entries() > 0 ||
-            pending_count_.load(std::memory_order_relaxed) > 0) {
-          flush_persistent();
-        }
-        lk.lock();
+        obs::registry().counter("persist.undecodable_entries").add();
       }
     });
   }
 }
 
 SweepEngine::~SweepEngine() {
-  stop_flusher();
   if (store_) {
     // Best-effort final checkpoint; persistence failures must never
     // take down a process that computed its results successfully.
@@ -80,16 +60,6 @@ SweepEngine::~SweepEngine() {
     } catch (...) {
     }
   }
-}
-
-void SweepEngine::stop_flusher() {
-  if (!flush_thread_.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lk(flush_cv_mu_);
-    stop_flusher_ = true;
-  }
-  flush_cv_.notify_all();
-  flush_thread_.join();
 }
 
 bool SweepEngine::flush_persistent() {
@@ -110,7 +80,6 @@ bool SweepEngine::flush_persistent() {
   if (!store_->append(payloads)) return false;  // entries stay queued
   pending_.clear();
   pending_count_.store(0, std::memory_order_relaxed);
-  store_->write_manifest(persist_note_);
   return true;
 }
 
@@ -141,30 +110,6 @@ const sim::Simulator& SweepEngine::simulator_for(
     EngineMetrics::get().simulators_built.add();
   }
   return *it->second;
-}
-
-sim::TimeBreakdown SweepEngine::run_point(const SweepPoint& p) {
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  EngineMetrics::get().requests.add();
-  const std::uint64_t machine_fp = machine_fingerprint(*p.machine);
-  const sim::Simulator& simulator = simulator_for(*p.machine, machine_fp);
-  auto compute = [&] {
-    simulations_.fetch_add(1, std::memory_order_relaxed);
-    EngineMetrics::get().simulations.add();
-    return simulator.run(*p.signature, p.config);
-  };
-  if (!use_cache_) return compute();
-  const CacheKey key{machine_fp, signature_fingerprint(*p.signature),
-                     config_fingerprint(p.config)};
-  return cache_.get_or_compute(key, compute);
-}
-
-sim::TimeBreakdown SweepEngine::run(const machine::MachineDescriptor& m,
-                                    const core::KernelSignature& sig,
-                                    const sim::SimConfig& cfg) {
-  sim::TimeBreakdown out = run_point(SweepPoint{&m, &sig, cfg});
-  maybe_flush();
-  return out;
 }
 
 std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
@@ -387,7 +332,11 @@ EngineCounters SweepEngine::counters() const {
   }
   if (store_) {
     out.persist.enabled = true;
-    out.persist.store = store_->stats();
+    {
+      // The store's stats change inside append(), under flush_mu_.
+      std::lock_guard<std::mutex> lock(flush_mu_);
+      out.persist.store = store_->stats();
+    }
     out.persist.cache = cache_.persist_stats();
     out.persist.undecodable_entries =
         undecodable_entries_.load(std::memory_order_relaxed);
@@ -396,17 +345,6 @@ EngineCounters SweepEngine::counters() const {
         cache_.fresh_entries();
   }
   return out;
-}
-
-void SweepEngine::reset_counters() {
-  requests_.store(0, std::memory_order_relaxed);
-  simulations_.store(0, std::memory_order_relaxed);
-  simulators_built_.store(0, std::memory_order_relaxed);
-  batches_.store(0, std::memory_order_relaxed);
-  cache_.reset_stats();
-  std::lock_guard<std::mutex> lock(phases_mu_);
-  phases_.clear();
-  phase_index_.clear();
 }
 
 void SweepEngine::clear_cache() {

@@ -23,15 +23,14 @@
 // remains usable.
 #pragma once
 
+#include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -47,19 +46,13 @@ class ThreadPool;
 
 namespace sgp::engine {
 
-/// Durable memo-cache + checkpoint/resume configuration. When set (and
-/// the cache is on), the engine loads every verified segment from
-/// `store.dir` at construction — so an interrupted sweep replays only
-/// its missing points — and flushes freshly-computed results back as
-/// new segments: at the end of any batch once `flush_min_entries` have
-/// accumulated, from a background flush thread every
-/// `flush_interval_ms` (0 disables the thread), and at destruction.
+/// Durable memo-cache + checkpoint/resume configuration (see
+/// docs/PERSISTENCE.md).
 struct EnginePersistence {
   PersistOptions store;  ///< directory, I/O fault injection, flush retry
+  /// Batch-end flush threshold: a batch that leaves at least this many
+  /// unflushed entries appends them as one segment.
   std::size_t flush_min_entries = 256;
-  double flush_interval_ms = 0.0;
-  /// Free-text sweep identity recorded in the store's sweep.manifest.
-  std::string note;
 };
 
 struct EngineOptions {
@@ -128,17 +121,6 @@ class SweepEngine {
   /// against in-flight batches; call between pipelines.
   void set_jobs(int jobs);
 
-  /// Evaluate one point through the cache.
-  sim::TimeBreakdown run(const machine::MachineDescriptor& m,
-                         const core::KernelSignature& sig,
-                         const sim::SimConfig& cfg);
-
-  double seconds(const machine::MachineDescriptor& m,
-                 const core::KernelSignature& sig,
-                 const sim::SimConfig& cfg) {
-    return run(m, sig, cfg).total_s;
-  }
-
   /// Evaluate a batch of points; results are positionally aligned with
   /// `points` regardless of scheduling. Safe to call from multiple
   /// threads on one engine: cache lookups/inserts are sharded, and the
@@ -181,7 +163,6 @@ class SweepEngine {
   PhaseScope phase(const std::string& name);
 
   EngineCounters counters() const;
-  void reset_counters();
   /// Drops all memoized results and per-machine simulators. Not
   /// thread-safe against in-flight batches. Durable segments on disk
   /// are untouched (delete the store directory to really start cold).
@@ -202,11 +183,9 @@ class SweepEngine {
  private:
   const sim::Simulator& simulator_for(const machine::MachineDescriptor& m,
                                       std::uint64_t machine_fp);
-  sim::TimeBreakdown run_point(const SweepPoint& p);
   void finish_phase(std::size_t index, double wall_s,
                     std::uint64_t requests);
   void maybe_flush();
-  void stop_flusher();
 
   int jobs_;
   const bool use_cache_;
@@ -215,17 +194,13 @@ class SweepEngine {
   // Persistence (all null/zero when EngineOptions.persist is unset).
   std::unique_ptr<PersistentStore> store_;
   std::size_t flush_min_entries_ = 0;
-  std::string persist_note_;
   std::atomic<std::uint64_t> undecodable_entries_{0};
-  /// Guards pending_ and serializes flushes (including the final one
-  /// in the destructor) against the background flush thread.
-  std::mutex flush_mu_;
+  /// Guards pending_ and the store, and serializes flushes: batch-end
+  /// flushes from concurrent run_batch callers, explicit
+  /// flush_persistent calls and counters()' read of the store stats.
+  mutable std::mutex flush_mu_;
   std::vector<std::pair<CacheKey, sim::TimeBreakdown>> pending_;
   std::atomic<std::uint64_t> pending_count_{0};
-  std::thread flush_thread_;
-  std::condition_variable flush_cv_;
-  std::mutex flush_cv_mu_;
-  bool stop_flusher_ = false;  ///< guarded by flush_cv_mu_
 
   std::mutex sims_mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<sim::Simulator>> sims_;

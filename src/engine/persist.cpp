@@ -453,60 +453,4 @@ bool PersistentStore::append(
   return false;
 }
 
-void PersistentStore::write_manifest(const std::string& note) {
-  // Advisory metadata, deliberately outside the fault-injection sites:
-  // an injected plan tears segments, not the manifest, so recovery
-  // tests stay deterministic. A torn manifest is harmless anyway —
-  // read_manifest() ignores anything malformed.
-  const std::string path = opt_.dir + "/sweep.manifest";
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  out << "sgp-sweep-manifest v1\n"
-      << "segments " << stats_.segments_loaded + stats_.flushes << "\n"
-      << "entries " << stats_.entries_loaded + stats_.entries_flushed
-      << "\n"
-      << "flushes " << stats_.flushes << "\n"
-      << "note " << note << "\n";
-  if (!out.flush().good()) {
-    warn_msg(opt_.warn, "cannot write " + tmp);
-    return;
-  }
-  out.close();
-  std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) warn_msg(opt_.warn, "cannot update " + path + ": " + ec.message());
-}
-
-std::optional<SweepManifestInfo> PersistentStore::read_manifest() const {
-  std::ifstream in(opt_.dir + "/sweep.manifest", std::ios::binary);
-  if (!in) return std::nullopt;
-  std::string line;
-  if (!std::getline(in, line) || line != "sgp-sweep-manifest v1") {
-    warn_msg(opt_.warn, "ignoring malformed sweep.manifest");
-    return std::nullopt;
-  }
-  SweepManifestInfo info;
-  while (std::getline(in, line)) {
-    const auto sp = line.find(' ');
-    if (sp == std::string::npos) continue;
-    const std::string key = line.substr(0, sp);
-    const std::string value = line.substr(sp + 1);
-    try {
-      if (key == "segments") {
-        info.segments = std::stoull(value);
-      } else if (key == "entries") {
-        info.entries = std::stoull(value);
-      } else if (key == "flushes") {
-        info.flushes = std::stoull(value);
-      } else if (key == "note") {
-        info.note = value;
-      }
-    } catch (const std::exception&) {
-      warn_msg(opt_.warn, "ignoring malformed sweep.manifest");
-      return std::nullopt;
-    }
-  }
-  return info;
-}
-
 }  // namespace sgp::engine

@@ -110,7 +110,7 @@ SegmentParse load_segment_file(const std::string& path, const PayloadFn& fn,
 // ------------------------------------------- cache entry payloads --
 
 /// Serializes one memo-cache entry (key fingerprints + the complete
-/// TimeBreakdown, note text included) as a segment payload.
+/// TimeBreakdown, structured note fields included) as a segment payload.
 std::vector<std::byte> encode_cache_entry(const CacheKey& key,
                                           const sim::TimeBreakdown& value);
 
@@ -123,7 +123,7 @@ std::optional<std::pair<CacheKey, sim::TimeBreakdown>> decode_cache_entry(
 struct PersistStats {
   std::uint64_t segments_loaded = 0;
   std::uint64_t entries_loaded = 0;
-  std::uint64_t corrupt_entries = 0;  ///< entries lost to quarantined/undecodable data
+  std::uint64_t corrupt_entries = 0;  ///< entries lost in quarantined segments
   std::uint64_t quarantined_segments = 0;
   std::uint64_t refused_segments = 0;  ///< unknown version, left in place
   std::uint64_t flushes = 0;           ///< segments appended successfully
@@ -146,17 +146,9 @@ struct PersistOptions {
   bool warn = true;  ///< print skip-and-warn diagnostics to stderr
 };
 
-/// What sweep.manifest recorded at the last successful flush.
-struct SweepManifestInfo {
-  std::uint64_t segments = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t flushes = 0;
-  std::string note;
-};
-
-/// A directory of segment files plus a human-readable sweep manifest.
-/// Thread-compatible: callers (the engine's flush path) serialize
-/// access; load() happens once before any append().
+/// A directory of segment files. Thread-compatible: callers (the
+/// engine's flush path) serialize access; load() happens once before
+/// any append().
 class PersistentStore {
  public:
   /// Creates the directory if needed and deletes "*.tmp" crash debris.
@@ -175,13 +167,6 @@ class PersistentStore {
   /// caller keeps ownership of the payload data and may re-queue it on
   /// failure.
   bool append(const std::vector<std::vector<std::byte>>& payloads);
-
-  /// Rewrites sweep.manifest (write-temp-then-rename; failures warn
-  /// and count, never throw).
-  void write_manifest(const std::string& note);
-
-  /// Parses sweep.manifest if present and well-formed.
-  std::optional<SweepManifestInfo> read_manifest() const;
 
   PersistStats stats() const { return stats_; }
 

@@ -88,7 +88,6 @@ Server::Server(ServerOptions opt) : opt_(std::move(opt)) {
     // Flush at the end of every batch: the daemon's durability story is
     // "whatever was answered is on disk once the batch retires".
     p.flush_min_entries = 1;
-    p.note = "sgp-serve";
     eopt.persist = std::move(p);
   }
   engine_ = std::make_unique<engine::SweepEngine>(std::move(eopt));

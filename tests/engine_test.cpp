@@ -37,6 +37,11 @@ void expect_same_breakdown(const sim::TimeBreakdown& a,
   EXPECT_EQ(a.note_rollback, b.note_rollback);
 }
 
+/// Prices one point as a one-point batch.
+sim::TimeBreakdown run_one(SweepEngine& eng, const SweepPoint& p) {
+  return eng.run_batch({&p, 1}).front();
+}
+
 sim::SimConfig fp32_threads(int n) {
   sim::SimConfig cfg;
   cfg.precision = core::Precision::FP32;
@@ -51,8 +56,8 @@ TEST(SweepEngine, CacheHitReturnsTheIdenticalBreakdown) {
   const auto sig = kernels::all_signatures().front();
   const auto cfg = fp32_threads(32);
 
-  const auto first = eng.run(m, sig, cfg);
-  const auto second = eng.run(m, sig, cfg);
+  const auto first = run_one(eng, {&m, &sig, cfg});
+  const auto second = run_one(eng, {&m, &sig, cfg});
   expect_same_breakdown(first, second);
 
   const auto c = eng.counters();
@@ -144,7 +149,7 @@ TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
   EXPECT_THROW((void)eng.run_batch(points), std::invalid_argument);
 
   // The engine stays usable and the cached good points are intact.
-  const auto ok = eng.run(m, sigs.front(), cfg);
+  const auto ok = run_one(eng, {&m, &sigs.front(), cfg});
   EXPECT_GT(ok.total_s, 0.0);
 }
 
@@ -153,8 +158,8 @@ TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
   const auto m = machine::sg2042();
   const auto sig = kernels::all_signatures().front();
   const auto cfg = fp32_threads(32);
-  const auto a = eng.run(m, sig, cfg);
-  const auto b = eng.run(m, sig, cfg);
+  const auto a = run_one(eng, {&m, &sig, cfg});
+  const auto b = run_one(eng, {&m, &sig, cfg});
   expect_same_breakdown(a, b);
   const auto c = eng.counters();
   EXPECT_EQ(c.simulations, 2u);
@@ -213,8 +218,8 @@ TEST(SweepEngine, PhasesAttributeRequests) {
   const auto sig = kernels::all_signatures().front();
   {
     auto scope = eng.phase("unit-test-phase");
-    (void)eng.run(m, sig, fp32_threads(1));
-    (void)eng.run(m, sig, fp32_threads(2));
+    (void)run_one(eng, {&m, &sig, fp32_threads(1)});
+    (void)run_one(eng, {&m, &sig, fp32_threads(2)});
   }
   const auto c = eng.counters();
   ASSERT_EQ(c.phases.size(), 1u);

@@ -2,7 +2,7 @@
 // the engine's checkpoint/resume path: segment format round-trips,
 // corruption detection/quarantine, I/O fault injection, cold-vs-warm
 // engine identity — including a simulated kill mid-flush — and a
-// thread-safety hammer for the flush thread (run under
+// thread-safety hammer for concurrent flushes (run under
 // -DSGP_SANITIZE=thread via the check_persist_tsan target).
 #include <gtest/gtest.h>
 
@@ -20,9 +20,11 @@
 #include "check/fuzz.hpp"
 #include "engine/cache.hpp"
 #include "engine/engine.hpp"
+#include "engine/fingerprint.hpp"
 #include "engine/persist.hpp"
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
+#include "obs/metrics.hpp"
 #include "resilience/fault_injector.hpp"
 
 namespace {
@@ -318,24 +320,6 @@ TEST(PersistentStore, RetriesFailedAppendsUnderTheJitteredPolicy) {
   EXPECT_EQ(store.stats().flushes, 1u);
 }
 
-TEST(PersistentStore, ManifestRoundTripsAndRejectsGarbage) {
-  const TempDir dir("manifest");
-  engine::PersistentStore store({dir.str(), nullptr, {}, false});
-  ASSERT_TRUE(store.append(
-      {engine::encode_cache_entry(CacheKey{1, 1, 1}, breakdown(0.5, ""))}));
-  store.write_manifest("unit test sweep");
-  const auto info = store.read_manifest();
-  ASSERT_TRUE(info.has_value());
-  EXPECT_EQ(info->segments, 1u);
-  EXPECT_EQ(info->entries, 1u);
-  EXPECT_EQ(info->flushes, 1u);
-  EXPECT_EQ(info->note, "unit test sweep");
-
-  std::ofstream(dir.file("sweep.manifest"), std::ios::trunc)
-      << "not a manifest\n";
-  EXPECT_FALSE(store.read_manifest().has_value());
-}
-
 // ------------------------------------------------ engine round trip --
 
 engine::EngineOptions persistent_options(const std::string& dir, int jobs,
@@ -344,7 +328,6 @@ engine::EngineOptions persistent_options(const std::string& dir, int jobs,
   p.store.dir = dir;
   p.store.warn = false;
   p.flush_min_entries = flush_min;
-  p.note = "persist_test";
   return engine::EngineOptions{jobs, true, p};
 }
 
@@ -378,6 +361,10 @@ TEST(EnginePersist, WarmEngineReplaysWithoutSimulating) {
     cold_sims = eng.counters().simulations;
     EXPECT_GT(cold_sims, 0u);
   }  // destructor flushes
+  for (const auto& e : fs::directory_iterator(dir.str())) {  // segments only
+    const auto name = e.path().filename().string();
+    EXPECT_TRUE(name.starts_with("seg-") && name.ends_with(".sgpc")) << name;
+  }
   engine::SweepEngine warm(persistent_options(dir.str(), 1));
   const auto warm_out = small_sweep(warm);
   const auto c = warm.counters();
@@ -481,41 +468,49 @@ TEST(EnginePersist, FlushFailuresKeepEntriesQueuedUntilTheFaultClears) {
   EXPECT_EQ(eng.counters().persist.pending_entries, 0u);
 }
 
-TEST(EnginePersist, BackgroundFlusherDrainsWithoutExplicitFlush) {
-  const TempDir dir("bg");
-  {
-    engine::EnginePersistence p;
-    p.store.dir = dir.str();
-    p.store.warn = false;
-    p.flush_min_entries = 1u << 20;  // never trip the size trigger
-    p.flush_interval_ms = 5.0;
-    engine::SweepEngine eng(engine::EngineOptions{2, true, p});
-    small_sweep(eng);
-    // The interval flusher should persist everything without any
-    // explicit flush call; poll briefly rather than sleeping blind.
-    for (int spin = 0; spin < 400; ++spin) {
-      if (eng.counters().persist.store.entries_flushed > 0) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_GT(eng.counters().persist.store.entries_flushed, 0u);
-  }
-  engine::SweepEngine warm(persistent_options(dir.str(), 1));
-  small_sweep(warm);
-  EXPECT_EQ(warm.counters().simulations, 0u);
+TEST(EnginePersist, UndecodablePayloadIsCountedApartFromCorruption) {
+  const TempDir dir("undecodable");
+  const auto m = machine::sg2042();
+  const auto sig = kernels::all_signatures().front();
+  const sim::SimConfig cfg;
+  const CacheKey key{engine::machine_fingerprint(m),
+                     engine::signature_fingerprint(sig),
+                     engine::config_fingerprint(cfg)};
+  // One valid entry and one short payload: both frames verify, so the
+  // segment loads, but the second payload is no cache entry.
+  write_bytes(dir.file("seg-000001.sgpc"),
+              engine::build_segment(
+                  {engine::encode_cache_entry(key,
+                                              sim::Simulator(m).run(sig, cfg)),
+                   std::vector<std::byte>(5, std::byte{0x5a})}));
+  obs::Counter& undecodable =
+      obs::registry().counter("persist.undecodable_entries");
+  obs::Counter& corrupt = obs::registry().counter("persist.corrupt_entries");
+  const auto undecodable_before = undecodable.value();
+  const auto corrupt_before = corrupt.value();
+
+  engine::SweepEngine eng(persistent_options(dir.str(), 1));
+  const engine::SweepPoint point{&m, &sig, cfg};
+  (void)eng.run_batch({&point, 1});
+  const auto c = eng.counters();
+  EXPECT_EQ(c.persist.undecodable_entries, 1u);
+  EXPECT_EQ(undecodable.value(), undecodable_before + 1);
+  EXPECT_EQ(corrupt.value(), corrupt_before);
+  EXPECT_EQ(c.persist.store.quarantined_segments, 0u);
+  EXPECT_EQ(c.simulations, 0u);  // the valid entry replayed
 }
 
 // ------------------------------------------------- thread safety --
-// Aimed at -DSGP_SANITIZE=thread (the check_persist_tsan target): the
-// background flusher, parallel batches, stats readers and clear() all
-// race on the cache; TSan must stay quiet.
+// Aimed at -DSGP_SANITIZE=thread (the check_persist_tsan target):
+// explicit flushes, batch-end flushes of parallel batches, stats
+// readers and clear() all race on the cache; TSan must stay quiet.
 
-TEST(EnginePersist, FlushThreadRacesBatchesStatsAndClearCleanly) {
+TEST(EnginePersist, ConcurrentFlushesRaceBatchesStatsAndClearCleanly) {
   const TempDir dir("race");
   engine::EnginePersistence p;
   p.store.dir = dir.str();
   p.store.warn = false;
   p.flush_min_entries = 8;
-  p.flush_interval_ms = 1.0;  // aggressive background flushing
   engine::SweepEngine eng(engine::EngineOptions{4, true, p});
 
   std::atomic<bool> stop{false};
