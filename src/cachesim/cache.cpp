@@ -4,7 +4,6 @@
 #include <bit>
 #include <cassert>
 #include <cstdlib>
-#include <limits>
 #include <new>
 #include <stdexcept>
 #include <utility>
@@ -21,9 +20,6 @@ std::uint32_t log2_pow2(std::size_t v) {
   while ((std::size_t{1} << s) < v) ++s;
   return s;
 }
-
-constexpr std::uint32_t kChunkMax =
-    std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
 void CacheConfig::validate() const {
@@ -160,31 +156,12 @@ void Cache::clear_filled_sets() noexcept {
 }
 
 bool Cache::access(Addr addr, bool is_write) {
-  return access_rw(addr, is_write ? 0u : 1u, is_write ? 1u : 0u).hit;
+  return access_line(addr, is_write).hit;
 }
 
 Cache::LineOutcome Cache::access_line(Addr addr, bool is_write,
                                       std::uint64_t n) {
-  // Chunking a huge run is exact: after the first chunk the line is
-  // resident (or write-around misses keep missing), so the outcome of
-  // the first chunk is the outcome of the whole run.
-  std::uint32_t first =
-      static_cast<std::uint32_t>(n < kChunkMax ? n : kChunkMax);
-  LineOutcome out = access_rw(addr, is_write ? 0u : first,
-                              is_write ? first : 0u);
-  for (std::uint64_t left = n - first; left > 0;) {
-    const std::uint32_t chunk =
-        static_cast<std::uint32_t>(left < kChunkMax ? left : kChunkMax);
-    access_rw(addr, is_write ? 0u : chunk, is_write ? chunk : 0u);
-    left -= chunk;
-  }
-  return out;
-}
-
-Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
-                                    std::uint32_t writes) {
-  assert(reads + std::uint64_t{writes} >= 1);
-  const std::uint64_t n = std::uint64_t{reads} + writes;
+  assert(n >= 1);
   // Advancing the clock by n up front is equivalent to n single-access
   // bumps: no other line's stamp changes in between, so victim
   // comparisons see the same relative order.
@@ -201,27 +178,27 @@ Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
   while (w < ways && tags[w] != tag) ++w;
   if (w != ways) [[likely]] {
     if (lru_) stamps_[base + w] = clock_;
-    stats_.read_hits += reads;
-    stats_.write_hits += writes;
-    dirty_[base + w] = static_cast<std::uint8_t>(dirty_[base + w] |
-                                                 (writes != 0));
+    if (is_write) {
+      stats_.write_hits += n;
+      dirty_[base + w] = 1;
+    } else {
+      stats_.read_hits += n;
+    }
     return LineOutcome{true, false, 0};
   }
 
-  if (reads == 0 && !write_allocate_) {
-    stats_.write_misses += writes;  // write-around: every access misses
+  if (is_write && !write_allocate_) {
+    stats_.write_misses += n;  // write-around: every access misses
     return LineOutcome{false, false, 0};
   }
   // Allocating miss: the first access misses, the remaining n-1 hit
-  // the just-installed line (nothing can evict it in between). Reads
-  // always allocate, so a read-modify-write segment's writes all hit.
-  if (reads > 0) {
-    ++stats_.read_misses;
-    stats_.read_hits += reads - 1;
-    stats_.write_hits += writes;
-  } else {
+  // the just-installed line (nothing can evict it in between).
+  if (is_write) {
     ++stats_.write_misses;
-    stats_.write_hits += writes - 1;
+    stats_.write_hits += n - 1;
+  } else {
+    ++stats_.read_misses;
+    stats_.read_hits += n - 1;
   }
 
   // Victim: minimum stamp, earliest way on ties. Invalid ways have
@@ -246,19 +223,10 @@ Cache::LineOutcome Cache::access_rw(Addr addr, std::uint32_t reads,
     filled_[set / 64] |= std::uint64_t{1} << (set % 64);
   }
   tags[v] = tag;
-  dirty_[base + v] = static_cast<std::uint8_t>(writes != 0);
+  dirty_[base + v] = static_cast<std::uint8_t>(is_write);
   // LRU: last use (after all n accesses). FIFO: fill time (the first).
   stamps[v] = lru_ ? clock_ : clock_ - n + 1;
   return out;
-}
-
-std::uint64_t Cache::access_batch(std::span<const LineSegment> segs) {
-  std::uint64_t accesses = 0;
-  for (const auto& s : segs) {
-    accesses += std::uint64_t{s.reads} + s.writes;
-    (void)access_rw(s.addr, s.reads, s.writes);
-  }
-  return accesses;
 }
 
 bool Cache::write_back_line(Addr addr) {
@@ -304,18 +272,17 @@ Hierarchy::Hierarchy(std::vector<CacheConfig> levels) {
 }
 
 std::size_t Hierarchy::access(Addr addr, bool is_write) {
-  return process_segment(addr, is_write ? 0u : 1u, is_write ? 1u : 0u);
+  return process_segment(addr, is_write, 1);
 }
 
-std::size_t Hierarchy::process_segment(Addr addr, std::uint32_t reads,
-                                       std::uint32_t writes) {
-  const auto out = caches_[0].access_rw(addr, reads, writes);
+std::size_t Hierarchy::process_segment(Addr addr, bool is_write,
+                                       std::uint64_t n) {
+  const auto out = caches_[0].access_line(addr, is_write, n);
   if (out.hit) return 0;
-  return miss_walk(addr, reads, writes, out);
+  return miss_walk(addr, is_write, n, out);
 }
 
-std::size_t Hierarchy::miss_walk(Addr addr, std::uint32_t reads,
-                                 std::uint32_t writes,
+std::size_t Hierarchy::miss_walk(Addr addr, bool is_write, std::uint64_t n,
                                  const Cache::LineOutcome& l1_out) {
   pending_wb_.clear();
   if (l1_out.writeback && caches_.size() > 1) {
@@ -324,20 +291,12 @@ std::size_t Hierarchy::miss_walk(Addr addr, std::uint32_t reads,
   // A dirty victim of the last level goes straight to memory; its
   // traffic is already counted in that level's writebacks.
   std::size_t served = caches_.size();
-  // What continues below L1: an allocating miss (any segment with
-  // reads, or a write-allocate L1) installs the line, so only the
-  // first access — a read if the segment had any — goes down. A
-  // write-around L1 miss installs nothing, so every write of the
-  // segment falls through at full multiplicity.
-  bool is_write;
-  std::uint64_t n_fwd;
-  if (reads > 0 || caches_[0].config().write_allocate) {
-    is_write = reads == 0;
-    n_fwd = 1;
-  } else {
-    is_write = true;
-    n_fwd = writes;
-  }
+  // What continues below L1: an allocating miss (a read, or a write
+  // on a write-allocate L1) installs the line, so only the first access
+  // goes down. A write-around L1 miss installs nothing, so every write
+  // of the segment falls through at full multiplicity.
+  std::uint64_t n_fwd =
+      is_write && !caches_[0].config().write_allocate ? n : 1;
   for (std::size_t i = 1; i < caches_.size(); ++i) {
     const auto out = caches_[i].access_line(addr, is_write, n_fwd);
     if (out.writeback && i + 1 < caches_.size()) {
@@ -378,37 +337,10 @@ void Hierarchy::access_run(const AccessRun& run) {
     }
     ++telemetry_.line_segments;
     telemetry_.coalesced += n - 1;
-    for (std::uint64_t todo = n; todo > 0;) {
-      const auto chunk = static_cast<std::uint32_t>(
-          todo < kChunkMax ? todo : kChunkMax);
-      process_segment(addr, run.is_write ? 0u : chunk,
-                      run.is_write ? chunk : 0u);
-      todo -= chunk;
-    }
+    process_segment(addr, run.is_write, n);
     addr += n * run.step_bytes;
     left -= n;
   }
-}
-
-void Hierarchy::access_batch(std::span<const LineSegment> segs,
-                             std::uint64_t runs) {
-  Cache& l1 = caches_[0];
-  std::uint64_t accesses = 0;
-  if (caches_.size() == 1) {
-    accesses = l1.access_batch(segs);
-  } else {
-    for (const auto& s : segs) {
-      accesses += std::uint64_t{s.reads} + s.writes;
-      const auto out = l1.access_rw(s.addr, s.reads, s.writes);
-      if (!out.hit) [[unlikely]] {
-        miss_walk(s.addr, s.reads, s.writes, out);
-      }
-    }
-  }
-  telemetry_.runs += runs;
-  telemetry_.line_segments += segs.size();
-  telemetry_.accesses += accesses;
-  telemetry_.coalesced += accesses - segs.size();
 }
 
 std::uint64_t Hierarchy::dram_bytes() const {
@@ -419,10 +351,6 @@ std::uint64_t Hierarchy::dram_bytes() const {
   return (last.stats().misses() + last.stats().writebacks +
           last.stats().wb_misses) *
          last.config().line_bytes;
-}
-
-void Hierarchy::flush() {
-  for (auto& c : caches_) c.flush();
 }
 
 }  // namespace sgp::cachesim

@@ -4,23 +4,20 @@
 // check that the analytical model's serving-level decisions agree with
 // simulated miss rates on synthetic kernels.
 //
-// The hot entry points are batch-based: a decoder (arena.hpp) turns a
-// TraceCursor run stream into a flat buffer of LineSegments (same-line
-// groups of consecutive accesses, reads before writes) and
-// Hierarchy::access_batch replays the buffer with one tag check per
-// segment. Per-set state is structure-of-arrays (separate tag / stamp /
-// dirty arrays with an invalid-tag sentinel), so the way scan is a
-// branch-light linear probe over a contiguous tag array and set/tag
-// math is shift-and-mask, not division. The coalescing is exact — the
-// per-access `access` path, the run path and the batch path produce
-// bit-identical CacheStats — because a segment's same-line accesses
-// are consecutive in the global access order, so nothing can intervene
-// and evict the line between them (see docs/CACHESIM.md).
+// The hot entry point is run-based: Hierarchy::access_run replays one
+// TraceCursor run with one tag check per L1 line it touches
+// (Cache::access_line). Per-set state is structure-of-arrays (separate
+// tag / stamp / dirty arrays with an invalid-tag sentinel), so the way
+// scan is a branch-light linear probe over a contiguous tag array and
+// set/tag math is shift-and-mask, not division. The coalescing is
+// exact — the per-access `access` path and the run path produce
+// bit-identical CacheStats — because a run's same-line accesses are
+// consecutive in the global access order, so nothing can intervene and
+// evict the line between them (see docs/CACHESIM.md).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -113,27 +110,13 @@ struct AccessRun {
   bool operator==(const AccessRun&) const = default;
 };
 
-/// A decoded batch element: `reads` read accesses followed by `writes`
-/// write accesses, all consecutive in the trace order and all falling
-/// into the L1 line holding `addr`. Pure-read (writes == 0), pure-write
-/// (reads == 0) and read-modify-write segments share one layout so the
-/// replay loop is a single tight pass over a flat 16-byte-element
-/// array.
-struct LineSegment {
-  Addr addr = 0;
-  std::uint32_t reads = 0;
-  std::uint32_t writes = 0;
-
-  bool operator==(const LineSegment&) const = default;
-};
-
 /// One level of cache. Accesses report hit/miss; misses are meant to be
 /// forwarded to the next level by the caller (see Hierarchy).
 class Cache {
  public:
-  /// Outcome of access_line/access_rw: whether the (first) access hit,
-  /// and whether installing on a miss evicted a dirty victim the caller
-  /// must write back to the next level.
+  /// Outcome of access_line: whether the (first) access hit, and
+  /// whether installing on a miss evicted a dirty victim the caller must
+  /// write back to the next level.
   struct LineOutcome {
     bool hit = false;
     bool writeback = false;
@@ -159,21 +142,6 @@ class Cache {
   /// write-around miss counts all n as write misses. LRU stamps end at
   /// the clock after the last access, FIFO stamps keep the fill time.
   LineOutcome access_line(Addr addr, bool is_write, std::uint64_t n = 1);
-
-  /// One LineSegment: `reads` reads then `writes` writes on the line
-  /// holding `addr` (reads + writes >= 1), as one tag check. Exactly
-  /// equivalent to access_line(addr, false, reads) followed by
-  /// access_line(addr, true, writes): the write part always hits the
-  /// line the read part installed (or found), even on write-around
-  /// caches, because reads allocate unconditionally.
-  LineOutcome access_rw(Addr addr, std::uint32_t reads,
-                        std::uint32_t writes);
-
-  /// Demand-replays a whole segment buffer against this single cache
-  /// (no miss forwarding — the single-level fast path of
-  /// Hierarchy::access_batch). Returns the number of logical accesses
-  /// replayed.
-  std::uint64_t access_batch(std::span<const LineSegment> segs);
 
   /// Absorbs a writeback arriving from the level above: on hit the
   /// resident line turns dirty (counted as a wb_hit) and true is
@@ -278,10 +246,9 @@ class Cache {
 /// the DRAM traffic in bytes.
 class Hierarchy {
  public:
-  /// Accesses processed through the run/batch APIs, for obs
-  /// instrumentation.
+  /// Accesses processed through access_run, for obs instrumentation.
   struct RunTelemetry {
-    std::uint64_t runs = 0;           ///< access runs decoded/replayed
+    std::uint64_t runs = 0;           ///< access runs replayed
     std::uint64_t line_segments = 0;  ///< L1 tag checks those runs cost
     std::uint64_t coalesced = 0;      ///< accesses folded into segments
     std::uint64_t accesses = 0;       ///< logical accesses replayed
@@ -298,14 +265,6 @@ class Hierarchy {
   /// statistics to calling `access` once per run element.
   void access_run(const AccessRun& run);
 
-  /// Replays a decoded segment buffer (arena.hpp): one L1 tag check
-  /// per segment, the miss walk out of line. Bit-identical statistics
-  /// to replaying each segment's reads-then-writes through `access`.
-  /// `runs` is the number of access runs the buffer was decoded from,
-  /// folded into telemetry only.
-  void access_batch(std::span<const LineSegment> segs,
-                    std::uint64_t runs = 0);
-
   std::size_t levels() const noexcept { return caches_.size(); }
   const Cache& level(std::size_t i) const { return caches_.at(i); }
 
@@ -320,16 +279,13 @@ class Hierarchy {
 
   const RunTelemetry& telemetry() const noexcept { return telemetry_; }
 
-  void flush();
-
  private:
-  /// One segment: L1 tag check inline, miss walk + writebacks out of
-  /// line. Returns the deepest level that hit (levels() = memory).
-  std::size_t process_segment(Addr addr, std::uint32_t reads,
-                              std::uint32_t writes);
+  /// `n` same-line accesses: L1 tag check inline, miss walk +
+  /// writebacks out of line. Returns the deepest level that hit
+  /// (levels() = memory).
+  std::size_t process_segment(Addr addr, bool is_write, std::uint64_t n);
   /// Demand walk below L1 plus deferred writebacks after an L1 miss.
-  std::size_t miss_walk(Addr addr, std::uint32_t reads,
-                        std::uint32_t writes,
+  std::size_t miss_walk(Addr addr, bool is_write, std::uint64_t n,
                         const Cache::LineOutcome& l1_out);
   /// Walks a writeback down from `level` until a cache absorbs it.
   void write_back(std::size_t level, Addr addr);

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <span>
 #include <stdexcept>
 #include <utility>
 
-#include "cachesim/arena.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -204,13 +202,20 @@ std::vector<CacheStats> level_stats(const Hierarchy& h) {
   return out;
 }
 
-void push_steady_rates(ReplayResult& result,
-                       const std::vector<CacheStats>& delta) {
+/// Fills the steady-state fields from the measured rep's per-level
+/// stats delta.
+void set_steady_state(ReplayResult& result,
+                      const std::vector<CacheStats>& delta) {
   for (const auto& d : delta) {
     const auto acc = d.accesses();
     result.steady_miss_rate.push_back(
         acc == 0 ? 0.0 : static_cast<double>(d.misses()) / acc);
   }
+  // What Hierarchy::dram_bytes() adds over that rep.
+  const CacheStats& last = delta.back();
+  result.steady_dram_bytes =
+      (last.misses() + last.writebacks + last.wb_misses) *
+      result.hierarchy.level(delta.size() - 1).config().line_bytes;
 }
 
 struct RepLoopOutcome {
@@ -218,27 +223,27 @@ struct RepLoopOutcome {
   std::uint64_t skipped = 0;            ///< reps extrapolated, not run
 };
 
-/// The streaming rep loop: replay the buffer per rep, and once two
+/// The streaming rep loop: stream the sweep per rep, and once two
 /// consecutive reps have identical per-level stats deltas the cache
 /// state is periodic, so the remaining reps each add exactly this
 /// delta again — extrapolate instead of simulating them.
-RepLoopOutcome run_reps(Hierarchy& h, std::span<const LineSegment> segs,
-                        std::uint64_t runs, int reps, bool early_exit) {
+RepLoopOutcome run_reps(Hierarchy& h, TraceCursor& cursor, int reps) {
   const std::size_t nlevels = h.levels();
   std::vector<CacheStats> prev(nlevels), delta(nlevels),
       prev_delta(nlevels);
   bool have_prev_delta = false;
   RepLoopOutcome out;
+  AccessRun run;
   for (int r = 0; r < reps; ++r) {
-    h.access_batch(segs, runs);
+    cursor.rewind();
+    while (cursor.next(run)) h.access_run(run);
     const auto now = level_stats(h);
     for (std::size_t i = 0; i < nlevels; ++i) {
       delta[i] = now[i];
       delta[i] -= prev[i];
     }
     prev = now;
-    if (early_exit && have_prev_delta && delta == prev_delta &&
-        r + 1 < reps) {
+    if (have_prev_delta && delta == prev_delta && r + 1 < reps) {
       out.skipped = static_cast<std::uint64_t>(reps - (r + 1));
       for (std::size_t i = 0; i < nlevels; ++i) {
         h.add_stats(i, delta[i].scaled(out.skipped));
@@ -265,38 +270,25 @@ void count_replay_obs(const Hierarchy::RunTelemetry& t,
   reg.counter("cachesim.reps_skipped").add(skipped);
 }
 
-ReplayArena& pick_arena(const ReplayOptions& opt) {
-  return opt.arena != nullptr ? *opt.arena : ReplayArena::thread_default();
-}
-
 }  // namespace
 
 ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt) {
+                           const SweepSpec& spec, int reps) {
   if (reps < 1) throw std::invalid_argument("replay: reps must be >= 1");
   if (cfgs.empty()) {
     throw std::invalid_argument("replay: needs at least one level");
   }
   obs::Span span("cachesim.replay");
 
-  const DecodedSweep& dec =
-      pick_arena(opt).decoded(spec, cfgs.front().line_bytes);
-  ReplayResult result{Hierarchy(cfgs), 0, {}};
-  const auto out = run_reps(result.hierarchy, dec.segments, dec.runs, reps,
-                            opt.early_exit);
+  TraceCursor cursor(spec);
+  ReplayResult result{Hierarchy(cfgs), 0, {}, 0};
+  const auto out = run_reps(result.hierarchy, cursor, reps);
   // Simulated + extrapolated reps all cover the full sweep.
-  result.accesses = dec.accesses * static_cast<std::uint64_t>(reps);
-  push_steady_rates(result, out.final_delta);
+  result.accesses =
+      cursor.total_accesses() * static_cast<std::uint64_t>(reps);
+  set_steady_state(result, out.final_delta);
   count_replay_obs(result.hierarchy.telemetry(), out.skipped);
   return result;
-}
-
-ReplayResult replay_stream(const machine::MachineDescriptor& m,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt) {
-  return replay_stream(hierarchy_configs(m, opt.l2_sharers, opt.l3_sharers),
-                       spec, reps, opt);
 }
 
 ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
@@ -305,7 +297,7 @@ ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
   if (cfgs.empty()) {
     throw std::invalid_argument("replay: needs at least one level");
   }
-  ReplayResult result{Hierarchy(cfgs), 0, {}};
+  ReplayResult result{Hierarchy(cfgs), 0, {}, 0};
   const Trace trace = generate_sweep(spec);
 
   // Warm reps.
@@ -323,7 +315,7 @@ ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
   }
   auto delta = level_stats(result.hierarchy);
   for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
-  push_steady_rates(result, delta);
+  set_steady_state(result, delta);
   return result;
 }
 

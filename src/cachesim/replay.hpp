@@ -4,26 +4,22 @@
 // The reference path (replay_vector) materializes every access of a
 // sweep into a std::vector<AccessRecord> and walks it one address at a
 // time — O(elems x arrays x reps) memory traffic just to *build* the
-// input. Here the sweep is decoded ONCE (arena.hpp) into a flat
-// LineSegment buffer — same-line accesses fused into read-then-write
-// segments, Gather's random index stream precomputed — and every rep
-// replays that buffer through Hierarchy::access_batch: one
-// structure-of-arrays tag probe per segment, no per-rep RNG, no
-// per-rep allocation. replay_stream stops simulating reps once the
-// per-level stats deltas of two consecutive reps are identical,
-// extrapolating the remaining reps arithmetically (exact whenever two
-// equal deltas imply a closed state orbit — which holds for every
-// pattern, Gather included, because each rep replays the identical
-// decoded buffer).
+// input. Here every rep rewinds a TraceCursor and feeds its runs to
+// Hierarchy::access_run, one tag check per L1 line a run touches, so
+// the trace is never materialized. replay_stream stops
+// simulating reps once the per-level stats deltas of two consecutive
+// reps are identical, extrapolating the remaining reps arithmetically
+// (exact whenever two equal deltas imply a closed state orbit — which
+// holds for every pattern, Gather included, because rewind() re-seeds
+// Gather's index stream, so every rep replays the identical addresses).
 //
-// generate_sweep (trace.hpp) is reimplemented on top of TraceCursor,
-// so the materialized trace, the decoded segment buffer and the
-// streamed runs are the same access sequence by construction and both
-// replay paths produce bit-identical CacheStats. The vector-vs-stream
-// oracle (check::cachesim_agreement) and cachesim_replay_test assert
-// exactly that, per pattern; perfbench's validate_machines workload
-// records the stream path's cost (cachesim.replay_ms,
-// cachesim.accesses_simulated).
+// generate_sweep (trace.hpp) is implemented on top of TraceCursor, so
+// the materialized trace and the streamed runs are the same access
+// sequence by construction and both replay paths produce bit-identical
+// CacheStats. The vector-vs-stream oracle (check::cachesim_agreement)
+// and cachesim_replay_test assert exactly that, per pattern;
+// perfbench's validate_machines workload records the stream path's
+// cost (cachesim.replay_ms, cachesim.accesses_simulated).
 //
 // Obs counters (docs/OBSERVABILITY.md): cachesim.replays,
 // cachesim.runs, cachesim.line_segments, cachesim.accesses_coalesced,
@@ -40,16 +36,14 @@
 
 namespace sgp::cachesim {
 
-class ReplayArena;
-
 /// Pull-based generator for the access runs of one full sweep over a
 /// SweepSpec. Streaming/Strided sweeps are emitted as per-array runs
 /// interleaved at a fixed element-block granularity (kRunBlockElems),
 /// so each run covers many consecutive same-array elements; the
 /// stencil/gather/recurrence patterns keep their per-element run
-/// structure. The cursor defines the canonical trace order —
-/// generate_sweep flattens exactly this run stream, and decode_sweep
-/// (arena.hpp) fuses it into the batch-replay segment buffer.
+/// structure. The cursor defines the canonical trace order:
+/// generate_sweep flattens exactly this run stream, and replay_stream
+/// feeds it to Hierarchy::access_run.
 class TraceCursor {
  public:
   /// Element-block granularity for Streaming/Strided run emission:
@@ -72,8 +66,6 @@ class TraceCursor {
   /// generate_sweep reserves (and produces).
   std::uint64_t total_accesses() const noexcept { return total_; }
 
-  const SweepSpec& spec() const noexcept { return spec_; }
-
  private:
   Addr array_addr(std::size_t array, std::size_t elem) const;
 
@@ -94,41 +86,21 @@ class TraceCursor {
   std::uniform_int_distribution<std::size_t> dist_;
 };
 
-struct ReplayOptions {
-  int l2_sharers = 1;
-  int l3_sharers = 1;
-  /// Extrapolate once two consecutive reps have identical per-level
-  /// stats deltas. Applies to every pattern (Gather replays the same
-  /// decoded buffer each rep, so its state orbit closes like any
-  /// other pattern's).
-  bool early_exit = true;
-  /// Decode scratch to (re)use; nullptr picks this thread's default
-  /// arena (ReplayArena::thread_default).
-  ReplayArena* arena = nullptr;
-};
-
-/// Streaming replay: arena-decoded segment buffer + access_batch +
-/// steady-state early exit. Bit-identical results to replay_vector on
-/// every pattern.
-ReplayResult replay_stream(const machine::MachineDescriptor& m,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt = {});
-
-/// Config-level variant: replays on an explicit hierarchy (the
-/// l2_sharers/l3_sharers fields of `opt` are ignored — sharing is
-/// already baked into the configs). Lets oracles exercise FIFO /
+/// Streaming replay on an explicit hierarchy: every rep streams the
+/// cursor's runs through Hierarchy::access_run, and reps past the
+/// steady state are extrapolated. Bit-identical results to
+/// replay_vector on every pattern. cachesim::replay (trace.hpp) builds
+/// `cfgs` from a descriptor; config-level oracles pass FIFO /
 /// write-around / single-level hierarchies the descriptor path never
 /// builds.
 ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps,
-                           const ReplayOptions& opt = {});
+                           const SweepSpec& spec, int reps);
 
 /// The vector-materialized reference path (generate_sweep once, then
 /// one Hierarchy::access per record per rep, all reps simulated, no
-/// decode scratch and no early exit). Kept as the reference that
-/// check::cachesim_agreement and cachesim_replay_test compare
-/// replay_stream against; build `cfgs` with hierarchy_configs(m) for
-/// a descriptor's hierarchy.
+/// early exit). Kept as the reference that check::cachesim_agreement
+/// and cachesim_replay_test compare replay_stream against; build
+/// `cfgs` with hierarchy_configs(m) for a descriptor's hierarchy.
 ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
                            const SweepSpec& spec, int reps);
 

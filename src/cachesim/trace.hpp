@@ -31,9 +31,6 @@ struct SweepSpec {
   std::size_t stride_elems = 8;  ///< Strided pattern only
   unsigned seed = 7;             ///< Gather pattern only
   Addr base = 1 << 20;
-
-  /// Field-wise equality — the decode cache key in ReplayArena.
-  bool operator==(const SweepSpec&) const = default;
 };
 
 /// Materializes one full sweep by flattening the TraceCursor run
@@ -42,31 +39,30 @@ struct SweepSpec {
 /// vector-vs-stream oracle) and the trace-order tests.
 Trace generate_sweep(const SweepSpec& spec);
 
-/// Cache hierarchy mirroring a machine descriptor's per-core view
-/// (private L1, the core's share of L2, the core's share of L3 when
-/// core-side). `l2_sharers`/`l3_sharers` model how many active cores
-/// divide the shared levels.
-Hierarchy hierarchy_for(const machine::MachineDescriptor& m,
-                        int l2_sharers = 1, int l3_sharers = 1);
-
-/// The per-level configs hierarchy_for builds — exposed so the replay
-/// paths can build their hierarchy from the same descriptor, and so
-/// config-level oracles can perturb them.
+/// Per-level configs of the cache hierarchy mirroring a machine
+/// descriptor's per-core view (private L1, the core's share of L2, the
+/// core's share of L3 when core-side). `l2_sharers`/`l3_sharers` model
+/// how many active cores divide the shared levels. Config-level
+/// oracles perturb them before replaying.
 std::vector<CacheConfig> hierarchy_configs(
     const machine::MachineDescriptor& m, int l2_sharers = 1,
     int l3_sharers = 1);
 
 /// Replays the sweep `reps` times (flushing nothing in between, like a
-/// RAJAPerf kernel re-running over resident data) and returns the
-/// hierarchy for inspection. Delegates to the streaming engine
-/// (replay_stream in replay.hpp): runs are coalesced per cache line
-/// and reps are extrapolated once the per-level deltas go periodic —
-/// the statistics are bit-identical to the full vector replay.
+/// RAJAPerf kernel re-running over resident data) on the hierarchy of
+/// hierarchy_configs(m, l2_sharers, l3_sharers) and returns it for
+/// inspection. Delegates to the streaming engine (replay_stream in
+/// replay.hpp): runs are coalesced per cache line and reps are
+/// extrapolated once the per-level deltas go periodic — the statistics
+/// are bit-identical to the full vector replay.
 struct ReplayResult {
   Hierarchy hierarchy;
   std::uint64_t accesses = 0;
   /// Miss rate of the *last* rep at each level (steady state).
   std::vector<double> steady_miss_rate;
+  /// DRAM bytes the *last* rep moved: hierarchy.dram_bytes() after it
+  /// minus dram_bytes() before it.
+  std::uint64_t steady_dram_bytes = 0;
 };
 
 ReplayResult replay(const machine::MachineDescriptor& m,

@@ -38,10 +38,9 @@ CheckReport fuzz_invariants(unsigned first_seed, unsigned num_seeds,
                             const FuzzOptions& opt = {}, int jobs = 1);
 
 /// Replays every access pattern through both cachesim replay paths —
-/// the vector-materialized reference and the arena-decoded
-/// batch/stream engine with steady-state early exit — on machine `m`
-/// (plus FIFO and write-around config perturbations of its hierarchy)
-/// and demands
+/// the vector-materialized reference and the streaming engine with
+/// steady-state early exit — on machine `m` (plus FIFO and
+/// write-around config perturbations of its hierarchy) and demands
 /// bit-identical per-level CacheStats, DRAM bytes, access counts and
 /// steady miss rates (invariant "cachesim-replay-agreement").
 CheckReport cachesim_agreement(const machine::MachineDescriptor& m);

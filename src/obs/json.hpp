@@ -63,8 +63,6 @@ class JsonValue {
   JsonArray array;
   JsonObject object;
 
-  bool is_null() const noexcept { return kind == Kind::Null; }
-  bool is_bool() const noexcept { return kind == Kind::Bool; }
   bool is_number() const noexcept { return kind == Kind::Number; }
   bool is_string() const noexcept { return kind == Kind::String; }
   bool is_array() const noexcept { return kind == Kind::Array; }

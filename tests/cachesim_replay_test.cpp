@@ -1,7 +1,7 @@
 // Tests for the streaming replay engine (src/cachesim/replay.hpp): the
 // TraceCursor as the canonical trace order, exactness of line-run
-// coalescing and of the arena-decoded batch path against the
-// per-access path, steady-state early exit (Gather included), and the
+// coalescing against the per-access path, steady-state early exit
+// (Gather included), the measured rep's DRAM bytes, and the
 // writeback-propagation fix in Hierarchy.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <thread>
 #include <vector>
 
-#include "cachesim/arena.hpp"
 #include "cachesim/replay.hpp"
 #include "cachesim/trace.hpp"
 #include "machine/descriptor.hpp"
@@ -188,6 +187,10 @@ TEST(AccessRun, BitIdenticalToPerAccessWriteAround) {
   run_identity_trial({l1, tiny_cache(8192, 4)}, "write-around");
 }
 
+TEST(AccessRun, BitIdenticalToPerAccessSingleLevel) {
+  run_identity_trial({tiny_cache(1024)}, "single-level");
+}
+
 TEST(AccessRun, CoalescesSameLineAccesses) {
   Hierarchy h({tiny_cache(1024)});
   h.access_run(AccessRun{0, 8, 8, false});  // one 64B line
@@ -197,142 +200,6 @@ TEST(AccessRun, CoalescesSameLineAccesses) {
   EXPECT_EQ(h.telemetry().accesses, 8u);
   EXPECT_EQ(h.level(0).stats().read_misses, 1u);
   EXPECT_EQ(h.level(0).stats().read_hits, 7u);
-}
-
-// --------------------------------------------------- decode/batch path --
-TEST(DecodeSweep, AccountsEveryAccessOnEveryPattern) {
-  for (const auto p : kAllPatterns) {
-    // Odd element counts stress the split/fusion bookkeeping (Gather's
-    // index+data interleave included).
-    for (const std::size_t elems : {std::size_t{1} << 10,
-                                    (std::size_t{1} << 10) - 3}) {
-      const auto spec = small_spec(p, 2, elems);
-      TraceCursor cursor(spec);
-      DecodedSweep dec;
-      decode_sweep(spec, 64, dec);
-      EXPECT_EQ(dec.accesses, cursor.total_accesses())
-          << core::to_string(p) << " elems " << elems;
-      std::uint64_t in_segments = 0;
-      for (std::size_t i = 0; i < dec.segments.size(); ++i) {
-        const auto& s = dec.segments[i];
-        EXPECT_GE(std::uint64_t{s.reads} + s.writes, 1u) << "segment " << i;
-        // Adjacent segments on the same line must not both be fusable
-        // (otherwise the decoder left a merge on the table or, worse,
-        // would have had to reorder to merge them).
-        if (i > 0) {
-          const auto& p = dec.segments[i - 1];
-          if (((p.addr ^ s.addr) & ~Addr{63}) == 0) {
-            EXPECT_TRUE(p.writes > 0 && s.reads > 0)
-                << "unfused same-line neighbours at " << i;
-          }
-        }
-        in_segments += std::uint64_t{s.reads} + s.writes;
-      }
-      EXPECT_EQ(in_segments, dec.accesses) << core::to_string(p);
-    }
-  }
-}
-
-TEST(DecodeSweep, FusesReadModifyWriteButNeverWriteThenRead) {
-  // Sequential is a per-element read-then-write on the same address:
-  // each element must fuse to ONE rmw segment, and the next element's
-  // read must not fuse back into it (write-then-read reorders).
-  SweepSpec spec = small_spec(AccessPattern::Sequential, 1, 64);
-  DecodedSweep dec;
-  decode_sweep(spec, 64, dec);
-  ASSERT_FALSE(dec.segments.empty());
-  for (std::size_t i = 0; i < dec.segments.size(); ++i) {
-    const auto& s = dec.segments[i];
-    EXPECT_GT(s.reads, 0u) << "segment " << i;
-    EXPECT_GT(s.writes, 0u) << "segment " << i;
-  }
-  EXPECT_EQ(dec.accesses, 2u * 64u);
-}
-
-void batch_identity_trial(std::vector<CacheConfig> cfgs,
-                          const std::string& what) {
-  Hierarchy by_batch(cfgs);
-  Hierarchy by_access(cfgs);
-  std::mt19937 rng(1234);
-  std::uniform_int_distribution<Addr> line_pick(0, 255);
-  std::uniform_int_distribution<std::uint32_t> count(0, 5);
-  std::uniform_int_distribution<std::size_t> batch_len(1, 16);
-
-  std::vector<LineSegment> batch;
-  for (int t = 0; t < 200; ++t) {
-    batch.clear();
-    const std::size_t len = batch_len(rng);
-    for (std::size_t i = 0; i < len; ++i) {
-      LineSegment s;
-      s.addr = line_pick(rng) * 64 + (t % 64);
-      s.reads = count(rng);
-      s.writes = count(rng);
-      if (s.reads + s.writes == 0) s.reads = 1;
-      batch.push_back(s);
-    }
-    by_batch.access_batch(batch);
-    for (const auto& s : batch) {
-      for (std::uint32_t k = 0; k < s.reads; ++k) {
-        by_access.access(s.addr, false);
-      }
-      for (std::uint32_t k = 0; k < s.writes; ++k) {
-        by_access.access(s.addr, true);
-      }
-    }
-    expect_same_stats(by_batch, by_access, what);
-  }
-}
-
-TEST(AccessBatch, BitIdenticalToPerAccessLru) {
-  batch_identity_trial({tiny_cache(1024), tiny_cache(8192, 4)},
-                       "batch-lru");
-}
-
-TEST(AccessBatch, BitIdenticalToPerAccessFifo) {
-  auto l1 = tiny_cache(1024);
-  l1.policy = ReplacementPolicy::FIFO;
-  auto l2 = tiny_cache(8192, 4);
-  l2.policy = ReplacementPolicy::FIFO;
-  batch_identity_trial({l1, l2}, "batch-fifo");
-}
-
-TEST(AccessBatch, BitIdenticalToPerAccessWriteAround) {
-  // A pure-write segment missing a write-around L1 must fall through
-  // at full multiplicity; an rmw segment's read part allocates, so its
-  // writes all hit even without write-allocate.
-  auto l1 = tiny_cache(1024);
-  l1.write_allocate = false;
-  batch_identity_trial({l1, tiny_cache(8192, 4)}, "batch-write-around");
-}
-
-TEST(AccessBatch, SingleLevelHierarchy) {
-  batch_identity_trial({tiny_cache(1024)}, "batch-single-level");
-}
-
-TEST(ReplayArena, CachesDecodesAcrossReplaysAndSpecs) {
-  ReplayArena arena;
-  const auto specA = small_spec(AccessPattern::Gather, 2, 1 << 9);
-  const auto specB = small_spec(AccessPattern::Streaming, 2, 1 << 9);
-  const auto& a1 = arena.decoded(specA, 64);
-  const auto a1_accesses = a1.accesses;
-  const auto& b1 = arena.decoded(specB, 64);
-  (void)b1;
-  // Re-requesting A must serve the cached slot, not re-decode.
-  const auto& a2 = arena.decoded(specA, 64);
-  EXPECT_EQ(&a1, &a2);
-  EXPECT_EQ(a2.accesses, a1_accesses);
-  // Same spec at a different line size is a different decode.
-  const auto& a3 = arena.decoded(specA, 128);
-  EXPECT_NE(&a2, &a3);
-
-  // Replays through an explicit arena match the thread-default path.
-  const auto m = machine::visionfive_v2();
-  ReplayOptions with_arena;
-  with_arena.arena = &arena;
-  const auto r1 = replay_stream(m, specA, 4, with_arena);
-  const auto r2 = replay_stream(m, specA, 4);
-  EXPECT_EQ(r1.steady_miss_rate, r2.steady_miss_rate);
-  expect_same_stats(r1.hierarchy, r2.hierarchy, "arena-reuse");
 }
 
 // ------------------------------------------------- stream/vector replay --
@@ -348,61 +215,88 @@ TEST(Replay, StreamMatchesVectorOnEveryPattern) {
       const auto what =
           std::string(core::to_string(p)) + " elems=" + std::to_string(elems);
       const auto vec = replay_vector(cfgs, spec, 5);
-      const auto str = replay_stream(m, spec, 5);
+      const auto str = replay(m, spec, 5);
       EXPECT_EQ(vec.accesses, str.accesses) << what;
       EXPECT_EQ(vec.steady_miss_rate, str.steady_miss_rate) << what;
+      EXPECT_EQ(vec.steady_dram_bytes, str.steady_dram_bytes) << what;
       expect_same_stats(vec.hierarchy, str.hierarchy, what);
     }
   }
 }
 
 TEST(Replay, EarlyExitExtrapolationIsExact) {
+  // replay_vector simulates every rep, so it is the reference for the
+  // extrapolated reps.
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Streaming, 2, 1 << 12);
-  ReplayOptions full;
-  full.early_exit = false;
-  const auto exact = replay_stream(m, spec, 24, full);
-  const auto fast = replay_stream(m, spec, 24);
+  const auto exact = replay_vector(hierarchy_configs(m), spec, 24);
+  const auto fast = replay(m, spec, 24);
   EXPECT_EQ(exact.accesses, fast.accesses);
   EXPECT_EQ(exact.steady_miss_rate, fast.steady_miss_rate);
+  EXPECT_EQ(exact.steady_dram_bytes, fast.steady_dram_bytes);
   expect_same_stats(exact.hierarchy, fast.hierarchy, "early-exit");
   // The fast path really did skip simulation work: its telemetry counts
   // only the reps it executed before extrapolating.
-  EXPECT_LT(fast.hierarchy.telemetry().accesses,
-            exact.hierarchy.telemetry().accesses);
+  EXPECT_LT(fast.hierarchy.telemetry().accesses, fast.accesses);
 }
 
 TEST(Replay, EarlyExitReportsSkippedRepsToObs) {
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Streaming, 2, 1 << 10);
   const auto before = counter_value("cachesim.reps_skipped");
-  (void)replay_stream(m, spec, 10);
+  (void)replay(m, spec, 10);
   const auto after = counter_value("cachesim.reps_skipped");
   EXPECT_GT(after, before);
 }
 
 TEST(Replay, GatherExtrapolationIsExact) {
-  // Gather used to be excluded from early exit; with the arena-decoded
-  // buffer every rep replays the identical gathered stream, so the
-  // periodicity argument applies to it like any other pattern. The
-  // fast path must still be bit-identical to the full simulation.
+  // Every rep rewinds the cursor, which re-seeds Gather's index stream,
+  // so each rep replays the identical gathered addresses and the
+  // periodicity argument applies to Gather like any other pattern. The
+  // extrapolating path must still be bit-identical to replay_vector,
+  // which simulates every rep.
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Gather, 2, 1 << 10);
-  ReplayOptions full;
-  full.early_exit = false;
-  const auto exact = replay_stream(m, spec, 8, full);
-  const auto fast = replay_stream(m, spec, 8);
+  const auto exact = replay_vector(hierarchy_configs(m), spec, 8);
+  const auto fast = replay(m, spec, 8);
   EXPECT_EQ(exact.accesses, fast.accesses);
   EXPECT_EQ(exact.steady_miss_rate, fast.steady_miss_rate);
+  EXPECT_EQ(exact.steady_dram_bytes, fast.steady_dram_bytes);
   expect_same_stats(exact.hierarchy, fast.hierarchy, "gather-early-exit");
+  EXPECT_LT(fast.hierarchy.telemetry().accesses, fast.accesses);
   TraceCursor cursor(spec);
   EXPECT_EQ(fast.accesses, 8 * cursor.total_accesses());
+}
+
+TEST(Replay, SteadyDramBytesIsTheMeasuredRepsDramTraffic) {
+  // Two reps of a sweep at twice visionfive_v2's L2, the shape of the
+  // validator's DRAM-streaming case: streamed by hand, the measured
+  // rep's traffic is the growth of dram_bytes() over it. The written
+  // array makes the last level write back, so every term counts.
+  const auto m = machine::visionfive_v2();
+  const auto cfgs = hierarchy_configs(m);
+  const auto spec =
+      small_spec(AccessPattern::Streaming, 2, m.l2.size_bytes / 8);
+  Hierarchy h(cfgs);
+  TraceCursor cursor(spec);
+  AccessRun run;
+  while (cursor.next(run)) h.access_run(run);
+  const auto warm_bytes = h.dram_bytes();
+  cursor.rewind();
+  while (cursor.next(run)) h.access_run(run);
+
+  const auto rr = replay(m, spec, 2);
+  expect_same_stats(rr.hierarchy, h, "hand-streamed");
+  EXPECT_GT(h.level(h.levels() - 1).stats().writebacks, 0u);
+  EXPECT_EQ(rr.steady_dram_bytes, h.dram_bytes() - warm_bytes);
+  EXPECT_EQ(replay_vector(cfgs, spec, 2).steady_dram_bytes,
+            rr.steady_dram_bytes);
 }
 
 TEST(Replay, RejectsNonPositiveReps) {
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Streaming);
-  EXPECT_THROW((void)replay_stream(m, spec, 0), std::invalid_argument);
+  EXPECT_THROW((void)replay(m, spec, 0), std::invalid_argument);
   EXPECT_THROW((void)replay_vector(hierarchy_configs(m), spec, 0),
                std::invalid_argument);
 }
@@ -445,11 +339,11 @@ TEST(Replay, UntouchedCacheLineStateStaysFreeAcrossHierarchies) {
     for (int i = 0; i < 3; ++i) {
       reset_peak_rss();
       const long before = status_kib("VmRSS:");
-      (void)replay_stream(m, spec, 2);
+      (void)replay(m, spec, 2);
       growth_kib.push_back(status_kib("VmHWM:") - before);
     }
   }).join();
-  // The first replay also sizes the thread's decode arena.
+  // The first replay maps the blocks the later ones recycle.
   for (std::size_t i = 1; i < growth_kib.size(); ++i) {
     EXPECT_LT(growth_kib[i], 2048)
         << "full-L3 replay " << i << " raised the peak resident set by "

@@ -241,9 +241,40 @@ TEST(Sharding, CheckMachineIsJobCountInvariant) {
                 to_string(parallel.violations[i]));
     }
   }
+  const auto replays = [] {
+    for (const auto& [name, value] : obs::registry().snapshot().counters) {
+      if (name == "cachesim.replays") return value;
+    }
+    return std::uint64_t{0};
+  };
+  const auto replays_before = replays();
   const auto report = check_machine(big_l2, sigs, {}, /*jobs=*/4);
+  // Both cachesim cases replay through cachesim::replay, so both are
+  // spanned and counted.
+  EXPECT_EQ(replays() - replays_before, 2u);
   ASSERT_GE(report.violations.size(), 3u);
   EXPECT_EQ(report.violations.front().kernel, "TRIAD");
+  // The 64 MiB L2 holds the whole DRAM-streaming sweep: the analytic
+  // model serves it from L2, and the measured rep never gets past L2,
+  // so it moves no DRAM bytes. The last-level miss rate is read over
+  // both reps, where the cold rep's misses keep it above 0.5, so there
+  // is no steady-misses violation (the measured rep's own rate is 0).
+  std::vector<std::string> dram_stream;
+  for (const auto& v : report.violations) {
+    if (v.kernel == "synthetic-dram-stream") {
+      dram_stream.push_back(to_string(v));
+    }
+  }
+  const std::string where =
+      ": sg2042-broken-vector-64mib-l2 / synthetic-dram-stream "
+      "[ws=167772160B t=64]: ";
+  EXPECT_EQ(dram_stream,
+            (std::vector<std::string>{
+                "cachesim-serving-level" + where +
+                    "analytic model serves a 2.5x-LLC working set from L2",
+                "cachesim-traffic" + where +
+                    "simulated per-rep DRAM traffic 0B vs analytic streamed "
+                    "bytes 2621440B (outside 0.5x..3x)"}));
   EXPECT_EQ(report.violations.back().kernel, "synthetic-dram-stream");
 }
 
