@@ -311,9 +311,9 @@ void InvariantChecker::check_cachesim_consistency(
 
   // Case 2: a working set at 2.5x the aggregate last-level capacity
   // must be decided DRAM-served, stream through the simulated hierarchy
-  // (last-level miss rate over both reps > 0.5), and move per-rep DRAM
+  // (measured-rep last-level miss rate > 0.5), and move per-rep DRAM
   // traffic agreeing with the analytic streamed-bytes term to within the
-  // line granularity and write-allocate factors (0.5x..3x).
+  // write-allocate floor and the line granularity factor (1.25x..3x).
   {
     const double aggregate_llc =
         m.l3.present()
@@ -351,26 +351,27 @@ void InvariantChecker::check_cachesim_consistency(
         m.l3.present() ? std::max(1, m.l3.shared_by) : 1);
     const double rep_bytes = static_cast<double>(rr.steady_dram_bytes);
 
-    // Cumulative over both reps: a sweep that streams from DRAM misses
-    // the last level on the cold rep and the measured one alike.
-    const auto& llc = rr.hierarchy.level(rr.hierarchy.levels() - 1);
-    const double last_miss = llc.stats().miss_rate();
+    // The measured rep alone: a sweep that streams from DRAM misses the
+    // last level on every rep, not just the cold one.
+    const double last_miss = rr.steady_miss_rate.back();
     rec.observe(kCachesimSteadyMisses, last_miss > 0.5, [&] {
       return "steady last-level miss rate " + num(last_miss) +
              " for a DRAM-streaming sweep";
     });
 
     // The analytic model prices one logical element move per iteration:
-    // arrays * elem_bytes of streamed traffic per element.
+    // arrays * elem_bytes of streamed traffic per element. The floor is
+    // write-allocate: every written line is read before it is written
+    // back, so the written array moves twice.
     const double analytic_bytes = static_cast<double>(
         spec.arrays * spec.elems * spec.elem_bytes);
     rec.observe(kCachesimTraffic,
-                rep_bytes >= 0.5 * analytic_bytes &&
+                rep_bytes >= 1.25 * analytic_bytes &&
                     rep_bytes <= 3.0 * analytic_bytes,
                 [&] {
                   return "simulated per-rep DRAM traffic " + num(rep_bytes) +
                          "B vs analytic streamed bytes " +
-                         num(analytic_bytes) + "B (outside 0.5x..3x)";
+                         num(analytic_bytes) + "B (outside 1.25x..3x)";
                 });
   }
 }

@@ -124,9 +124,9 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   EngineMetrics::get().requests.add(points.size());
 
   // Group the batch by (machine, signature) identity: the expensive
-  // fingerprint prefix (machine_fingerprint walks to_ini plus every
-  // descriptor field, ~10 us; signature_fingerprint ~30 fields) is
-  // computed once per group, so each point only hashes its SimConfig.
+  // fingerprint prefix (machine_fingerprint walks every descriptor
+  // field, signature_fingerprint ~30 fields) is computed once per
+  // group, so each point only hashes its SimConfig.
   struct Group {
     const machine::MachineDescriptor* machine = nullptr;
     const core::KernelSignature* signature = nullptr;

@@ -2,8 +2,6 @@
 
 #include <bit>
 
-#include "machine/serialize.hpp"
-
 namespace sgp::engine {
 
 void Fnv1a::bytes(const void* data, std::size_t n) noexcept {
@@ -35,11 +33,7 @@ void hash_cache(Fnv1a& h, const machine::CacheSpec& c) {
 
 std::uint64_t machine_fingerprint(const machine::MachineDescriptor& m) {
   Fnv1a h;
-  // Content address via the user-facing serialization first...
-  h.str(machine::to_ini(m));
-  // ...then every field bit-exactly, covering what the INI text rounds
-  // (doubles beyond 6 significant digits, sub-KiB cache sizes) or
-  // compresses (non-consecutive cluster layouts).
+  // Every field, bit-exactly.
   h.str(m.name);
   h.i32(m.num_cores);
   const auto& c = m.core;

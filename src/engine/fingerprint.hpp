@@ -5,12 +5,11 @@
 // collision, ~2^-64 per pair) to be the same pure-function input to
 // Simulator::run and therefore to produce bit-identical TimeBreakdowns.
 //
-// The machine fingerprint is built from the INI serialization
-// (machine::to_ini) *plus* a bit-exact encoding of every numeric field:
-// the INI text makes the fingerprint content-addressed in the same form
-// users feed to the tools, while the raw field bits catch differences
-// the 6-significant-digit INI formatting would flatten (e.g. two L1
-// sizes inside the same KiB).
+// The machine fingerprint is a bit-exact encoding of every descriptor
+// field. The INI text (machine::to_ini) is a function of those fields,
+// so it adds nothing, and its 6-significant-digit formatting would
+// flatten differences the raw bits keep (e.g. two L1 sizes inside the
+// same KiB).
 #pragma once
 
 #include <cstdint>

@@ -94,19 +94,13 @@ KernelRunRecord SuiteRunner::run_attempt(std::string_view name,
   const resilience::ArmedFault fault =
       policy_.injector ? policy_.injector->arm(name) : resilience::ArmedFault{};
 
-  resilience::CancelToken cancel;
-  std::optional<resilience::Watchdog> watchdog;
-  const resilience::CancelToken* token = nullptr;
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   if (policy_.kernel_timeout_s > 0.0) {
-    watchdog.emplace(std::chrono::steady_clock::now() +
-                         std::chrono::duration_cast<
-                             std::chrono::steady_clock::duration>(
-                             std::chrono::duration<double>(
-                                 policy_.kernel_timeout_s)),
-                     cancel);
-    token = &cancel;
+    deadline = std::chrono::steady_clock::now() +
+               std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                   std::chrono::duration<double>(policy_.kernel_timeout_s));
   }
-  resilience::GuardedExecutor guarded(*exec_, token, fault,
+  resilience::GuardedExecutor guarded(*exec_, deadline, fault,
                                       std::string(name));
 
   try {
@@ -114,7 +108,6 @@ KernelRunRecord SuiteRunner::run_attempt(std::string_view name,
     // half-initialised, and construction is cheap by contract.
     auto kernel = registry_.create(name);
     const auto result = kernel->run_native(p, rp_, guarded);
-    watchdog.reset();  // disarm before classifying
     rec.seconds = result.seconds;
     rec.reps = result.reps;
     rec.checksum = fault.kind == resilience::FaultKind::CorruptChecksum

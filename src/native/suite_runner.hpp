@@ -45,9 +45,9 @@ struct KernelRunRecord {
 struct RunPolicy {
   /// Record failures and continue instead of rethrowing.
   bool keep_going = false;
-  /// Per-kernel soft deadline in seconds; 0 disables the watchdog.
-  /// Soft: a chunk that never yields is only detected at its next
-  /// executor boundary, but the watchdog timestamps the breach exactly.
+  /// Per-kernel soft deadline in seconds; 0 disables it. Soft: the
+  /// clock is compared with the deadline at executor chunk boundaries,
+  /// so a chunk that overruns is only detected at the next boundary.
   double kernel_timeout_s = 0.0;
   /// Bounded retry with exponential backoff for transient faults.
   resilience::RetryPolicy retry;

@@ -15,11 +15,6 @@ inline double encode_ratio(double ratio) {
   return ratio >= 1.0 ? ratio - 1.0 : -(1.0 / ratio - 1.0);
 }
 
-/// Inverse of encode_ratio.
-inline double decode_ratio(double encoded) {
-  return encoded >= 0.0 ? encoded + 1.0 : 1.0 / (1.0 - encoded);
-}
-
 /// Speed up: execution time on one thread over execution on n threads.
 inline double speedup(double t1, double tn) {
   if (t1 <= 0.0 || tn <= 0.0) throw std::invalid_argument("speedup: t <= 0");

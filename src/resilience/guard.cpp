@@ -1,5 +1,7 @@
 #include "resilience/guard.hpp"
 
+#include <thread>
+
 #include "resilience/retry.hpp"
 
 namespace sgp::resilience {
@@ -17,34 +19,17 @@ void RetryPolicy::validate() const {
   }
 }
 
-Watchdog::Watchdog(std::chrono::steady_clock::time_point deadline,
-                   CancelToken& token) {
-  thread_ = std::thread([this, deadline, &token] {
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait_until(lk, deadline, [&] { return disarmed_; });
-    if (!disarmed_) token.cancel();
-  });
-}
-
-Watchdog::~Watchdog() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    disarmed_ = true;
-  }
-  cv_.notify_all();
-  thread_.join();
-}
-
-GuardedExecutor::GuardedExecutor(core::Executor& inner,
-                                 const CancelToken* cancel, ArmedFault fault,
-                                 std::string kernel)
+GuardedExecutor::GuardedExecutor(
+    core::Executor& inner,
+    std::optional<std::chrono::steady_clock::time_point> deadline,
+    ArmedFault fault, std::string kernel)
     : inner_(inner),
-      cancel_(cancel),
+      deadline_(deadline),
       fault_(fault),
       kernel_(std::move(kernel)) {}
 
 void GuardedExecutor::check_deadline() const {
-  if (cancel_ != nullptr && cancel_->cancelled()) {
+  if (deadline_ && std::chrono::steady_clock::now() >= *deadline_) {
     throw DeadlineExceeded("kernel '" + kernel_ +
                            "' exceeded its soft deadline");
   }

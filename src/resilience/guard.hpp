@@ -1,17 +1,14 @@
-// Execution guards: a watchdog-backed soft deadline and an Executor
-// decorator that applies injected faults and cooperative cancellation
-// inside kernel chunks — so faults surface on real worker threads and
-// deadline checks happen at every chunk boundary without kernels
-// knowing about either.
+// Execution guard: an Executor decorator that applies injected faults
+// and a soft deadline inside kernel chunks — so faults surface on real
+// worker threads and the deadline is checked against the clock at every
+// chunk boundary without kernels knowing about either.
 #pragma once
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/executor.hpp"
 #include "resilience/fault_injector.hpp"
@@ -28,47 +25,19 @@ struct DeadlineExceeded : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// One-way cancellation flag shared between a watchdog and executors.
-class CancelToken {
- public:
-  void cancel() noexcept { flag_.store(true, std::memory_order_release); }
-  bool cancelled() const noexcept {
-    return flag_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> flag_{false};
-};
-
-/// Watchdog thread: cancels `token` when `deadline` passes. Destroying
-/// the watchdog disarms it (if the deadline has not fired) and joins.
-/// The deadline is *soft*: running chunks are never killed, they observe
-/// the token at their next boundary.
-class Watchdog {
- public:
-  Watchdog(std::chrono::steady_clock::time_point deadline,
-           CancelToken& token);
-  ~Watchdog();
-
-  Watchdog(const Watchdog&) = delete;
-  Watchdog& operator=(const Watchdog&) = delete;
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool disarmed_ = false;
-  std::thread thread_;
-};
-
 /// Executor decorator for one kernel attempt. Before running each chunk
 /// it (a) applies the armed fault exactly once per attempt — sleeping
 /// for Delay, throwing InjectedFault for Throw — and (b) throws
-/// DeadlineExceeded if the cancel token has fired. Checks run on the
-/// worker threads of the wrapped executor, so a throwing chunk also
-/// exercises the pool's exception propagation path.
+/// DeadlineExceeded once the clock has passed the optional deadline.
+/// The deadline is *soft*: a running chunk is never killed, it is only
+/// observed at the next boundary. Checks run on the worker threads of
+/// the wrapped executor, so a throwing chunk also exercises the pool's
+/// exception propagation path.
 class GuardedExecutor final : public core::Executor {
  public:
-  GuardedExecutor(core::Executor& inner, const CancelToken* cancel,
+  GuardedExecutor(core::Executor& inner,
+                  std::optional<std::chrono::steady_clock::time_point>
+                      deadline,
                   ArmedFault fault, std::string kernel);
 
   int max_chunks() const override { return inner_.max_chunks(); }
@@ -78,7 +47,7 @@ class GuardedExecutor final : public core::Executor {
   void check_deadline() const;
 
   core::Executor& inner_;
-  const CancelToken* cancel_;  ///< optional; nullptr = no deadline
+  std::optional<std::chrono::steady_clock::time_point> deadline_;
   ArmedFault fault_;
   std::string kernel_;
   std::atomic<bool> fired_{false};

@@ -40,11 +40,6 @@ struct LoopCost {
   double vector_instrs_per_strip = 0;  ///< vector instructions per strip
   double scalar_instrs_per_strip = 0;  ///< bookkeeping per strip
   double elems_per_strip = 1;          ///< elements retired per strip
-  /// Total dynamic instructions per element.
-  double instrs_per_elem() const noexcept {
-    return (vector_instrs_per_strip + scalar_instrs_per_strip) /
-           elems_per_strip;
-  }
 };
 
 LoopCost loop_cost(const LoopSpec& spec, CodegenMode mode, Dialect d);

@@ -17,7 +17,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/csv.hpp"
-#include "resilience/guard.hpp"
 #include "threading/pool.hpp"
 
 namespace sgp::serve {
@@ -25,11 +24,11 @@ namespace sgp::serve {
 namespace {
 
 /// Points evaluated per engine batch between deadline checks: small
-/// enough that a fired watchdog stops burning simulator time quickly,
+/// enough that a passed deadline stops burning simulator time quickly,
 /// large enough that the engine's thread pool stays busy.
 constexpr std::size_t kChunkPoints = 32;
 
-/// Evaluation abandoned because the group's watchdog fired.
+/// Evaluation abandoned because the group's deadline passed.
 struct EvaluationCancelled {};
 
 struct ServeMetrics {
@@ -341,28 +340,24 @@ void Server::process_group(std::vector<Pending*>& members) {
   }
   if (alive.empty()) return;
 
-  // Arm a watchdog only when every surviving member carries a deadline:
-  // it fires at the latest one, at which point *all* of them (deadline
-  // <= max) have expired, so abandoning the evaluation strands nobody.
+  // Bound the evaluation only when every surviving member carries a
+  // deadline: by the latest one *all* of them (deadline <= max) have
+  // expired, so abandoning the evaluation strands nobody.
   const bool all_deadlined = std::all_of(
       alive.begin(), alive.end(),
       [](const Pending* p) { return p->req.deadline_ms.has_value(); });
-  std::optional<resilience::CancelToken> token;
-  std::optional<resilience::Watchdog> watchdog;
+  std::optional<std::chrono::steady_clock::time_point> deadline;
   if (all_deadlined) {
-    auto latest = alive.front()->req.deadline;
+    deadline = alive.front()->req.deadline;
     for (const Pending* p : alive) {
-      latest = std::max(latest, p->req.deadline);
+      deadline = std::max(*deadline, p->req.deadline);
     }
-    token.emplace();
-    watchdog.emplace(latest, *token);
   }
 
   const Request& leader = alive.front()->req;
   try {
     std::size_t points = 0;
-    const std::string payload =
-        evaluate(leader, token ? &*token : nullptr, points);
+    const std::string payload = evaluate(leader, deadline, points);
     {
       std::lock_guard<std::mutex> lk(mu_);
       stats_.points += points;
@@ -400,9 +395,10 @@ void Server::process_group(std::vector<Pending*>& members) {
   }
 }
 
-std::string Server::evaluate(const Request& req,
-                             const resilience::CancelToken* cancel,
-                             std::size_t& points_out) {
+std::string Server::evaluate(
+    const Request& req,
+    std::optional<std::chrono::steady_clock::time_point> deadline,
+    std::size_t& points_out) {
   const obs::Span span("serve.evaluate");
   const machine::MachineDescriptor* m = machine_by_name(req.machine);
   if (m == nullptr) {
@@ -434,7 +430,7 @@ std::string Server::evaluate(const Request& req,
   std::vector<sim::TimeBreakdown> results;
   results.reserve(pts.size());
   for (std::size_t i = 0; i < pts.size(); i += kChunkPoints) {
-    if (cancel != nullptr && cancel->cancelled()) {
+    if (deadline && std::chrono::steady_clock::now() >= *deadline) {
       throw EvaluationCancelled{};
     }
     const std::size_t len = std::min(kChunkPoints, pts.size() - i);

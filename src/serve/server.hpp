@@ -11,9 +11,9 @@
 //      coalesces requests with equal content fingerprints (two
 //      identical concurrent sweeps cost one Simulator::run burst and
 //      answer byte-identically), and evaluates each unique request
-//      through the engine in small chunks, checking a
-//      resilience::Watchdog-driven cancel token between chunks so a
-//      past-deadline request stops consuming simulator time;
+//      through the engine in small chunks, comparing the clock with
+//      the group's deadline between chunks so a past-deadline request
+//      stops consuming simulator time;
 //   4. responses are rendered as single JSON lines and handed to the
 //      per-request callback (the pipe/socket transports serialize
 //      writes; tests capture them directly).
@@ -43,10 +43,6 @@
 
 #include "engine/engine.hpp"
 #include "serve/protocol.hpp"
-
-namespace sgp::resilience {
-class CancelToken;
-}
 
 namespace sgp::serve {
 
@@ -147,9 +143,11 @@ class Server {
   /// ServeError. Members list is non-empty and shares one fingerprint.
   void process_group(std::vector<Pending*>& members);
   void answer(Pending& p, std::string line, bool is_error);
-  std::string evaluate(const Request& req,
-                       const resilience::CancelToken* cancel,
-                       std::size_t& points_out);
+  /// Throws EvaluationCancelled at a chunk boundary past `deadline`.
+  std::string evaluate(
+      const Request& req,
+      std::optional<std::chrono::steady_clock::time_point> deadline,
+      std::size_t& points_out);
   std::string render_stats_json() const;
 
   ServerOptions opt_;

@@ -3,7 +3,7 @@
 // corruption detection/quarantine, I/O fault injection, cold-vs-warm
 // engine identity — including a simulated kill mid-flush — and a
 // thread-safety hammer for concurrent flushes (run under
-// -DSGP_SANITIZE=thread via the check_persist_tsan target).
+// -DSGP_SANITIZE=thread via the check_tsan target).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -501,7 +501,7 @@ TEST(EnginePersist, UndecodablePayloadIsCountedApartFromCorruption) {
 }
 
 // ------------------------------------------------- thread safety --
-// Aimed at -DSGP_SANITIZE=thread (the check_persist_tsan target):
+// Aimed at -DSGP_SANITIZE=thread (the check_tsan target):
 // explicit flushes, batch-end flushes of parallel batches, stats
 // readers and clear() all race on the cache; TSan must stay quiet.
 

@@ -1,14 +1,15 @@
 // Tests for the resilience subsystem: fault plans and injection,
-// retry/backoff policies, watchdog deadlines, and failure-isolating
+// retry/backoff policies, soft deadlines, and failure-isolating
 // suite execution (the acceptance scenario of a throw/nan/delay triple
 // surviving a keep-going run with typed outcomes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
-#include <thread>
 
 #include "kernels/register_all.hpp"
 #include "native/suite_runner.hpp"
@@ -180,33 +181,10 @@ TEST(RetryPolicy, ZeroJitterKeepsTheExactSchedule) {
 }
 
 // ------------------------------------------------------------- guards --
-TEST(Watchdog, CancelsTokenAfterDeadline) {
-  resilience::CancelToken token;
-  {
-    resilience::Watchdog wd(std::chrono::steady_clock::now() +
-                                std::chrono::milliseconds(20),
-                            token);
-    while (!token.cancelled()) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-  EXPECT_TRUE(token.cancelled());
-}
-
-TEST(Watchdog, DisarmedBeforeDeadlineLeavesTokenAlone) {
-  resilience::CancelToken token;
-  {
-    resilience::Watchdog wd(std::chrono::steady_clock::now() +
-                                std::chrono::hours(1),
-                            token);
-  }
-  EXPECT_FALSE(token.cancelled());
-}
-
 TEST(GuardedExecutor, InjectsThrowOnceIntoChunks) {
   core::SerialExecutor serial;
   resilience::GuardedExecutor guarded(
-      serial, nullptr, ArmedFault{FaultKind::Throw, 0.0}, "K");
+      serial, std::nullopt, ArmedFault{FaultKind::Throw, 0.0}, "K");
   EXPECT_THROW(
       guarded.parallel_for(4, [](std::size_t, std::size_t, int) {}),
       resilience::InjectedFault);
@@ -217,20 +195,32 @@ TEST(GuardedExecutor, InjectsThrowOnceIntoChunks) {
   EXPECT_EQ(calls, 1);
 }
 
-TEST(GuardedExecutor, CancelledTokenThrowsDeadlineExceeded) {
+TEST(GuardedExecutor, DeadlineIsCheckedAgainstTheClock) {
   core::SerialExecutor serial;
-  resilience::CancelToken token;
-  token.cancel();
-  resilience::GuardedExecutor guarded(serial, &token, ArmedFault{}, "K");
+  const auto now = std::chrono::steady_clock::now();
+  // A deadline already behind the clock stops the region before any
+  // chunk runs.
+  int calls = 0;
+  resilience::GuardedExecutor past(serial, now - std::chrono::seconds(1),
+                                   ArmedFault{}, "K");
   EXPECT_THROW(
-      guarded.parallel_for(4, [](std::size_t, std::size_t, int) {}),
+      past.parallel_for(4, [&](std::size_t, std::size_t, int) { ++calls; }),
       resilience::DeadlineExceeded);
+  EXPECT_EQ(calls, 0);
+  // A far-future deadline never fires: every chunk of the pool runs.
+  threading::ThreadPool pool(4);
+  std::atomic<int> chunks{0};
+  resilience::GuardedExecutor future(pool, now + std::chrono::hours(1),
+                                     ArmedFault{}, "K");
+  future.parallel_for(1000,
+                      [&](std::size_t, std::size_t, int) { ++chunks; });
+  EXPECT_EQ(chunks.load(), pool.max_chunks());
 }
 
 TEST(GuardedExecutor, ThrowSurfacesThroughThreadPool) {
   threading::ThreadPool pool(4);
   resilience::GuardedExecutor guarded(
-      pool, nullptr, ArmedFault{FaultKind::Throw, 0.0}, "K");
+      pool, std::nullopt, ArmedFault{FaultKind::Throw, 0.0}, "K");
   EXPECT_THROW(
       guarded.parallel_for(1000, [](std::size_t, std::size_t, int) {}),
       resilience::InjectedFault);

@@ -220,7 +220,11 @@ TEST(LoopCost, VlaHasMoreScalarOverheadThanVls) {
   EXPECT_GT(vla.scalar_instrs_per_strip, vls.scalar_instrs_per_strip);
   EXPECT_EQ(vla.vector_instrs_per_strip, vls.vector_instrs_per_strip + 1)
       << "VLA carries the in-loop vsetvli";
-  EXPECT_GT(vla.instrs_per_elem(), vls.instrs_per_elem());
+  const auto instrs_per_elem = [](const LoopCost& c) {
+    return (c.vector_instrs_per_strip + c.scalar_instrs_per_strip) /
+           c.elems_per_strip;
+  };
+  EXPECT_GT(instrs_per_elem(vla), instrs_per_elem(vls));
 }
 
 TEST(LoopCost, ElementsPerStripFollowSew) {

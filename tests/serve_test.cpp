@@ -279,6 +279,45 @@ TEST(Server, ExpiredDeadlineGetsStructuredErrorWithoutSimulating) {
   EXPECT_FALSE(ok->boolean);
 }
 
+TEST(Server, FutureDeadlineEvaluatesEveryChunkUnchanged) {
+  serve::ServerOptions opt;
+  opt.jobs = 1;
+  opt.warn = false;
+  serve::Server server(opt);
+  Collector out;
+
+  // 5 kernels x 7 thread counts = 35 points: two 32-point chunks, each
+  // preceded by a deadline check that must not fire.
+  const auto line = [](const std::string& id, const std::string& extra) {
+    return "{\"id\":\"" + id +
+           "\",\"op\":\"sweep\",\"machine\":\"sg2042\",\"kernels\":"
+           "[\"ADD\",\"COPY\",\"DOT\",\"MUL\",\"TRIAD\"],"
+           "\"precision\":\"fp32\",\"threads\":[1,2,4,8,16,32,64]" +
+           extra + "}";
+  };
+  server.submit_line(line("timed", ",\"deadline_ms\":600000"), out.sink());
+  server.drain();
+  server.submit_line(line("plain", ""), out.sink());
+  server.drain();
+
+  const auto lines = out.snapshot();
+  ASSERT_EQ(lines.size(), 2u);
+  const auto timed = parse_response(lines[0]);
+  const auto plain = parse_response(lines[1]);
+  const auto* ok = response_field(timed, "ok");
+  ASSERT_NE(ok, nullptr);
+  EXPECT_TRUE(ok->boolean) << lines[0];
+  const auto* points = response_field(timed, "points");
+  ASSERT_NE(points, nullptr);
+  EXPECT_EQ(points->number, 35.0);
+  const auto* a = response_field(timed, "payload");
+  const auto* b = response_field(plain, "payload");
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->string, b->string);
+  EXPECT_EQ(server.stats().deadline_exceeded, 0u);
+}
+
 TEST(Server, PipeModeAnswersEveryLine) {
   std::istringstream in(
       R"({"id":"p","op":"ping"})"
