@@ -150,9 +150,6 @@ inline void obs_exit_finalizer() {
       man.add("engine", "simulators_built", c.simulators_built);
       man.add("engine", "batches", c.batches);
       man.add("engine", "cache_entries", c.cache_entries);
-      for (const auto& p : c.phases) {
-        man.add_phase(p.name, p.wall_s, p.requests);
-      }
       man.write(exit_metrics_path(), obs::registry().snapshot());
     }
   } catch (const std::exception& e) {
@@ -198,14 +195,6 @@ inline void print_perf(std::ostream& out,
   out << "cache entries:    " << c.cache_entries << "\n";
   out << "simulators built: " << c.simulators_built << "\n";
   out << "batches:          " << c.batches << "\n";
-  if (!c.phases.empty()) {
-    report::Table t({"phase", "wall ms", "requests"});
-    for (const auto& p : c.phases) {
-      t.add_row({p.name, report::Table::num(p.wall_s * 1e3, 2),
-                 std::to_string(p.requests)});
-    }
-    out << t.render();
-  }
 }
 
 /// Prints a figure-style series set (one row per class, one column pair

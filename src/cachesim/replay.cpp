@@ -207,9 +207,7 @@ std::vector<CacheStats> level_stats(const Hierarchy& h) {
 void set_steady_state(ReplayResult& result,
                       const std::vector<CacheStats>& delta) {
   for (const auto& d : delta) {
-    const auto acc = d.accesses();
-    result.steady_miss_rate.push_back(
-        acc == 0 ? 0.0 : static_cast<double>(d.misses()) / acc);
+    result.steady_miss_rate.push_back(d.miss_rate());
   }
   // What Hierarchy::dram_bytes() adds over that rep.
   const CacheStats& last = delta.back();

@@ -1,6 +1,7 @@
 #include "check/fuzz.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstring>
 #include <filesystem>
@@ -360,62 +361,54 @@ std::vector<std::vector<std::byte>> random_payloads(std::mt19937_64& rng) {
   return payloads;
 }
 
-enum class Mutation {
-  Truncate,    ///< drop a random non-zero tail (torn write / crash)
-  BitFlip,     ///< flip one random bit anywhere in the file
-  VersionBump, ///< set the version field to an unknown value
-  BadMagic,    ///< destroy a random magic byte
-  Trailing,    ///< append random garbage after the last entry
-  kCount
+/// One named, seeded corruption of a fuzz input. The fuzzers pick an
+/// entry with `rng() % table.size()`, so a table's order is part of
+/// the seed-to-mutation mapping.
+template <typename Buffer>
+struct Mutation {
+  const char* name;
+  void (*apply)(Buffer&, std::mt19937_64&);
+  bool must_fail = true;           ///< a guaranteed rejection
+  bool expects_too_large = false;  ///< rejected as ErrorCode::TooLarge
 };
 
-/// Applies `m` to `bytes` in place, deterministically from `rng`.
-void mutate(std::vector<std::byte>& bytes, Mutation m, std::mt19937_64& rng) {
-  switch (m) {
-    case Mutation::Truncate:
-      bytes.resize(rng() % bytes.size());  // strictly shorter
-      break;
-    case Mutation::BitFlip: {
-      const std::uint64_t bit = rng() % (bytes.size() * 8);
-      bytes[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-      break;
-    }
-    case Mutation::VersionBump: {
-      // Version field is bytes [8, 12); force a value != kSegmentVersion.
-      const std::uint32_t v =
-          engine::kSegmentVersion + 1 + static_cast<std::uint32_t>(rng() % 7);
-      for (int i = 0; i < 4; ++i) {
-        bytes[8 + static_cast<std::size_t>(i)] =
-            static_cast<std::byte>((v >> (8 * i)) & 0xff);
-      }
-      break;
-    }
-    case Mutation::BadMagic:
-      bytes[rng() % 8] ^= static_cast<std::byte>(0x80 | (rng() % 0x7f + 1));
-      break;
-    case Mutation::Trailing: {
-      const std::size_t extra = 1 + rng() % 32;
-      for (std::size_t i = 0; i < extra; ++i) {
-        bytes.push_back(static_cast<std::byte>(rng() % 256));
-      }
-      break;
-    }
-    case Mutation::kCount:
-      break;
-  }
+/// Drops a random non-zero tail (a torn write or a crash).
+template <typename Buffer>
+void truncate(Buffer& b, std::mt19937_64& rng) {
+  b.resize(rng() % b.size());  // strictly shorter
 }
 
-const char* mutation_name(Mutation m) {
-  switch (m) {
-    case Mutation::Truncate: return "truncate";
-    case Mutation::BitFlip: return "bitflip";
-    case Mutation::VersionBump: return "version-bump";
-    case Mutation::BadMagic: return "bad-magic";
-    case Mutation::Trailing: return "trailing-garbage";
-    case Mutation::kCount: break;
-  }
-  return "?";
-}
+using Bytes = std::vector<std::byte>;
+
+const std::array<Mutation<Bytes>, 5> kSegmentMutations{{
+    {"truncate", truncate<Bytes>},
+    {"bitflip",
+     [](Bytes& bytes, std::mt19937_64& rng) {
+       const std::uint64_t bit = rng() % (bytes.size() * 8);
+       bytes[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
+     }},
+    {"version-bump",
+     [](Bytes& bytes, std::mt19937_64& rng) {
+       // Version field is bytes [8, 12); force a value != kSegmentVersion.
+       const std::uint32_t v = engine::kSegmentVersion + 1 +
+                               static_cast<std::uint32_t>(rng() % 7);
+       for (int i = 0; i < 4; ++i) {
+         bytes[8 + static_cast<std::size_t>(i)] =
+             static_cast<std::byte>((v >> (8 * i)) & 0xff);
+       }
+     }},
+    {"bad-magic",
+     [](Bytes& bytes, std::mt19937_64& rng) {
+       bytes[rng() % 8] ^= static_cast<std::byte>(0x80 | (rng() % 0x7f + 1));
+     }},
+    {"trailing-garbage",
+     [](Bytes& bytes, std::mt19937_64& rng) {
+       const std::size_t extra = 1 + rng() % 32;
+       for (std::size_t i = 0; i < extra; ++i) {
+         bytes.push_back(static_cast<std::byte>(rng() % 256));
+       }
+     }},
+}};
 
 }  // namespace
 
@@ -453,9 +446,8 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
     // 2. A seeded mutation must be detected: non-Ok status, zero
     //    payloads delivered, and the classification is deterministic
     //    (parsing the same bytes twice agrees).
-    const auto m = static_cast<Mutation>(
-        rng() % static_cast<std::uint64_t>(Mutation::kCount));
-    mutate(bytes, m, rng);
+    const auto& m = kSegmentMutations[rng() % kSegmentMutations.size()];
+    m.apply(bytes, rng);
     std::uint64_t delivered = 0;
     const auto first = engine::parse_segment(
         bytes, [&](std::span<const std::byte>) { ++delivered; });
@@ -464,13 +456,13 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
     tally.point();
     if (first.status == engine::SegmentStatus::Ok || delivered != 0) {
       tally.violation(
-          mutation_name(m),
+          m.name,
           "mutation not detected: status=" +
               std::string(engine::to_string(first.status)) +
               " delivered=" + std::to_string(delivered));
     } else if (first.status != second.status) {
       tally.violation(
-          mutation_name(m),
+          m.name,
           "nondeterministic classification: " +
               std::string(engine::to_string(first.status)) + " vs " +
               std::string(engine::to_string(second.status)));
@@ -497,14 +489,14 @@ CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
     tally.point();
     if (loaded.status != first.status) {
       tally.violation(
-          mutation_name(m),
+          m.name,
           "loader/parser disagree: " +
               std::string(engine::to_string(loaded.status)) + " vs " +
               std::string(engine::to_string(first.status)));
     } else if (quarantined != expect_quarantine ||
                in_place == expect_quarantine) {
       tally.violation(
-          mutation_name(m),
+          m.name,
           "wrong disk artifact for " +
               std::string(engine::to_string(loaded.status)) +
               ": quarantined=" + (quarantined ? "yes" : "no") +
@@ -575,65 +567,49 @@ std::string random_request_line(std::mt19937_64& rng) {
   return line;
 }
 
-enum class ReqMutation {
-  Truncate,      ///< drop a random non-zero tail (torn client write)
-  ByteGarbage,   ///< overwrite 1..4 random bytes with random values
-  BadUtf8,       ///< splice an invalid UTF-8 sequence into the line
-  UnknownField,  ///< insert a field no schema knows
-  DuplicateKey,  ///< repeat the id key (RFC 8259 object abuse)
-  Oversize,      ///< pad the line past max_line_bytes
-  kCount
-};
+/// Line cap for request fuzzing: small, so oversize stays cheap.
+constexpr std::size_t kFuzzMaxLineBytes = 4096;
 
-const char* req_mutation_name(ReqMutation m) {
-  switch (m) {
-    case ReqMutation::Truncate: return "truncate";
-    case ReqMutation::ByteGarbage: return "byte-garbage";
-    case ReqMutation::BadUtf8: return "bad-utf8";
-    case ReqMutation::UnknownField: return "unknown-field";
-    case ReqMutation::DuplicateKey: return "duplicate-key";
-    case ReqMutation::Oversize: return "oversize";
-    case ReqMutation::kCount: break;
-  }
-  return "?";
-}
-
-void req_mutate(std::string& line, ReqMutation m, std::mt19937_64& rng,
-                std::size_t max_line_bytes) {
-  switch (m) {
-    case ReqMutation::Truncate:
-      line.resize(rng() % line.size());  // strictly shorter
-      break;
-    case ReqMutation::ByteGarbage: {
-      const std::size_t n = 1 + rng() % 4;
-      for (std::size_t i = 0; i < n; ++i) {
-        line[rng() % line.size()] = static_cast<char>(rng() % 256);
-      }
-      break;
-    }
-    case ReqMutation::BadUtf8: {
-      static const char* kBad[] = {
-          "\xff", "\x80", "\xc0\x80", "\xed\xa0\x80", "\xf5\x80\x80\x80"};
-      line.insert(rng() % line.size(), kBad[rng() % std::size(kBad)]);
-      break;
-    }
-    case ReqMutation::UnknownField:
-      // After the opening brace, so the object still parses as JSON and
-      // rejection must come from schema validation.
-      line.insert(1, "\"xq_unknown_field\":12345,");
-      break;
-    case ReqMutation::DuplicateKey:
-      line.insert(1, "\"id\":\"twin\",");
-      break;
-    case ReqMutation::Oversize:
-      line.append(max_line_bytes + 1 - std::min(line.size(),
-                                                max_line_bytes),
-                  ' ');
-      break;
-    case ReqMutation::kCount:
-      break;
-  }
-}
+// Structural mutations are guaranteed rejections; byte-level ones may
+// legitimately still parse (a flip inside a string literal).
+const std::array<Mutation<std::string>, 6> kRequestMutations{{
+    {"truncate", truncate<std::string>},
+    {.name = "byte-garbage",
+     .apply =
+         [](std::string& line, std::mt19937_64& rng) {
+           const std::size_t n = 1 + rng() % 4;
+           for (std::size_t i = 0; i < n; ++i) {
+             line[rng() % line.size()] = static_cast<char>(rng() % 256);
+           }
+         },
+     .must_fail = false},
+    {.name = "bad-utf8",
+     .apply =
+         [](std::string& line, std::mt19937_64& rng) {
+           static const char* kBad[] = {"\xff", "\x80", "\xc0\x80",
+                                        "\xed\xa0\x80", "\xf5\x80\x80\x80"};
+           line.insert(rng() % line.size(), kBad[rng() % std::size(kBad)]);
+         },
+     .must_fail = false},
+    // After the opening brace, so the object still parses as JSON and
+    // rejection must come from schema validation.
+    {"unknown-field",
+     [](std::string& line, std::mt19937_64&) {
+       line.insert(1, "\"xq_unknown_field\":12345,");
+     }},
+    {"duplicate-key",
+     [](std::string& line, std::mt19937_64&) {
+       line.insert(1, "\"id\":\"twin\",");
+     }},
+    {.name = "oversize",
+     .apply =
+         [](std::string& line, std::mt19937_64&) {
+           line.append(kFuzzMaxLineBytes + 1 -
+                           std::min(line.size(), kFuzzMaxLineBytes),
+                       ' ');
+         },
+     .expects_too_large = true},
+}};
 
 /// Canonical rendering of a parse outcome, for determinism comparison
 /// and diagnostics.
@@ -652,9 +628,8 @@ std::string outcome_repr(const serve::ParseOutcome& o) {
 
 CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
                           int jobs) {
-  // Small line cap so the oversize mutation stays cheap per seed.
   serve::ProtocolLimits limits;
-  limits.max_line_bytes = 4096;
+  limits.max_line_bytes = kFuzzMaxLineBytes;
 
   return sharded_reports(num_seeds, jobs, [&](std::size_t i) {
     const unsigned seed = first_seed + static_cast<unsigned>(i);
@@ -680,10 +655,9 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
 
     // 2. A seeded mutation: never crash, classify deterministically,
     //    and structured errors must render as valid JSON lines.
-    const auto m = static_cast<ReqMutation>(
-        rng() % static_cast<std::uint64_t>(ReqMutation::kCount));
-    req_mutate(line, m, rng, limits.max_line_bytes);
-    const std::string stage = req_mutation_name(m);
+    const auto& m = kRequestMutations[rng() % kRequestMutations.size()];
+    m.apply(line, rng);
+    const std::string stage = m.name;
     try {
       const auto first = serve::parse_request(line, limits);
       const auto second = serve::parse_request(line, limits);
@@ -693,12 +667,6 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
                                    outcome_repr(first) + " vs " +
                                    outcome_repr(second));
       }
-      // Structural mutations are guaranteed rejections; byte-level ones
-      // may legitimately still parse (a flip inside a string literal).
-      const bool must_fail = m == ReqMutation::UnknownField ||
-                             m == ReqMutation::DuplicateKey ||
-                             m == ReqMutation::Oversize ||
-                             m == ReqMutation::Truncate;
       if (const auto* failed =
               std::get_if<std::pair<std::string, serve::ServeError>>(
                   &first)) {
@@ -711,13 +679,13 @@ CheckReport fuzz_requests(unsigned first_seed, unsigned num_seeds,
             !obs::json_valid(rendered)) {
           tally.violation(stage, "unstructured error: " + rendered);
         }
-        if (m == ReqMutation::Oversize &&
+        if (m.expects_too_large &&
             err.code != serve::ErrorCode::TooLarge) {
           tally.violation(stage,
                           "oversize line classified as " +
                               std::string(serve::to_string(err.code)));
         }
-      } else if (must_fail) {
+      } else if (m.must_fail) {
         tally.point();
         tally.violation(stage, "mutation not detected: " + outcome_repr(first));
       }

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim/eval_context.hpp"
 #include "threading/pool.hpp"
 
@@ -267,52 +268,6 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_grid(
   return run_batch(points);
 }
 
-// ------------------------------------------------------------ phases --
-
-SweepEngine::PhaseScope::PhaseScope(SweepEngine* eng, std::size_t index,
-                                    const std::string& name)
-    : eng_(eng),
-      index_(index),
-      start_(std::chrono::steady_clock::now()),
-      requests_at_start_(eng->requests_.load(std::memory_order_relaxed)),
-      span_(std::make_unique<obs::Span>("phase:" + name)) {}
-
-SweepEngine::PhaseScope::PhaseScope(PhaseScope&& other) noexcept
-    : eng_(std::exchange(other.eng_, nullptr)),
-      index_(other.index_),
-      start_(other.start_),
-      requests_at_start_(other.requests_at_start_),
-      span_(std::move(other.span_)) {}
-
-SweepEngine::PhaseScope::~PhaseScope() {
-  if (!eng_) return;
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    start_)
-          .count();
-  eng_->finish_phase(
-      index_, wall,
-      eng_->requests_.load(std::memory_order_relaxed) -
-          requests_at_start_);
-}
-
-SweepEngine::PhaseScope SweepEngine::phase(const std::string& name) {
-  std::lock_guard<std::mutex> lock(phases_mu_);
-  auto it = phase_index_.find(name);
-  if (it == phase_index_.end()) {
-    it = phase_index_.emplace(name, phases_.size()).first;
-    phases_.push_back(PhaseStat{name, 0.0, 0});
-  }
-  return PhaseScope(this, it->second, name);
-}
-
-void SweepEngine::finish_phase(std::size_t index, double wall_s,
-                               std::uint64_t requests) {
-  std::lock_guard<std::mutex> lock(phases_mu_);
-  phases_[index].wall_s += wall_s;
-  phases_[index].requests += requests;
-}
-
 // ---------------------------------------------------------- counters --
 
 EngineCounters SweepEngine::counters() const {
@@ -326,10 +281,6 @@ EngineCounters SweepEngine::counters() const {
   out.cache_hits = cs.hits;
   out.cache_misses = cs.misses;
   out.cache_entries = cs.entries;
-  {
-    std::lock_guard<std::mutex> lock(phases_mu_);
-    out.phases = phases_;
-  }
   if (store_) {
     out.persist.enabled = true;
     {

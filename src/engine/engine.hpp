@@ -14,8 +14,9 @@
 //     vector by index, so parallel output is exactly equal to a
 //     forced-serial run;
 //   * count everything (requests, hits, Simulator::run executions,
-//     simulators built, batches, wall time per named phase) for the
-//     bench binaries' --perf flag and the engine tests' simulation pin.
+//     simulators built, batches) for the bench binaries' --perf flag
+//     and the engine tests' simulation pin. Where the time goes is
+//     the tracer's job (obs/trace.hpp), not the engine's.
 //
 // Exception contract (inherits PR 1's resilience rules): if any point
 // throws, unstarted points are skipped cooperatively, the batch joins,
@@ -24,13 +25,11 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
-#include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -38,7 +37,6 @@
 #include "engine/cache.hpp"
 #include "engine/fingerprint.hpp"
 #include "engine/persist.hpp"
-#include "obs/trace.hpp"
 
 namespace sgp::threading {
 class ThreadPool;
@@ -65,14 +63,7 @@ struct EngineOptions {
   bool use_cache = true;
   /// Crash-safe persistence; disabled by default (and ignored when
   /// use_cache is false — there is nothing to persist).
-  std::optional<EnginePersistence> persist;
-};
-
-/// Wall time and request volume attributed to one named phase.
-struct PhaseStat {
-  std::string name;
-  double wall_s = 0.0;
-  std::uint64_t requests = 0;
+  std::optional<EnginePersistence> persist = std::nullopt;
 };
 
 /// Persistence-side accounting, filled only when a store is attached.
@@ -95,7 +86,6 @@ struct EngineCounters {
   std::uint64_t simulators_built = 0;
   std::uint64_t batches = 0;      ///< run_batch/run_grid calls
   std::uint64_t cache_entries = 0;
-  std::vector<PhaseStat> phases;  ///< in first-use order
   EnginePersistCounters persist;
 };
 
@@ -137,31 +127,6 @@ class SweepEngine {
       std::span<const core::KernelSignature> sigs,
       std::span<const sim::SimConfig> cfgs);
 
-  /// RAII wall-clock accumulator: `auto scope = eng.phase("figure1");`
-  /// attributes elapsed time and request volume until scope exit.
-  class PhaseScope {
-   public:
-    PhaseScope(PhaseScope&& other) noexcept;
-    ~PhaseScope();
-    PhaseScope(const PhaseScope&) = delete;
-    PhaseScope& operator=(const PhaseScope&) = delete;
-    PhaseScope& operator=(PhaseScope&&) = delete;
-
-   private:
-    friend class SweepEngine;
-    PhaseScope(SweepEngine* eng, std::size_t index,
-               const std::string& name);
-    SweepEngine* eng_;
-    std::size_t index_;
-    std::chrono::steady_clock::time_point start_;
-    std::uint64_t requests_at_start_;
-    /// Trace span covering the phase (heap so moves keep the
-    /// thread-local span stack untouched).
-    std::unique_ptr<obs::Span> span_;
-  };
-
-  PhaseScope phase(const std::string& name);
-
   EngineCounters counters() const;
   /// Drops all memoized results and per-machine simulators. Not
   /// thread-safe against in-flight batches. Durable segments on disk
@@ -183,8 +148,6 @@ class SweepEngine {
  private:
   const sim::Simulator& simulator_for(const machine::MachineDescriptor& m,
                                       std::uint64_t machine_fp);
-  void finish_phase(std::size_t index, double wall_s,
-                    std::uint64_t requests);
   void maybe_flush();
 
   int jobs_;
@@ -214,10 +177,6 @@ class SweepEngine {
   std::atomic<std::uint64_t> simulations_{0};
   std::atomic<std::uint64_t> simulators_built_{0};
   std::atomic<std::uint64_t> batches_{0};
-
-  mutable std::mutex phases_mu_;
-  std::vector<PhaseStat> phases_;
-  std::unordered_map<std::string, std::size_t> phase_index_;
 };
 
 /// The process-wide engine the convenience experiment overloads use, so

@@ -8,6 +8,7 @@
 #include "engine/engine.hpp"
 #include "kernels/register_all.hpp"
 #include "machine/registry.hpp"
+#include "obs/trace.hpp"
 #include "report/ratio.hpp"
 #include "sim/simulator.hpp"
 
@@ -154,7 +155,7 @@ std::vector<GroupRatios> summarize_by_group(
 }
 
 std::vector<RatioSeries> figure1(SweepEngine& eng) {
-  const auto scope = eng.phase("figure1");
+  const obs::Span span("phase:figure1");
   // Single core, GCC, vectorisation enabled where the hardware has it
   // ("best possible configuration", per the paper).
   auto cfg = [](Precision p) {
@@ -193,9 +194,8 @@ std::vector<RatioSeries> figure1() {
 }
 
 ScalingTable scaling_table(Placement placement, SweepEngine& eng) {
-  const auto scope = eng.phase(
-      std::string("scaling_table(") +
-      std::string(machine::to_string(placement)) + ")");
+  const obs::Span span("phase:scaling_table(" +
+                       std::string(machine::to_string(placement)) + ")");
   const auto& sg = pipeline_machine();
 
   auto cfg = [&](int threads) {
@@ -255,7 +255,7 @@ ScalingTable scaling_table(Placement placement) {
 }
 
 std::vector<RatioSeries> figure2(SweepEngine& eng) {
-  const auto scope = eng.phase("figure2");
+  const obs::Span span("phase:figure2");
   const auto& sg = pipeline_machine();
 
   auto cfg = [](Precision p, VectorMode m) {
@@ -284,7 +284,7 @@ std::vector<RatioSeries> figure2() {
 }
 
 std::vector<Fig3Row> figure3(SweepEngine& eng) {
-  const auto scope = eng.phase("figure3");
+  const obs::Span span("phase:figure3");
   const auto& sg = pipeline_machine();
 
   auto cfg = [](CompilerId comp, VectorMode mode) {
@@ -358,10 +358,9 @@ void reset_best_threads_memo() {
 
 std::vector<RatioSeries> x86_comparison(Precision prec, bool multithreaded,
                                         SweepEngine& eng) {
-  const auto scope = eng.phase(
-      std::string("x86_comparison(") +
-      std::string(core::to_string(prec)) +
-      (multithreaded ? ",multi)" : ",single)"));
+  const obs::Span span("phase:x86_comparison(" +
+                       std::string(core::to_string(prec)) +
+                       (multithreaded ? ",multi)" : ",single)"));
   const auto& sg = pipeline_machine();
 
   // SG2042 baseline: single core, or the most performant thread count

@@ -53,11 +53,6 @@ void RunManifest::add(const std::string& section, const std::string& key,
       Entry{key, value ? "true" : "false"});
 }
 
-void RunManifest::add_phase(const std::string& name, double wall_s,
-                            std::uint64_t requests) {
-  phases_.push_back(ManifestPhase{name, wall_s, requests});
-}
-
 std::string RunManifest::to_json(const MetricsSnapshot& metrics) const {
   std::string out = "{\n";
   out += "  \"schema\": \"sgp.run-manifest.v1\",\n";
@@ -72,16 +67,6 @@ std::string RunManifest::to_json(const MetricsSnapshot& metrics) const {
     }
     out += first ? "}" : "\n  }";
   }
-  out += ",\n  \"phases\": [";
-  bool first = true;
-  for (const auto& p : phases_) {
-    out += first ? "\n" : ",\n";
-    out += "    {\"name\": " + json_quote(p.name) +
-           ", \"wall_s\": " + json_number(p.wall_s) +
-           ", \"requests\": " + json_number(p.requests) + "}";
-    first = false;
-  }
-  out += first ? "]" : "\n  ]";
   out += ",\n  \"metrics\": " + Registry::to_json(metrics);
   out += "\n}\n";
   if (const auto err = json_error(out)) {

@@ -4,7 +4,8 @@
 // written next to it.
 //
 // The writer is deliberately generic: sections of typed key/value
-// pairs plus per-phase timings plus an embedded metrics snapshot. The
+// pairs plus an embedded metrics snapshot. Where the time went is the
+// trace's job (--trace, the phase:<name> spans), not the manifest's. The
 // callers (bench_common, suite_cli) decide the vocabulary — machine
 // fingerprints, engine counters, argv — so this layer depends on
 // nothing above std.
@@ -17,13 +18,6 @@
 #include "obs/metrics.hpp"
 
 namespace sgp::obs {
-
-/// Wall time and volume of one named run phase.
-struct ManifestPhase {
-  std::string name;
-  double wall_s = 0.0;
-  std::uint64_t requests = 0;
-};
 
 class RunManifest {
  public:
@@ -45,9 +39,6 @@ class RunManifest {
            std::int64_t value);
   void add(const std::string& section, const std::string& key,
            bool value);
-
-  void add_phase(const std::string& name, double wall_s,
-                 std::uint64_t requests);
 
   /// The complete manifest as a JSON object, embedding `metrics`.
   /// Guaranteed well-formed: the renderer self-checks with json_error
@@ -72,7 +63,6 @@ class RunManifest {
 
   std::string tool_;
   std::vector<Section> sections_;  ///< insertion order
-  std::vector<ManifestPhase> phases_;
 };
 
 }  // namespace sgp::obs

@@ -113,9 +113,6 @@ class Server {
   bool stopped() const;
 
   ServerStats stats() const;
-  engine::EngineCounters engine_counters() const {
-    return engine_->counters();
-  }
   const engine::SweepEngine& engine() const { return *engine_; }
 
   // ------------------------------------------------- transports --

@@ -69,9 +69,15 @@ TEST(CalibrationPins, X86SingleCoreHeadlines) {
 TEST(CalibrationPins, Figure3Anchors) {
   const auto rows = figure3();
   for (const auto& r : rows) {
-    if (r.kernel == "GEMM") EXPECT_NEAR(r.clang_vls, -1.0, 0.3);
-    if (r.kernel == "HEAT_3D") EXPECT_NEAR(r.clang_vls, 1.0, 0.4);
-    if (r.kernel == "JACOBI_2D") EXPECT_NEAR(r.clang_vls, -0.25, 0.25);
+    if (r.kernel == "GEMM") {
+      EXPECT_NEAR(r.clang_vls, -1.0, 0.3);
+    }
+    if (r.kernel == "HEAT_3D") {
+      EXPECT_NEAR(r.clang_vls, 1.0, 0.4);
+    }
+    if (r.kernel == "JACOBI_2D") {
+      EXPECT_NEAR(r.clang_vls, -0.25, 0.25);
+    }
   }
 }
 

@@ -18,6 +18,7 @@
 #include "experiments/experiments.hpp"
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
+#include "obs/trace.hpp"
 
 namespace sgp::engine {
 namespace {
@@ -51,7 +52,7 @@ sim::SimConfig fp32_threads(int n) {
 }
 
 TEST(SweepEngine, CacheHitReturnsTheIdenticalBreakdown) {
-  SweepEngine eng({/*jobs=*/1});
+  SweepEngine eng({.jobs = 1});
   const auto m = machine::sg2042();
   const auto sig = kernels::all_signatures().front();
   const auto cfg = fp32_threads(32);
@@ -68,8 +69,8 @@ TEST(SweepEngine, CacheHitReturnsTheIdenticalBreakdown) {
 }
 
 TEST(SweepEngine, ParallelGridIsBitIdenticalToSerial) {
-  SweepEngine parallel({/*jobs=*/8});
-  SweepEngine serial({/*jobs=*/1});
+  SweepEngine parallel({.jobs = 8});
+  SweepEngine serial({.jobs = 1});
   const auto m = machine::sg2042();
   const auto sigs = kernels::all_signatures();
   std::vector<sim::SimConfig> cfgs = {fp32_threads(1), fp32_threads(32),
@@ -87,8 +88,8 @@ TEST(SweepEngine, ParallelGridIsBitIdenticalToSerial) {
 }
 
 TEST(SweepEngine, PipelinesAreIdenticalUnderParallelismAndCacheReuse) {
-  SweepEngine parallel({/*jobs=*/8});
-  SweepEngine serial({/*jobs=*/1});
+  SweepEngine parallel({.jobs = 8});
+  SweepEngine serial({.jobs = 1});
 
   const auto fig1_par = experiments::figure1(parallel);
   const auto fig1_ser = experiments::figure1(serial);
@@ -135,7 +136,7 @@ TEST(SweepEngine, PipelinesAreIdenticalUnderParallelismAndCacheReuse) {
 }
 
 TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
-  SweepEngine eng({/*jobs=*/4});
+  SweepEngine eng({.jobs = 4});
   const auto m = machine::sg2042();
   auto sigs = kernels::all_signatures();
   auto bad = sigs.front();
@@ -154,7 +155,7 @@ TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
 }
 
 TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
-  SweepEngine eng({/*jobs=*/1, /*use_cache=*/false});
+  SweepEngine eng({.jobs = 1, .use_cache = false});
   const auto m = machine::sg2042();
   const auto sig = kernels::all_signatures().front();
   const auto cfg = fp32_threads(32);
@@ -167,8 +168,8 @@ TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
 }
 
 TEST(SweepEngine, CacheOnAndOffProduceTheSameX86Comparison) {
-  SweepEngine uncached({/*jobs=*/0, /*use_cache=*/false});
-  SweepEngine cached({/*jobs=*/0});
+  SweepEngine uncached({.jobs = 0, .use_cache = false});
+  SweepEngine cached({.jobs = 0});
 
   experiments::reset_best_threads_memo();
   const auto off = experiments::x86_comparison(
@@ -199,7 +200,7 @@ TEST(SweepEngine, CacheOnAndOffProduceTheSameX86Comparison) {
 }
 
 TEST(SweepEngine, BestThreadsMemoAsksTheEngineOnce) {
-  SweepEngine eng({/*jobs=*/1});
+  SweepEngine eng({.jobs = 1});
   experiments::reset_best_threads_memo();
   const int first = experiments::best_sg2042_threads(
       core::Group::Stream, core::Precision::FP32, eng);
@@ -212,20 +213,37 @@ TEST(SweepEngine, BestThreadsMemoAsksTheEngineOnce) {
   experiments::reset_best_threads_memo();
 }
 
-TEST(SweepEngine, PhasesAttributeRequests) {
-  SweepEngine eng({/*jobs=*/1});
-  const auto m = machine::sg2042();
-  const auto sig = kernels::all_signatures().front();
+/// perfbench's experiments layer is the self time of the `phase:<name>`
+/// spans the pipelines open; pin those names and that each one directly
+/// encloses an engine batch.
+TEST(SweepEngine, PipelinesOpenPhaseSpansAroundEngineBatches) {
+  obs::tracer().enable();
+  obs::tracer().clear();
   {
-    auto scope = eng.phase("unit-test-phase");
-    (void)run_one(eng, {&m, &sig, fp32_threads(1)});
-    (void)run_one(eng, {&m, &sig, fp32_threads(2)});
+    SweepEngine eng({.jobs = 1});
+    (void)experiments::figure1(eng);
+    (void)experiments::scaling_table(machine::Placement::Block, eng);
+    (void)experiments::x86_comparison(core::Precision::FP64, false, eng);
   }
-  const auto c = eng.counters();
-  ASSERT_EQ(c.phases.size(), 1u);
-  EXPECT_EQ(c.phases[0].name, "unit-test-phase");
-  EXPECT_EQ(c.phases[0].requests, 2u);
-  EXPECT_GE(c.phases[0].wall_s, 0.0);
+  obs::tracer().disable();
+
+  const auto events = obs::tracer().events();
+  for (const std::string name :
+       {"phase:figure1", "phase:scaling_table(block)",
+        "phase:x86_comparison(FP64,single)"}) {
+    std::uint64_t phase_id = 0;
+    for (const auto& ev : events) {
+      if (ev.name == name) phase_id = ev.id;
+    }
+    ASSERT_NE(phase_id, 0u) << name;
+    bool has_batch_child = false;
+    for (const auto& ev : events) {
+      has_batch_child |= ev.parent == phase_id &&
+                         (ev.name == "SweepEngine::run_grid" ||
+                          ev.name == "SweepEngine::run_batch");
+    }
+    EXPECT_TRUE(has_batch_child) << name;
+  }
 }
 
 /// Exact Simulator::run count of a forced-serial cached engine over
@@ -272,9 +290,9 @@ std::string render_pipeline_set(SweepEngine& eng) {
 }
 
 TEST(SweepEngine, PipelineSetIsPinnedAndIdenticalAcrossCacheJobsAndReuse) {
-  SweepEngine uncached({/*jobs=*/1, /*use_cache=*/false});
-  SweepEngine parallel({/*jobs=*/4});
-  SweepEngine serial({/*jobs=*/1});
+  SweepEngine uncached({.jobs = 1, .use_cache = false});
+  SweepEngine parallel({.jobs = 4});
+  SweepEngine serial({.jobs = 1});
 
   const auto reference = render_pipeline_set(uncached);
   const auto first = render_pipeline_set(parallel);

@@ -303,14 +303,11 @@ TEST(ObsManifest, RendersWellFormedJson) {
   man.add("run", "reps", std::uint64_t{12});
   man.add("run", "factor", 0.25);
   man.add("run", "keep_going", true);
-  man.add_phase("warmup", 0.5, 10);
-  man.add_phase("measure", 1.5, 100);
 
   const std::string json = man.to_json(obs::registry().snapshot());
   EXPECT_TRUE(obs::json_valid(json)) << json;
   EXPECT_NE(json.find("\"sgp.run-manifest.v1\""), std::string::npos);
   EXPECT_NE(json.find("\"obs_test_tool\""), std::string::npos);
-  EXPECT_NE(json.find("\"warmup\""), std::string::npos);
   EXPECT_NE(json.find("\"metrics\""), std::string::npos);
 }
 

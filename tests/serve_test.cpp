@@ -215,7 +215,7 @@ TEST(Server, CoalescesIdenticalConcurrentRequests) {
   const auto stats = server.stats();
   EXPECT_EQ(stats.coalesced, 1u);
   // ONE Simulator::run burst: 2 points evaluated, not 4.
-  const auto counters = server.engine_counters();
+  const auto counters = server.engine().counters();
   EXPECT_EQ(counters.simulations, 2u);
   EXPECT_EQ(stats.points, 2u);
 }
@@ -269,7 +269,7 @@ TEST(Server, ExpiredDeadlineGetsStructuredErrorWithoutSimulating) {
   const auto lines = out.snapshot();
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_NE(lines[0].find("deadline-exceeded"), std::string::npos);
-  EXPECT_EQ(server.engine_counters().simulations, 0u);
+  EXPECT_EQ(server.engine().counters().simulations, 0u);
   EXPECT_EQ(server.stats().deadline_exceeded, 1u);
   // The error line itself is valid JSON with ok:false.
   const auto doc = parse_response(lines[0]);
@@ -378,7 +378,7 @@ TEST(Server, WarmRestartServesFromDiskWithIdenticalPayloads) {
       server.submit_line(line, out.sink());
     }
     server.drain();
-    const auto counters = server.engine_counters();
+    const auto counters = server.engine().counters();
     for (const auto& line : out.snapshot()) {
       const auto doc = parse_response(line);
       const auto* id = response_field(doc, "id");

@@ -231,14 +231,14 @@ TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
     cfgs.push_back(cfg);
   }
 
-  engine::SweepEngine serial(engine::EngineOptions{/*jobs=*/1});
+  engine::SweepEngine serial(engine::EngineOptions{.jobs = 1});
   const auto reference = serial.run_grid(m, sigs, cfgs);
 
   // Several threads hammer one parallel engine with the same grid: the
   // sharded batched memo lookups and inserts must race cleanly (the
   // TSan lane rebuilds this test instrumented) and every caller must
   // see the serial result bit-for-bit.
-  engine::SweepEngine shared(engine::EngineOptions{/*jobs=*/4});
+  engine::SweepEngine shared(engine::EngineOptions{.jobs = 4});
   constexpr int kCallers = 8;
   std::vector<std::vector<sim::TimeBreakdown>> got(kCallers);
   {
