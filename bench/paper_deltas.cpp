@@ -59,9 +59,10 @@ struct Accum {
   }
 };
 
-void compare(const char* title, machine::Placement placement,
-             const TableData& paper, Accum& global) {
-  const auto table = experiments::scaling_table(placement);
+void compare(engine::SweepEngine& eng, const char* title,
+             machine::Placement placement, const TableData& paper,
+             Accum& global, report::CsvWriter& csv) {
+  const auto table = experiments::scaling_table(placement, eng);
   std::cout << "== " << title << " ==\n";
   std::vector<std::string> headers{"threads"};
   for (const auto g : core::all_groups) {
@@ -79,6 +80,10 @@ void compare(const char* title, machine::Placement placement,
       const double p = paper[row][col];
       local.add(p, model);
       global.add(p, model);
+      csv.add_row({std::string(machine::to_string(placement)),
+                   std::to_string(table.thread_counts[row]),
+                   std::string(core::to_string(core::all_groups[col])),
+                   report::Table::num(p, 2), report::Table::num(model, 2)});
       cells.push_back(report::Table::num(p, 2) + " / " +
                       report::Table::num(model, 2));
     }
@@ -95,16 +100,19 @@ void compare(const char* title, machine::Placement placement,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto opt = bench::parse_bench_args(argc, argv);
+  auto& eng = bench::configure_engine(opt);
   std::cout << "Per-cell fidelity of the SG2042 scaling tables "
                "(speedups; paper value / model value).\n\n";
   Accum global;
-  compare("Table 1 (block)", machine::Placement::Block, kPaperTable1,
-          global);
-  compare("Table 2 (cyclic)", machine::Placement::CyclicNuma,
-          kPaperTable2, global);
-  compare("Table 3 (cluster)", machine::Placement::ClusterCyclic,
-          kPaperTable3, global);
+  report::CsvWriter csv({"placement", "threads", "class", "paper", "model"});
+  compare(eng, "Table 1 (block)", machine::Placement::Block, kPaperTable1,
+          global, csv);
+  compare(eng, "Table 2 (cyclic)", machine::Placement::CyclicNuma,
+          kPaperTable2, global, csv);
+  compare(eng, "Table 3 (cluster)", machine::Placement::ClusterCyclic,
+          kPaperTable3, global, csv);
 
   std::cout << "== Overall ==\n";
   std::cout << "cells within 2x of the paper: " << global.within_2x << "/"
@@ -115,5 +123,7 @@ int main() {
             << report::Table::num(std::exp(global.abs_log_sum / global.n),
                                   2)
             << "x\n";
+  if (opt.csv_dir) csv.write(*opt.csv_dir + "/paper_deltas.csv");
+  if (opt.perf) bench::print_perf(std::cout, eng.counters());
   return 0;
 }

@@ -9,7 +9,6 @@
 #include "bench/bench_common.hpp"
 #include "kernels/register_all.hpp"
 #include "report/ratio.hpp"
-#include "sim/simulator.hpp"
 
 namespace {
 
@@ -22,10 +21,10 @@ struct Variant {
 
 // Geometric-mean time ratio Rome/variant over the whole suite (values
 // above 1 mean the variant is faster than Rome).
-double vs_rome(const machine::MachineDescriptor& variant,
+double vs_rome(engine::SweepEngine& eng,
+               const machine::MachineDescriptor& variant,
                core::Precision prec) {
-  const sim::Simulator v(variant);
-  const sim::Simulator rome(machine::amd_rome());
+  const auto sigs = kernels::all_signatures();
 
   sim::SimConfig vcfg;
   vcfg.precision = prec;
@@ -35,16 +34,20 @@ double vs_rome(const machine::MachineDescriptor& variant,
   rcfg.precision = prec;
   rcfg.nthreads = 64;
 
+  const auto rome = eng.run_grid(machine::amd_rome(), sigs, {&rcfg, 1});
+  const auto v = eng.run_grid(variant, sigs, {&vcfg, 1});
   std::vector<double> ratios;
-  for (const auto& sig : kernels::all_signatures()) {
-    ratios.push_back(rome.seconds(sig, rcfg) / v.seconds(sig, vcfg));
+  for (std::size_t s = 0; s < sigs.size(); ++s) {
+    ratios.push_back(rome[s].total_s / v[s].total_s);
   }
   return report::geometric_mean(ratios);
 }
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const auto opt = bench::parse_bench_args(argc, argv);
+  auto& eng = bench::configure_engine(opt);
   const Variant variants[] = {
       {"SG2042 as shipped", [](machine::MachineDescriptor&) {}},
       {"+ FP64 vectorisation",
@@ -93,18 +96,26 @@ int main() {
                "Rome\n(1.00 = parity; the shipped SG2042 is the first "
                "row).\n\n";
 
-  report::Table t({"variant (cumulative)", "vs Rome FP64", "vs Rome FP32"});
+  const std::vector<std::string> headers{"variant (cumulative)",
+                                         "vs Rome FP64", "vs Rome FP32"};
+  report::Table t(headers);
+  report::CsvWriter csv(headers);
   for (const auto& variant : variants) {
     auto m = machine::sg2042();
     variant.apply(m);
     m.validate();
-    t.add_row({variant.name,
-               report::Table::num(vs_rome(m, core::Precision::FP64), 3),
-               report::Table::num(vs_rome(m, core::Precision::FP32), 3)});
+    std::vector<std::string> row{
+        variant.name,
+        report::Table::num(vs_rome(eng, m, core::Precision::FP64), 3),
+        report::Table::num(vs_rome(eng, m, core::Precision::FP32), 3)};
+    csv.add_row(row);
+    t.add_row(std::move(row));
   }
   std::cout << t.render() << "\n";
   std::cout << "Each row adds one wishlist item on top of the previous "
                "row, so the\nlast row is the paper's full hypothetical "
                "next-generation part.\n";
+  if (opt.csv_dir) csv.write(*opt.csv_dir + "/whatif_nextgen.csv");
+  if (opt.perf) bench::print_perf(std::cout, eng.counters());
   return 0;
 }

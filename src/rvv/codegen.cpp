@@ -1,5 +1,6 @@
 #include "rvv/codegen.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -56,9 +57,8 @@ std::string mem_mnemonic(bool store, int sew, Dialect d) {
   return store ? "vse.v" : "vle.v";
 }
 
-}  // namespace
-
-Program emit_loop(const LoopSpec& spec, CodegenMode mode, Dialect d) {
+/// The shapes emit_loop can render; loop_cost accepts the same ones.
+void check_spec(const LoopSpec& spec) {
   if (spec.sew != 32 && spec.sew != 64) {
     throw std::invalid_argument("emit_loop: sew must be 32 or 64");
   }
@@ -66,6 +66,12 @@ Program emit_loop(const LoopSpec& spec, CodegenMode mode, Dialect d) {
       spec.stores > 2) {
     throw std::invalid_argument("emit_loop: unsupported stream count");
   }
+}
+
+}  // namespace
+
+Program emit_loop(const LoopSpec& spec, CodegenMode mode, Dialect d) {
+  check_spec(spec);
 
   Program p;
   const int vl_elems = spec.vector_bits / spec.sew;
@@ -204,29 +210,22 @@ Program emit_loop(const LoopSpec& spec, CodegenMode mode, Dialect d) {
   return p;
 }
 
-LoopCost loop_cost(const LoopSpec& spec, CodegenMode mode, Dialect d) {
-  const Program p = emit_loop(spec, mode, d);
-  // Count only the strip-mined loop body (between the _loop label and its
-  // backward branch), which dominates dynamic cost.
+LoopCost loop_cost(const LoopSpec& spec, CodegenMode mode, Dialect /*d*/) {
+  check_spec(spec);
+  // The strip-loop body emit_loop writes (from the _loop label to its
+  // backward branch); the dialect changes mnemonics, never the count.
+  // Both modes: one vector load per input, the arithmetic ops, one
+  // vector store per output and one scalar pointer bump per stream.
+  // VLA adds the in-loop vsetvli (vector) and slli + sub + bnez; VLS
+  // adds addi + bge.
+  const bool vla = mode == CodegenMode::VLA;
+  const int streams = spec.loads + spec.stores;
+  const int arith = std::max(spec.fmacc, 0) + std::max(spec.fmul, 0) +
+                    std::max(spec.fadd, 0);
   LoopCost cost;
   cost.elems_per_strip = spec.vector_bits / spec.sew;
-  bool in_loop = false;
-  const std::string loop_label = spec.name + "_loop:";
-  for (const auto& l : p.lines) {
-    if (l.kind == LineKind::Label) {
-      if (l.text == loop_label) in_loop = true;
-      else if (in_loop) break;  // fell out of the loop body
-      continue;
-    }
-    if (!in_loop || l.kind != LineKind::Instruction) continue;
-    if (l.is_vector()) {
-      cost.vector_instrs_per_strip += 1;
-    } else {
-      cost.scalar_instrs_per_strip += 1;
-    }
-    if (l.mnemonic == "bnez" || l.mnemonic == "bge") break;
-  }
-  (void)d;
+  cost.vector_instrs_per_strip = (vla ? 1 : 0) + streams + arith;
+  cost.scalar_instrs_per_strip = streams + (vla ? 3 : 2);
   return cost;
 }
 

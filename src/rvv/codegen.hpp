@@ -1,8 +1,9 @@
 // Emits representative RVV assembly for an elementwise loop nest, in
 // either codegen mode (VLA as Clang emits it, VLS as XuanTie GCC emits
-// it) and either dialect. Used three ways: as the input generator for
-// rollback tests/tools, to derive per-strip instruction counts for the
-// performance model, and by the rollback_tool example.
+// it) and either dialect. Used as the input generator for rollback
+// tests/tools and by the rollback_tool example. The performance model
+// takes its per-strip instruction counts from loop_cost, which counts
+// the same loop body without emitting any text.
 #pragma once
 
 #include "rvv/ir.hpp"
@@ -35,13 +36,15 @@ constexpr std::string_view to_string(CodegenMode m) noexcept {
 /// tail loop (XuanTie GCC style).
 Program emit_loop(const LoopSpec& spec, CodegenMode mode, Dialect d);
 
-/// Static cost of the emitted loop, derived by counting instructions.
+/// Static cost of the strip loop emit_loop writes.
 struct LoopCost {
   double vector_instrs_per_strip = 0;  ///< vector instructions per strip
   double scalar_instrs_per_strip = 0;  ///< bookkeeping per strip
   double elems_per_strip = 1;          ///< elements retired per strip
 };
 
+/// Counts that loop from the spec alone (no Program is built); throws
+/// on the specs emit_loop rejects.
 LoopCost loop_cost(const LoopSpec& spec, CodegenMode mode, Dialect d);
 
 }  // namespace sgp::rvv

@@ -11,8 +11,8 @@
 //                   resolved once per (machine, signature) and the
 //                   inner loops run over SoA scratch columns with zero
 //                   per-point allocation.
-// Placement-occupancy statistics (machine::analyze over every
-// (placement, nthreads) pair) are precomputed at construction, so
+// Placement-occupancy statistics for every (placement, nthreads) pair
+// are precomputed at construction in O(num_cores) per placement, so
 // neither path walks the topology per point.
 #pragma once
 
@@ -86,8 +86,10 @@ class Simulator {
     return run(sig, cfg).total_s;
   }
 
-  /// Precomputed machine::analyze(assign_cores(...)) result; nthreads
-  /// must be in [1, num_cores].
+  /// Occupancy of the first `nthreads` cores under `p`, equal field by
+  /// field to machine::analyze(m, machine::assign_cores(m, p, nthreads))
+  /// (the reference implementation) but filled incrementally at
+  /// construction; nthreads must be in [1, num_cores].
   const machine::PlacementStats& placement_stats(machine::Placement p,
                                                  int nthreads) const {
     return placement_stats_[static_cast<std::size_t>(p)]
@@ -106,7 +108,7 @@ class Simulator {
   MemoryModel memory_;
   CoreModel core_;
   SyncModel sync_;
-  /// [placement][nthreads - 1], filled in the constructor.
+  /// [placement][nthreads - 1]: row n extends row n - 1 by one core.
   std::array<std::vector<machine::PlacementStats>, 3> placement_stats_;
 };
 

@@ -227,6 +227,101 @@ TEST(LoopCost, VlaHasMoreScalarOverheadThanVls) {
   EXPECT_GT(instrs_per_elem(vla), instrs_per_elem(vls));
 }
 
+// Reference for loop_cost: emit the loop and count the strip body, from
+// the _loop label up to its backward branch.
+LoopCost emit_and_count(const LoopSpec& spec, CodegenMode mode, Dialect d) {
+  const Program p = emit_loop(spec, mode, d);
+  LoopCost cost;
+  cost.elems_per_strip = spec.vector_bits / spec.sew;
+  bool in_loop = false;
+  const std::string loop_label = spec.name + "_loop:";
+  for (const auto& l : p.lines) {
+    if (l.kind == LineKind::Label) {
+      if (l.text == loop_label) in_loop = true;
+      else if (in_loop) break;
+      continue;
+    }
+    if (!in_loop || l.kind != LineKind::Instruction) continue;
+    if (l.is_vector()) {
+      cost.vector_instrs_per_strip += 1;
+    } else {
+      cost.scalar_instrs_per_strip += 1;
+    }
+    if (l.mnemonic == "bnez" || l.mnemonic == "bge") break;
+  }
+  return cost;
+}
+
+TEST(LoopCost, MatchesEmitAndCountOverTheModelDomain) {
+  // Every shape compiler::plan's loop_spec_for can produce (and the
+  // all-zero arithmetic corner it rewrites to one fadd), in both modes
+  // and both dialects.
+  int checked = 0;
+  int mismatches = 0;
+  const auto check = [&](const LoopSpec& spec) {
+    for (const auto mode : {CodegenMode::VLA, CodegenMode::VLS}) {
+      for (const auto d : {Dialect::V0_7_1, Dialect::V1_0}) {
+        const LoopCost got = loop_cost(spec, mode, d);
+        const LoopCost want = emit_and_count(spec, mode, d);
+        ++checked;
+        if (got.vector_instrs_per_strip == want.vector_instrs_per_strip &&
+            got.scalar_instrs_per_strip == want.scalar_instrs_per_strip &&
+            got.elems_per_strip == want.elems_per_strip) {
+          continue;
+        }
+        if (++mismatches > 5) continue;
+        ADD_FAILURE() << "sew=" << spec.sew << " bits=" << spec.vector_bits
+                      << " loads=" << spec.loads << " stores=" << spec.stores
+                      << " fmacc=" << spec.fmacc << " fadd=" << spec.fadd
+                      << " fmul=" << spec.fmul << " red=" << spec.reduction
+                      << " " << to_string(mode)
+                      << " dialect=" << static_cast<int>(d) << ": vector "
+                      << got.vector_instrs_per_strip << " vs "
+                      << want.vector_instrs_per_strip << ", scalar "
+                      << got.scalar_instrs_per_strip << " vs "
+                      << want.scalar_instrs_per_strip << ", elems "
+                      << got.elems_per_strip << " vs "
+                      << want.elems_per_strip;
+      }
+    }
+  };
+  LoopSpec spec;
+  spec.name = "k";
+  for (const int sew : {32, 64}) {
+    spec.sew = sew;
+    for (const int bits : {128, 256, 512}) {
+      spec.vector_bits = bits;
+      for (spec.loads = 1; spec.loads <= 4; ++spec.loads) {
+        for (spec.stores = 0; spec.stores <= 2; ++spec.stores) {
+          for (spec.fmacc = 0; spec.fmacc <= 4; ++spec.fmacc) {
+            for (spec.fadd = 0; spec.fadd <= 4; ++spec.fadd) {
+              for (spec.fmul = 0; spec.fmul <= 4; ++spec.fmul) {
+                for (const bool reduction : {false, true}) {
+                  spec.reduction = reduction;
+                  check(spec);
+                }
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+  EXPECT_EQ(checked, 2 * 3 * 4 * 3 * 5 * 5 * 5 * 2 * 2 * 2);
+}
+
+TEST(LoopCost, RejectsWhatEmitLoopRejects) {
+  LoopSpec spec;
+  spec.sew = 16;
+  EXPECT_THROW((void)loop_cost(spec, CodegenMode::VLA, Dialect::V1_0),
+               std::invalid_argument);
+  spec.sew = 32;
+  spec.stores = 3;
+  EXPECT_THROW((void)loop_cost(spec, CodegenMode::VLS, Dialect::V1_0),
+               std::invalid_argument);
+}
+
 TEST(LoopCost, ElementsPerStripFollowSew) {
   LoopSpec spec;
   spec.vector_bits = 128;

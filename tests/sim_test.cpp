@@ -4,8 +4,10 @@
 
 #include <cmath>
 
+#include "check/fuzz.hpp"
 #include "compiler/model.hpp"
 #include "kernels/register_all.hpp"
+#include "machine/registry.hpp"
 #include "sim/cache_model.hpp"
 #include "sim/core_model.hpp"
 #include "sim/memory_model.hpp"
@@ -334,6 +336,54 @@ TEST(Simulator, DeterministicResults) {
   cfg.nthreads = 32;
   const auto sig = find_sig("HYDRO_2D");
   EXPECT_DOUBLE_EQ(sim.seconds(sig, cfg), sim.seconds(sig, cfg));
+}
+
+// Checks every (placement, nthreads) row of the constructor's
+// incremental tables against the analyze(assign_cores(...)) reference,
+// field by field; returns the number of rows compared.
+int expect_placement_tables_match(const machine::MachineDescriptor& m) {
+  const Simulator sim(m);
+  int rows = 0;
+  for (const auto p : machine::all_placements) {
+    for (int n = 1; n <= m.num_cores; ++n) {
+      const auto& got = sim.placement_stats(p, n);
+      const auto want = stats_for(m, p, n);
+      const auto where = [&] {
+        return m.name + " " + std::string(machine::to_string(p)) + " n=" +
+               std::to_string(n);
+      };
+      EXPECT_EQ(got.threads_per_numa, want.threads_per_numa) << where();
+      EXPECT_EQ(got.threads_per_cluster, want.threads_per_cluster) << where();
+      EXPECT_EQ(got.regions_spanned, want.regions_spanned) << where();
+      EXPECT_EQ(got.max_per_numa, want.max_per_numa) << where();
+      EXPECT_EQ(got.max_per_cluster, want.max_per_cluster) << where();
+      ++rows;
+    }
+  }
+  return rows;
+}
+
+TEST(Simulator, PlacementTablesMatchAnalyzeOnRegisteredMachines) {
+  machine::MachineRegistry reg;
+  machine::register_builtin_machines(reg);
+  const auto report = reg.register_ini_dir(SGP_MACHINES_DIR);
+  for (const auto& err : report.errors) {
+    ADD_FAILURE() << err.file << ": " << err.message;
+  }
+  ASSERT_GE(report.loaded.size(), 2u) << "machines/*.ini packs not found";
+  int rows = 0;
+  for (const auto& name : reg.names()) {
+    rows += expect_placement_tables_match(reg.descriptor(name));
+  }
+  // 3 placements x the core counts of the 8 built-ins and the shipped
+  // packs (sg2044: 64, sg2042-2s: 128).
+  EXPECT_EQ(rows, 1131);
+}
+
+TEST(Simulator, PlacementTablesMatchAnalyzeOnRandomMachines) {
+  for (unsigned seed = 1; seed <= 64; ++seed) {
+    expect_placement_tables_match(check::random_machine(seed));
+  }
 }
 
 }  // namespace
