@@ -256,7 +256,9 @@ Options parse_args(int argc, char** argv) {
 }
 
 /// Fingerprint of everything that changes what a kernel run means; a
-/// checkpoint from different params must not be resumed.
+/// checkpoint from different params must not be resumed. A checkpoint
+/// written by a build that folded these fields byte by byte restarts
+/// cold: its fingerprint no longer matches.
 std::uint64_t params_fingerprint(const core::RunParams& rp) {
   engine::Fnv1a fp;
   fp.i32(rp.num_threads);

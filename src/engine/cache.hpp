@@ -43,8 +43,8 @@ struct CacheKey {
 
 struct CacheKeyHash {
   std::size_t operator()(const CacheKey& k) const noexcept {
-    // The components are already FNV digests; mix with distinct odd
-    // multipliers so (a,b,c) and (b,a,c) land apart.
+    // The components are already mixed fingerprints; multiply by
+    // distinct odd constants so (a,b,c) and (b,a,c) land apart.
     std::uint64_t h = k.machine * 0x9e3779b97f4a7c15ull;
     h ^= k.signature * 0xc2b2ae3d27d4eb4full;
     h ^= k.config * 0x165667b19e3779f9ull;

@@ -196,14 +196,15 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   // Price the misses through sim::Simulator::run_batch, one EvalContext
   // per task so workers share nothing mutable. Large groups are split
   // into chunks so a single-group grid still spreads over the pool.
-  constexpr std::size_t kPriceChunk = 256;
   struct Task {
     std::size_t group;
     std::size_t begin;
     std::size_t end;
   };
   std::vector<Task> tasks;
+  std::size_t misses = 0;
   for (std::size_t g = 0; g < groups.size(); ++g) {
+    misses += groups[g].miss.size();
     for (std::size_t b = 0; b < groups[g].miss.size(); b += kPriceChunk) {
       tasks.push_back(
           Task{g, b, std::min(b + kPriceChunk, groups[g].miss.size())});
@@ -231,7 +232,10 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     if (use_cache_) cache_.insert_batch(miss_keys, outs);
   };
 
-  if (jobs_ == 1 || tasks.size() <= 1) {
+  // Waking the pool for less than one full task per worker costs more
+  // than it spreads, so small batches stay on the calling thread.
+  if (jobs_ == 1 ||
+      misses < static_cast<std::size_t>(jobs_) * kPriceChunk) {
     for (const Task& t : tasks) price_task(t);
   } else {
     // The pool's job slot is single-occupancy, so concurrent run_batch

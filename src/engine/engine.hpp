@@ -8,11 +8,12 @@
 //     fingerprint) — see engine/fingerprint.hpp;
 //   * build each machine's Simulator once per engine, not once per
 //     pipeline;
-//   * fan batches of evaluation points out over a
+//   * fan the misses of large batches out over a
 //     sgp::threading::ThreadPool with dynamic scheduling (grain 1:
-//     points have irregular cost). Batches fill a pre-sized result
-//     vector by index, so parallel output is exactly equal to a
-//     forced-serial run;
+//     points have irregular cost); batches too small to give every
+//     worker a full kPriceChunk task are priced on the calling thread.
+//     Batches fill a pre-sized result vector by index, so parallel
+//     output is exactly equal to a forced-serial run;
 //   * count everything (requests, hits, Simulator::run executions,
 //     simulators built, batches) for the bench binaries' --perf flag
 //     and the engine tests' simulation pin. Where the time goes is
@@ -99,6 +100,11 @@ struct SweepPoint {
 
 class SweepEngine {
  public:
+  /// Misses per pricing task: one sim::EvalContext and one pool grain.
+  /// A batch with fewer than jobs() * kPriceChunk misses cannot give
+  /// every worker a full task, so it is priced on the calling thread.
+  static constexpr std::size_t kPriceChunk = 256;
+
   explicit SweepEngine(EngineOptions opt = {});
   ~SweepEngine();
 

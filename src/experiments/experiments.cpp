@@ -103,10 +103,13 @@ const machine::MachineDescriptor& pipeline_machine() {
   return machine::shared_registry().descriptor("sg2042");
 }
 
-std::map<std::string, core::Group> suite_groups() {
-  std::map<std::string, core::Group> out;
-  for (const auto& sig : signatures()) out[sig.name] = sig.group;
-  return out;
+const std::map<std::string, core::Group>& suite_groups() {
+  static const std::map<std::string, core::Group> groups = [] {
+    std::map<std::string, core::Group> out;
+    for (const auto& sig : signatures()) out[sig.name] = sig.group;
+    return out;
+  }();
+  return groups;
 }
 
 std::map<std::string, double> kernel_times(

@@ -135,7 +135,7 @@ std::vector<GroupRatios> summarize_by_group(
     const std::map<std::string, double>& ratios,
     const std::map<std::string, core::Group>& groups);
 
-/// Name -> group for the whole suite.
-std::map<std::string, core::Group> suite_groups();
+/// Name -> group for the whole suite, built once.
+const std::map<std::string, core::Group>& suite_groups();
 
 }  // namespace sgp::experiments

@@ -3,11 +3,16 @@
 // so two evaluation points differing in any single field never share a
 // cache slot. Also: serializing a machine and parsing it back must not
 // change its fingerprint (content-addressing is stable across the INI
-// round trip).
+// round trip). Every bit of every fixed-width field feeds its
+// fingerprint too (the one exception: the sign of a 0.0, normalised).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <functional>
 #include <set>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "engine/fingerprint.hpp"
@@ -196,6 +201,157 @@ TEST(ConfigFingerprint, FieldMutationsChangeIt) {
   check("placement",
         [](auto& c) { c.placement = machine::Placement::ClusterCyclic; });
 }
+
+// --------------------------------------- every bit of every field --
+
+template <std::size_t N>
+using Bits = std::conditional_t<
+    N == 1, std::uint8_t,
+    std::conditional_t<N == 4, std::uint32_t, std::uint64_t>>;
+
+/// Flips each bit of `field` (a member of `obj`) in turn, expects
+/// `fp(obj)` to move off its unflipped value every time, and restores
+/// the field. A bool is flipped as a value (its other bits are not
+/// valid bools). Returns the number of flips checked.
+template <typename Obj, typename T, typename Fp>
+int expect_every_bit_flip_changes(Obj& obj, T& field, const Fp& fp,
+                                  const std::string& what) {
+  const auto base_fp = fp(obj);
+  if constexpr (std::is_same_v<T, bool>) {
+    field = !field;
+    EXPECT_NE(fp(obj), base_fp) << what;
+    field = !field;
+    return 1;
+  } else {
+    using U = Bits<sizeof(T)>;
+    static_assert(sizeof(U) == sizeof(T));
+    const T orig = field;
+    int flips = 0;
+    for (std::size_t b = 0; b < 8 * sizeof(T); ++b) {
+      if constexpr (std::is_floating_point_v<T>) {
+        // -0.0 == 0.0: both hash as +0.0 by design.
+        if (orig == 0.0 && b == 8 * sizeof(T) - 1) continue;
+      }
+      field = std::bit_cast<T>(
+          static_cast<U>(std::bit_cast<U>(orig) ^ (U{1} << b)));
+      EXPECT_NE(fp(obj), base_fp) << what << " bit " << b;
+      ++flips;
+    }
+    field = orig;
+    return flips;
+  }
+}
+
+#define SGP_FLIP(field) flips += expect_every_bit_flip_changes(obj, field, fp, #field)
+
+TEST(MachineFingerprint, EveryBitOfEveryFixedWidthFieldChangesIt) {
+  auto obj = machine::sg2042();
+  const auto fp = [](const MachineDescriptor& m) {
+    return machine_fingerprint(m);
+  };
+  int flips = 0;
+  SGP_FLIP(obj.num_cores);
+  SGP_FLIP(obj.core.clock_ghz);
+  SGP_FLIP(obj.core.decode_width);
+  SGP_FLIP(obj.core.issue_width);
+  SGP_FLIP(obj.core.out_of_order);
+  SGP_FLIP(obj.core.fp_pipes);
+  SGP_FLIP(obj.core.fma);
+  SGP_FLIP(obj.core.mem_ports);
+  SGP_FLIP(obj.core.scalar_eff);
+  SGP_FLIP(obj.core.stream_bw_gbs);
+  SGP_FLIP(obj.core.scalar_stream_derate);
+  ASSERT_TRUE(obj.core.vector.has_value());
+  SGP_FLIP(obj.core.vector->width_bits);
+  SGP_FLIP(obj.core.vector->fp32);
+  SGP_FLIP(obj.core.vector->fp64);
+  SGP_FLIP(obj.core.vector->efficiency_fp32);
+  SGP_FLIP(obj.core.vector->efficiency_fp64);
+  for (auto* c : {&obj.l1d, &obj.l2, &obj.l3}) {
+    SGP_FLIP(c->size_bytes);
+    SGP_FLIP(c->line_bytes);
+    SGP_FLIP(c->shared_by);
+    SGP_FLIP(c->bw_bytes_per_cycle);
+    SGP_FLIP(c->latency_cycles);
+  }
+  for (auto& r : obj.numa) {
+    for (int& id : r.cores) SGP_FLIP(id);
+    SGP_FLIP(r.controllers);
+    SGP_FLIP(r.mem_bw_gbs);
+  }
+  for (auto& cl : obj.clusters) {
+    for (int& id : cl) SGP_FLIP(id);
+  }
+  SGP_FLIP(obj.mem_latency_ns);
+  SGP_FLIP(obj.cluster_bw_gbs);
+  SGP_FLIP(obj.remote_numa_penalty);
+  SGP_FLIP(obj.fork_join_us);
+  SGP_FLIP(obj.barrier_us_per_thread);
+  SGP_FLIP(obj.numa_span_sync_factor);
+  SGP_FLIP(obj.oversubscribe_gamma);
+  SGP_FLIP(obj.oversubscribe_knee);
+  SGP_FLIP(obj.l3_memory_side);
+  SGP_FLIP(obj.memory_derating);
+  SGP_FLIP(obj.atomic_rtt_ns);
+  // 64 core ids in NUMA regions and 64 in clusters, 32 bits each,
+  // dominate the count; the scalar fields add over a thousand more.
+  EXPECT_GT(flips, 2 * 64 * 32 + 1000);
+}
+
+TEST(SignatureFingerprint, EveryBitOfEveryFixedWidthFieldChangesIt) {
+  auto obj = kernels::all_signatures().front();
+  const auto fp = [](const core::KernelSignature& s) {
+    return signature_fingerprint(s);
+  };
+  int flips = 0;
+  SGP_FLIP(obj.group);
+  SGP_FLIP(obj.iters_per_rep);
+  SGP_FLIP(obj.reps);
+  SGP_FLIP(obj.parallel_regions_per_rep);
+  SGP_FLIP(obj.seq_fraction);
+  SGP_FLIP(obj.mix.fadd);
+  SGP_FLIP(obj.mix.fmul);
+  SGP_FLIP(obj.mix.ffma);
+  SGP_FLIP(obj.mix.fdiv);
+  SGP_FLIP(obj.mix.fspecial);
+  SGP_FLIP(obj.mix.fcmp);
+  SGP_FLIP(obj.mix.iops);
+  SGP_FLIP(obj.mix.loads);
+  SGP_FLIP(obj.mix.stores);
+  SGP_FLIP(obj.mix.branches);
+  SGP_FLIP(obj.streamed_reads_per_iter);
+  SGP_FLIP(obj.streamed_writes_per_iter);
+  SGP_FLIP(obj.working_set_elems);
+  SGP_FLIP(obj.pattern);
+  for (auto* f : {&obj.gcc, &obj.clang}) {
+    SGP_FLIP(f->vectorizes);
+    SGP_FLIP(f->runtime_vector_path);
+    SGP_FLIP(f->efficiency);
+    SGP_FLIP(f->memory_efficiency);
+  }
+  SGP_FLIP(obj.integer_dominated);
+  SGP_FLIP(obj.atomic);
+  SGP_FLIP(obj.recurrence);
+  // 21 doubles (63 or 64 bits each: a 0.0 skips its sign bit), two
+  // 8-bit enums and seven flags.
+  EXPECT_GE(flips, 21 * 63 + 2 * 8 + 7);
+}
+
+TEST(ConfigFingerprint, EveryBitOfEveryFixedWidthFieldChangesIt) {
+  sim::SimConfig obj;
+  const auto fp = [](const sim::SimConfig& c) {
+    return config_fingerprint(c);
+  };
+  int flips = 0;
+  SGP_FLIP(obj.precision);
+  SGP_FLIP(obj.compiler);
+  SGP_FLIP(obj.vector_mode);
+  SGP_FLIP(obj.nthreads);
+  SGP_FLIP(obj.placement);
+  EXPECT_EQ(flips, 3 * 8 + 32 + 32);
+}
+
+#undef SGP_FLIP
 
 }  // namespace
 }  // namespace sgp::engine

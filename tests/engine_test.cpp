@@ -8,6 +8,7 @@
 // pinned to an exact simulation count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iomanip>
 #include <sstream>
 #include <string>
@@ -18,6 +19,7 @@
 #include "experiments/experiments.hpp"
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace sgp::engine {
@@ -68,15 +70,25 @@ TEST(SweepEngine, CacheHitReturnsTheIdenticalBreakdown) {
   EXPECT_EQ(c.cache_entries, 1u);
 }
 
+std::uint64_t pool_dispatches() {
+  return obs::registry().counter("pool.dispatches").value();
+}
+
 TEST(SweepEngine, ParallelGridIsBitIdenticalToSerial) {
   SweepEngine parallel({.jobs = 8});
   SweepEngine serial({.jobs = 1});
   const auto m = machine::sg2042();
   const auto sigs = kernels::all_signatures();
-  std::vector<sim::SimConfig> cfgs = {fp32_threads(1), fp32_threads(32),
-                                      fp32_threads(64)};
+  // 64 signatures x 64 thread counts: enough misses to give each of
+  // the 8 workers a full pricing task, so the batch reaches the pool.
+  std::vector<sim::SimConfig> cfgs;
+  for (int t = 1; t <= 64; ++t) cfgs.push_back(fp32_threads(t));
+  ASSERT_GE(sigs.size() * cfgs.size(),
+            8 * SweepEngine::kPriceChunk);
 
+  const std::uint64_t dispatches = pool_dispatches();
   const auto par = parallel.run_grid(m, sigs, cfgs);
+  EXPECT_GT(pool_dispatches(), dispatches);
   const auto ser = serial.run_grid(m, sigs, cfgs);
   ASSERT_EQ(par.size(), ser.size());
   ASSERT_EQ(par.size(), sigs.size() * cfgs.size());
@@ -135,23 +147,97 @@ TEST(SweepEngine, PipelinesAreIdenticalUnderParallelismAndCacheReuse) {
   }
 }
 
+/// Walks parent links: true when span `id` lies under span `ancestor`.
+bool descends_from(const std::vector<obs::SpanEvent>& events,
+                   std::uint64_t id, std::uint64_t ancestor) {
+  while (id != 0) {
+    if (id == ancestor) return true;
+    const auto it = std::find_if(events.begin(), events.end(),
+                                 [&](const auto& ev) { return ev.id == id; });
+    if (it == events.end()) return false;
+    id = it->parent;
+  }
+  return false;
+}
+
+TEST(SweepEngine, OnlyBatchesThatFillThePoolDispatchToIt) {
+  const auto m = machine::sg2042();
+  const auto sigs = kernels::all_signatures();
+  // 64 signatures x 8 thread counts = 512 misses, one full pricing task
+  // per worker at 2 jobs; then 64 fresh misses, too few to split.
+  std::vector<sim::SimConfig> large;
+  for (int t = 1; t <= 8; ++t) large.push_back(fp32_threads(t));
+  ASSERT_GE(sigs.size() * large.size(), 2 * SweepEngine::kPriceChunk);
+  const std::vector<sim::SimConfig> small = {fp32_threads(9)};
+
+  SweepEngine eng({.jobs = 2});
+  ASSERT_EQ(eng.jobs(), 2);
+  auto traced_events = [&](std::span<const sim::SimConfig> cfgs) {
+    obs::tracer().enable();
+    obs::tracer().clear();
+    (void)eng.run_grid(m, sigs, cfgs);
+    obs::tracer().disable();
+    return obs::tracer().events();
+  };
+
+  const auto events = traced_events(large);
+  std::uint64_t batch_id = 0;
+  for (const auto& ev : events) {
+    if (ev.name == "SweepEngine::run_batch") batch_id = ev.id;
+  }
+  ASSERT_NE(batch_id, 0u);
+  std::size_t dispatches = 0;
+  std::size_t chunks = 0;
+  for (const auto& ev : events) {
+    if (ev.name.starts_with("ThreadPool::")) {
+      ++dispatches;
+      EXPECT_TRUE(descends_from(events, ev.id, batch_id)) << ev.name;
+    }
+    if (ev.name == "pool.chunk") {
+      ++chunks;
+      EXPECT_TRUE(descends_from(events, ev.id, batch_id));
+    }
+  }
+  EXPECT_GT(dispatches, 0u);
+  EXPECT_GT(chunks, 0u);
+
+  const auto inline_events = traced_events(small);
+  EXPECT_EQ(eng.counters().simulations, sigs.size() * (large.size() + 1));
+  bool priced_in_batch = false;
+  for (const auto& ev : inline_events) {
+    EXPECT_FALSE(ev.name.starts_with("ThreadPool::")) << ev.name;
+    EXPECT_NE(ev.name, "pool.chunk");
+    priced_in_batch |= ev.name == "SweepEngine::run_batch";
+  }
+  EXPECT_TRUE(priced_in_batch);
+}
+
 TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
-  SweepEngine eng({.jobs = 4});
   const auto m = machine::sg2042();
   auto sigs = kernels::all_signatures();
   auto bad = sigs.front();
   bad.iters_per_rep = 0.0;  // Simulator::run rejects this
 
-  std::vector<SweepPoint> points;
-  const auto cfg = fp32_threads(4);
-  for (const auto& s : sigs) points.push_back({&m, &s, cfg});
-  points.push_back({&m, &bad, cfg});
+  // One thread count prices on the calling thread; 16 give 1,024
+  // misses, a full task per worker, so the throw crosses the pool.
+  for (const int nthreads : {1, 16}) {
+    SweepEngine eng({.jobs = 4});
+    std::vector<SweepPoint> points;
+    for (int t = 1; t <= nthreads; ++t) {
+      for (const auto& s : sigs) points.push_back({&m, &s, fp32_threads(t)});
+    }
+    points.push_back({&m, &bad, fp32_threads(1)});
 
-  EXPECT_THROW((void)eng.run_batch(points), std::invalid_argument);
+    const std::uint64_t dispatches = pool_dispatches();
+    EXPECT_THROW((void)eng.run_batch(points), std::invalid_argument);
+    EXPECT_EQ(pool_dispatches() > dispatches,
+              points.size() >= 4 * SweepEngine::kPriceChunk)
+        << nthreads;
 
-  // The engine stays usable and the cached good points are intact.
-  const auto ok = run_one(eng, {&m, &sigs.front(), cfg});
-  EXPECT_GT(ok.total_s, 0.0);
+    // The engine stays usable and the cached good points are intact.
+    const auto ok = run_one(eng, {&m, &sigs.front(), fp32_threads(1)});
+    EXPECT_GT(ok.total_s, 0.0);
+  }
 }
 
 TEST(SweepEngine, CacheOffReplicatesEveryRequest) {

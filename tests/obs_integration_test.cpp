@@ -4,7 +4,9 @@
 //   * the CSV artifacts are byte-identical with observability on and
 //     off (instrumentation never perturbs results);
 //   * the trace is well-formed Chrome trace_event JSON containing
-//     spans from the simulator, the sweep engine and the thread pool;
+//     spans from the simulator and the sweep engine (fig1's batches are
+//     too small to wake the thread pool; engine_test checks pool spans
+//     in process);
 //   * the manifest is well-formed and its cache accounting is
 //     internally consistent (hits + misses == requests, one
 //     simulation per miss).
@@ -76,11 +78,8 @@ TEST(ObsIntegration, BenchWithTraceAndMetricsMatchesPlainRun) {
   const std::string trace = slurp(trace_json);
   EXPECT_TRUE(sgp::obs::json_valid(trace));
   EXPECT_NE(trace.find("\"traceEvents\""), std::string::npos);
-  // Spans from all three instrumented layers.
   EXPECT_NE(trace.find("Simulator::run"), std::string::npos);
   EXPECT_NE(trace.find("SweepEngine::"), std::string::npos);
-  EXPECT_NE(trace.find("ThreadPool::"), std::string::npos);
-  EXPECT_NE(trace.find("pool.chunk"), std::string::npos);
 
   const std::string manifest = slurp(manifest_json);
   EXPECT_TRUE(sgp::obs::json_valid(manifest));

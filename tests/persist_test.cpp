@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -107,6 +108,26 @@ TEST(Segment, EntriesRoundTripByteIdentically) {
   EXPECT_EQ(parse.status, SegmentStatus::Ok);
   EXPECT_EQ(parse.entries, payloads.size());
   EXPECT_EQ(got, payloads);
+}
+
+TEST(Segment, EntryChecksumIsPinned) {
+  // The frame checksum is 64-bit FNV-1a over the payload bytes, from
+  // an offset basis with the published basis's last digit dropped
+  // (1469598103934665603, not 14695981039346656037), so the published
+  // vectors ("" -> 0xcbf29ce484222325, "a" -> 0xaf63dc4c8601ec8c) do
+  // not apply. Every stored segment depends on these exact values: a
+  // change to the hasher's byte path would quarantine them all.
+  auto frame_checksum = [](const std::string& text) {
+    std::vector<std::byte> payload(text.size());
+    std::memcpy(payload.data(), text.data(), text.size());
+    const auto bytes = engine::build_segment({payload});
+    std::uint64_t sum = 0;
+    std::memcpy(&sum, bytes.data() + bytes.size() - sizeof sum, sizeof sum);
+    return sum;
+  };
+  EXPECT_EQ(frame_checksum(""), 0x14650fb0739d0383ull);
+  EXPECT_EQ(frame_checksum("a"), 0x44bd8ad473cd9906ull);
+  EXPECT_EQ(frame_checksum("sg2042"), 0xc6a1e1650ace7909ull);
 }
 
 TEST(Segment, CacheEntryCodecPreservesEveryField) {

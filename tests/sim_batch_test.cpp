@@ -18,6 +18,7 @@
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
 #include "machine/placement.hpp"
+#include "obs/metrics.hpp"
 #include "serve/server.hpp"
 #include "sim/eval_context.hpp"
 #include "sim/simulator.hpp"
@@ -220,16 +221,18 @@ TEST(NoteText, BreakdownNoteStringMatchesPlan) {
 
 TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
   const auto m = machine::sg2042();
-  std::vector<core::KernelSignature> sigs = {find_sig("TRIAD"),
-                                             find_sig("GEMM"),
-                                             find_sig("DOT")};
+  const auto sigs = kernels::all_signatures();
+  // 64 signatures x 16 thread counts: a first caller's misses fill one
+  // pricing task per worker at 4 jobs, so pricing crosses the pool.
   std::vector<sim::SimConfig> cfgs;
-  for (const int t : {1, 4, 16, 64}) {
+  for (int t = 1; t <= 16; ++t) {
     sim::SimConfig cfg;
     cfg.nthreads = t;
     cfg.placement = machine::Placement::ClusterCyclic;
     cfgs.push_back(cfg);
   }
+  ASSERT_GE(sigs.size() * cfgs.size(),
+            4 * engine::SweepEngine::kPriceChunk);
 
   engine::SweepEngine serial(engine::EngineOptions{.jobs = 1});
   const auto reference = serial.run_grid(m, sigs, cfgs);
@@ -239,6 +242,8 @@ TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
   // TSan lane rebuilds this test instrumented) and every caller must
   // see the serial result bit-for-bit.
   engine::SweepEngine shared(engine::EngineOptions{.jobs = 4});
+  obs::Counter& dispatches = obs::registry().counter("pool.dispatches");
+  const std::uint64_t dispatches_before = dispatches.value();
   constexpr int kCallers = 8;
   std::vector<std::vector<sim::TimeBreakdown>> got(kCallers);
   {
@@ -261,6 +266,7 @@ TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
   const auto counters = shared.counters();
   EXPECT_EQ(counters.requests,
             static_cast<std::uint64_t>(kCallers) * reference.size());
+  EXPECT_GT(dispatches.value(), dispatches_before);
 }
 
 // ---------------------------------------------- serve note golden --
