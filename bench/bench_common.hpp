@@ -1,7 +1,6 @@
 // Shared CLI parsing and printing/CSV helpers for the reproduction
 // binaries. Every binary accepts:
 //   --csv <dir>       also write CSV artifacts into <dir>
-//   --jobs <n>        sweep-engine worker threads (0 = one per hw thread)
 //   --perf            print the engine's perf counters after the pipeline
 //   --trace <file>    write a Chrome trace_event JSON at exit
 //   --metrics <file>  write a run manifest (+ metrics snapshot) at exit
@@ -9,7 +8,6 @@
 // suite_cli's conventions) instead of being silently ignored.
 #pragma once
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -33,7 +31,6 @@ namespace sgp::bench {
 
 struct BenchOptions {
   std::optional<std::string> csv_dir;
-  int jobs = 0;  ///< 0 = one worker per hardware thread
   bool perf = false;
   std::optional<std::string> trace_path;
   std::optional<std::string> metrics_path;
@@ -53,7 +50,7 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
   auto usage_error = [&](const std::string& what) {
     std::cerr << argv[0] << ": " << what << "\n"
               << "usage: " << argv[0]
-              << " [--csv <dir>] [--jobs <n>] [--perf]"
+              << " [--csv <dir>] [--perf]"
                  " [--trace <file>] [--metrics <file>]\n";
     std::exit(64);
   };
@@ -65,15 +62,6 @@ inline BenchOptions parse_bench_args(int argc, char** argv) {
     };
     if (arg == "--csv") {
       opt.csv_dir = value();
-    } else if (arg == "--jobs") {
-      const std::string v = value();
-      try {
-        std::size_t used = 0;
-        opt.jobs = std::stoi(v, &used);
-        if (used != v.size() || opt.jobs < 0) throw std::invalid_argument(v);
-      } catch (const std::exception&) {
-        usage_error("bad value '" + v + "' for --jobs (expected n >= 0)");
-      }
     } else if (arg == "--perf") {
       opt.perf = true;
     } else if (arg == "--trace") {
@@ -142,7 +130,6 @@ inline void obs_exit_finalizer() {
       }
       const engine::SweepEngine& eng = engine::shared_engine();
       const engine::EngineCounters c = eng.counters();
-      man.add("engine", "jobs", static_cast<std::int64_t>(eng.jobs()));
       man.add("engine", "requests", c.requests);
       man.add("engine", "cache_hits", c.cache_hits);
       man.add("engine", "cache_misses", c.cache_misses);
@@ -161,14 +148,13 @@ inline void obs_exit_finalizer() {
 
 }  // namespace detail
 
-/// Applies --jobs to the process-wide engine the pipelines run on,
-/// arms --trace/--metrics (tracing on + an atexit finalizer that writes
-/// the artifacts — every binary using parse_bench_args/configure_engine
-/// gains both flags with no further code), and returns the engine so
-/// --perf can read the counters afterwards.
+/// Arms --trace/--metrics for the process-wide engine the pipelines run
+/// on (tracing on + an atexit finalizer that writes the artifacts —
+/// every binary using parse_bench_args/configure_engine gains both
+/// flags with no further code), and returns the engine so --perf can
+/// read the counters afterwards.
 inline engine::SweepEngine& configure_engine(const BenchOptions& opt) {
   engine::SweepEngine& eng = engine::shared_engine();
-  if (opt.jobs != 0) eng.set_jobs(opt.jobs);
   if (opt.trace_path || opt.metrics_path) {
     detail::exit_trace_path() = opt.trace_path.value_or("");
     detail::exit_metrics_path() = opt.metrics_path.value_or("");

@@ -6,15 +6,15 @@
 //      vector path (the two replay paths) produce bit-identical
 //      statistics on every paper machine plus random fuzzed ones;
 //   4. re-executes every figure/table pipeline through the sweep engine
-//      twice — forced-serial and parallel — and requires byte-identical
-//      CSV artifacts;
-//   5. diffs the serial artifacts against the pinned goldens under
+//      twice — memo cache on and off — and requires byte-identical CSV
+//      artifacts;
+//   5. diffs the cached artifacts against the pinned goldens under
 //      tests/golden/ with per-column tolerances, reporting the first
 //      divergent cell.
 //
-// --jobs shards the invariant grid, the fuzzers and the engine
-// pipelines over a thread pool; reports and artifacts are merged in
-// deterministic order, so serial and parallel runs stay byte-identical.
+// --jobs shards the invariant grid and the fuzzers over a thread pool;
+// reports are merged in deterministic order, so serial and parallel
+// runs stay byte-identical.
 //
 //   6. fuzzes the durable-segment parser (truncated, bit-flipped,
 //      version-bumped, magic-corrupted, garbage-tailed files): the
@@ -88,7 +88,7 @@ struct Options {
   std::optional<std::string> lint_dir;    ///< standalone pack linter
   std::optional<std::string> persist_dir;
   std::optional<sgp::resilience::FaultPlan> io_fault_plan;
-  int jobs = 0;  ///< check/fuzz/engine workers; 0 = one per hw thread
+  int jobs = 0;  ///< check/fuzz workers; 0 = one per hw thread
   bool skip_invariants = false;
 };
 
@@ -293,10 +293,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Regeneration mode: render every pipeline on a forced-serial engine
-  // and pin the result. No checks run.
+  // Regeneration mode: render every pipeline on a private engine and
+  // pin the result. No checks run.
   if (opt.write_golden_dir) {
-    engine::SweepEngine eng(engine::EngineOptions{.jobs = 1});
+    engine::SweepEngine eng;
     for (const auto& a : check::run_all_artifacts(eng)) {
       const std::string path = *opt.write_golden_dir + "/" + a.name + ".csv";
       a.csv.write(path);
@@ -354,32 +354,32 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4 + 5. Pipelines: serial vs parallel byte-identity, then the golden
+  // 4 + 5. Pipelines: cached vs uncached byte-identity, then the golden
   // differential. Two private engines so the comparison cannot share a
   // memo cache with anything else in the process.
   {
-    engine::SweepEngine serial(engine::EngineOptions{.jobs = 1});
-    engine::SweepEngine parallel(engine::EngineOptions{.jobs = opt.jobs});
-    const auto serial_artifacts = check::run_all_artifacts(serial);
-    const auto parallel_artifacts = check::run_all_artifacts(parallel);
+    engine::SweepEngine cached;
+    engine::SweepEngine uncached(engine::EngineOptions{.use_cache = false});
+    const auto cached_artifacts = check::run_all_artifacts(cached);
+    const auto uncached_artifacts = check::run_all_artifacts(uncached);
 
-    for (std::size_t i = 0; i < serial_artifacts.size(); ++i) {
-      const auto& s = serial_artifacts[i];
-      const auto& p = parallel_artifacts[i];
-      if (s.csv.text() != p.csv.text()) {
+    for (std::size_t i = 0; i < cached_artifacts.size(); ++i) {
+      const auto& c = cached_artifacts[i];
+      const auto& u = uncached_artifacts[i];
+      if (c.csv.text() != u.csv.text()) {
         failed = true;
-        const auto diff = check::diff_csv(s.csv.text(), p.csv.text());
-        std::cout << "DIVERGENCE " << s.name
-                  << ": serial and parallel engine outputs differ";
+        const auto diff = check::diff_csv(c.csv.text(), u.csv.text());
+        std::cout << "DIVERGENCE " << c.name
+                  << ": cached and uncached engine outputs differ";
         if (diff) std::cout << " — " << to_string(*diff);
         std::cout << "\n";
       }
     }
-    std::cout << "serial/parallel identity: " << serial_artifacts.size()
+    std::cout << "cached/uncached identity: " << cached_artifacts.size()
               << " artifacts compared\n";
 
     if (opt.golden_dir) {
-      for (const auto& a : serial_artifacts) {
+      for (const auto& a : cached_artifacts) {
         const std::string path = *opt.golden_dir + "/" + a.name + ".csv";
         const auto golden = read_file(path);
         if (!golden) {
@@ -395,7 +395,7 @@ int main(int argc, char** argv) {
                     << to_string(*diff) << "\n";
         }
       }
-      std::cout << "golden diff: " << serial_artifacts.size()
+      std::cout << "golden diff: " << cached_artifacts.size()
                 << " artifacts checked against " << *opt.golden_dir
                 << "\n";
     }

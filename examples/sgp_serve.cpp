@@ -32,7 +32,6 @@ Transport (pick one; default is stdin/stdout pipe mode):
 
 Engine:
   --persist <dir>      durable memo cache directory (warm restarts)
-  --jobs <n>           engine worker threads (0 = hardware threads)
   --machine-dir <dir>  register every *.ini machine pack in <dir> into
                        the machine registry before serving; requests can
                        then name those machines (repeatable; see
@@ -86,10 +85,6 @@ Options parse_args(int argc, char** argv) {
       opt.input_path = next_value(i, "--input");
     } else if (arg == "--persist") {
       opt.server.persist_dir = next_value(i, "--persist");
-    } else if (arg == "--jobs") {
-      const std::uint64_t v = next_u64(i, "--jobs");
-      if (v > 4096) usage_error("bad value for --jobs (max 4096)");
-      opt.server.jobs = static_cast<int>(v);
     } else if (arg == "--max-queue") {
       const std::uint64_t v = next_u64(i, "--max-queue");
       if (v == 0) usage_error("--max-queue must be positive");

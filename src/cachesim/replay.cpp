@@ -289,32 +289,4 @@ ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
   return result;
 }
 
-ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps) {
-  if (reps < 1) throw std::invalid_argument("replay: reps must be >= 1");
-  if (cfgs.empty()) {
-    throw std::invalid_argument("replay: needs at least one level");
-  }
-  ReplayResult result{Hierarchy(cfgs), 0, {}, 0};
-  const Trace trace = generate_sweep(spec);
-
-  // Warm reps.
-  for (int r = 0; r + 1 < reps; ++r) {
-    for (const auto& a : trace) {
-      result.hierarchy.access(a.addr, a.is_write);
-      ++result.accesses;
-    }
-  }
-  // Final rep: measure steady-state per-level miss rates.
-  const auto before = level_stats(result.hierarchy);
-  for (const auto& a : trace) {
-    result.hierarchy.access(a.addr, a.is_write);
-    ++result.accesses;
-  }
-  auto delta = level_stats(result.hierarchy);
-  for (std::size_t i = 0; i < delta.size(); ++i) delta[i] -= before[i];
-  set_steady_state(result, delta);
-  return result;
-}
-
 }  // namespace sgp::cachesim

@@ -1,12 +1,12 @@
 // Zero-materialization streaming replay engine over the trace-driven
 // cache simulator.
 //
-// The reference path (replay_vector) materializes every access of a
-// sweep into a std::vector<AccessRecord> and walks it one address at a
-// time — O(elems x arrays x reps) memory traffic just to *build* the
-// input. Here every rep rewinds a TraceCursor and feeds its runs to
-// Hierarchy::access_run, one tag check per L1 line a run touches, so
-// the trace is never materialized. replay_stream stops
+// The cachesim oracle's reference (check::replay_vector) materializes
+// every access of a sweep into a std::vector<AccessRecord> and walks it
+// one address at a time — O(elems x arrays x reps) memory traffic just
+// to *build* the input. Here every rep rewinds a TraceCursor and feeds
+// its runs to Hierarchy::access_run, one tag check per L1 line a run
+// touches, so the trace is never materialized. replay_stream stops
 // simulating reps once the per-level stats deltas of two consecutive
 // reps are identical, extrapolating the remaining reps arithmetically
 // (exact whenever two equal deltas imply a closed state orbit — which
@@ -88,20 +88,12 @@ class TraceCursor {
 
 /// Streaming replay on an explicit hierarchy: every rep streams the
 /// cursor's runs through Hierarchy::access_run, and reps past the
-/// steady state are extrapolated. Bit-identical results to
-/// replay_vector on every pattern. cachesim::replay (trace.hpp) builds
-/// `cfgs` from a descriptor; config-level oracles pass FIFO /
-/// write-around / single-level hierarchies the descriptor path never
-/// builds.
+/// steady state are extrapolated. Bit-identical results to the
+/// per-access reference (check::replay_vector) on every pattern.
+/// cachesim::replay (trace.hpp) builds `cfgs` from a descriptor;
+/// config-level oracles pass FIFO / write-around / single-level
+/// hierarchies the descriptor path never builds.
 ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps);
-
-/// The vector-materialized reference path (generate_sweep once, then
-/// one Hierarchy::access per record per rep, all reps simulated, no
-/// early exit). Kept as the reference that check::cachesim_agreement
-/// and cachesim_replay_test compare replay_stream against; build
-/// `cfgs` with hierarchy_configs(m) for a descriptor's hierarchy.
-ReplayResult replay_vector(const std::vector<CacheConfig>& cfgs,
                            const SweepSpec& spec, int reps);
 
 }  // namespace sgp::cachesim

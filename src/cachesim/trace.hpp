@@ -35,8 +35,8 @@ struct SweepSpec {
 
 /// Materializes one full sweep by flattening the TraceCursor run
 /// stream (replay.hpp); reserves the exact per-pattern access count up
-/// front. Its callers are replay_vector (the reference path of the
-/// vector-vs-stream oracle) and the trace-order tests.
+/// front. Its callers are check::replay_vector (the reference path of
+/// the vector-vs-stream oracle) and the trace-order tests.
 Trace generate_sweep(const SweepSpec& spec);
 
 /// Per-level configs of the cache hierarchy mirroring a machine

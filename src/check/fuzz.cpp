@@ -261,6 +261,43 @@ constexpr AgreeCase kAgreeCases[] = {
     {core::AccessPattern::Sequential, 1, std::size_t{1} << 12, 8, 6},
 };
 
+}  // namespace
+
+cachesim::ReplayResult replay_vector(
+    const std::vector<cachesim::CacheConfig>& cfgs,
+    const cachesim::SweepSpec& spec, int reps) {
+  if (reps < 1) throw std::invalid_argument("replay: reps must be >= 1");
+  if (cfgs.empty()) {
+    throw std::invalid_argument("replay: needs at least one level");
+  }
+  cachesim::ReplayResult result{cachesim::Hierarchy(cfgs), 0, {}, 0};
+  cachesim::Hierarchy& h = result.hierarchy;
+  const cachesim::Trace trace = cachesim::generate_sweep(spec);
+  std::vector<cachesim::CacheStats> before;
+  std::uint64_t dram_before = 0;
+  for (int r = 0; r < reps; ++r) {
+    if (r + 1 == reps) {  // the measured rep
+      for (std::size_t i = 0; i < h.levels(); ++i) {
+        before.push_back(h.level(i).stats());
+      }
+      dram_before = h.dram_bytes();
+    }
+    for (const auto& a : trace) {
+      h.access(a.addr, a.is_write);
+      ++result.accesses;
+    }
+  }
+  for (std::size_t i = 0; i < h.levels(); ++i) {
+    cachesim::CacheStats delta = h.level(i).stats();
+    delta -= before[i];
+    result.steady_miss_rate.push_back(delta.miss_rate());
+  }
+  result.steady_dram_bytes = h.dram_bytes() - dram_before;
+  return result;
+}
+
+namespace {
+
 /// Replay identity (vector vs stream) of one case on an explicit
 /// hierarchy. `subject` names the machine (plus any config
 /// perturbation) in violation reports.
@@ -273,7 +310,7 @@ void agree_replays(const std::vector<cachesim::CacheConfig>& cfgs,
   spec.elems = c.elems;
   spec.stride_elems = c.stride;
 
-  const auto vec = cachesim::replay_vector(cfgs, spec, c.reps);
+  const auto vec = replay_vector(cfgs, spec, c.reps);
   const auto str = cachesim::replay_stream(cfgs, spec, c.reps);
   const std::string detail = diff_replays(vec, str, "vector", "stream");
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "cachesim/trace.hpp"
 #include "check/invariants.hpp"
 #include "machine/descriptor.hpp"
 
@@ -36,6 +37,16 @@ machine::MachineDescriptor random_machine(unsigned seed);
 /// byte-identical to a serial run regardless of the worker count.
 CheckReport fuzz_invariants(unsigned first_seed, unsigned num_seeds,
                             const FuzzOptions& opt = {}, int jobs = 1);
+
+/// The cachesim oracle's reference replay: materializes the sweep with
+/// generate_sweep, then feeds one Hierarchy::access per record per rep,
+/// simulating every rep (no early exit, no line-run coalescing). The
+/// steady-state fields are measured directly on the last rep. Throws
+/// std::invalid_argument on reps < 1 or an empty `cfgs`, like
+/// cachesim::replay_stream.
+cachesim::ReplayResult replay_vector(
+    const std::vector<cachesim::CacheConfig>& cfgs,
+    const cachesim::SweepSpec& spec, int reps);
 
 /// Replays every access pattern through both cachesim replay paths —
 /// the vector-materialized reference and the streaming engine with

@@ -1,30 +1,31 @@
-// Thread-safe, content-addressed memoization cache for simulator
-// results. Keys are fingerprint triples (see engine/fingerprint.hpp);
-// values are complete TimeBreakdowns, so a hit reproduces the original
-// miss exactly — including the `serving` level and the note fields.
+// Content-addressed memoization cache for simulator results. Keys are
+// fingerprint triples (see engine/fingerprint.hpp); values are complete
+// TimeBreakdowns, so a hit reproduces the original miss exactly —
+// including the `serving` level and the note fields.
 //
-// The cache is sharded: each shard holds an independent map behind its
-// own mutex, so concurrent lookups of different keys rarely contend.
-// The engine looks a batch up, prices the misses *outside* any shard
-// lock and inserts them; if two batches race on the same missing key,
-// both compute (the simulator is pure, so the values are identical) and
-// the first insert wins.
+// One flat open-addressing table: a power-of-two array of entry
+// positions, probed linearly from each key's home slot, over the
+// {CacheKey, Entry} records in insertion order. Keys are erased only by
+// clear(), so no tombstones are needed. The cache is single-threaded:
+// its owner (SweepEngine) calls it under the engine's one mutex.
+//
+// The records live in a std::deque, not in the probed array itself,
+// so growth reallocates only the 4-byte slots. An array of whole
+// 88-byte records, doubled on growth, raised glibc's adaptive mmap
+// threshold; later arrays of that size then came from the heap and
+// stayed resident, doubling sgp-serve's peak RSS on perfbench
+// serve_mixed (24 -> 48 MiB, x86-64).
 //
 // Persistence hooks (used by the engine's durable store, see
 // engine/persist.hpp): entries remember whether they were loaded from
-// disk, freshly-computed entries queue in a per-shard "fresh" list the
-// flush path drains, and disk-origin hits feed the persist.* counters.
-// Every hook takes the same shard locks as the lookup path, so a flush,
-// concurrent lookups, clear() and stats() are race-free.
+// disk, and disk-origin hits feed the persist.* counters. insert()
+// reports whether the key was new, so the engine queues each computed
+// point for the store exactly once.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <mutex>
+#include <deque>
 #include <span>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -68,91 +69,72 @@ struct CachePersistStats {
 
 class SimCache {
  public:
-  /// Batched lookup: groups the keys by shard and takes each touched
-  /// shard's lock exactly once. For every present key it writes the
-  /// value to results[i] and sets hit[i] = 1; absent keys leave
-  /// results[i] untouched and hit[i] = 0. Every key counts as one hit
-  /// or one miss (and, with persist tracking, as a persist hit or
-  /// miss). All three spans must have the same length.
+  /// Batched lookup. For every present key it writes the value to
+  /// results[i] and sets hit[i] = 1; absent keys leave results[i]
+  /// untouched and hit[i] = 0. Every key counts as one hit or one miss
+  /// (and, with persist tracking, as a persist hit or miss). All three
+  /// spans must have the same length.
   void lookup_batch(std::span<const CacheKey> keys,
                     std::span<sim::TimeBreakdown> results,
                     std::span<std::uint8_t> hit);
 
-  /// Batched insert of freshly-computed entries, one lock acquisition
-  /// per touched shard. First insert wins (racing callers compute
-  /// identical values) and only winning inserts queue for persistence,
-  /// so a flush writes each computed point exactly once. No effect on
+  /// Stores a freshly-computed entry. Returns false, keeping the stored
+  /// value, when the key is already present (a key asked for twice in
+  /// one batch is priced twice, with identical values). No effect on
   /// the hit/miss statistics.
-  void insert_batch(std::span<const CacheKey> keys,
-                    std::span<const sim::TimeBreakdown> values);
+  bool insert(const CacheKey& key, const sim::TimeBreakdown& value);
 
   void clear();
   CacheStats stats() const;
 
   // ------------------------------------------- persistence hooks --
 
-  /// Turns on disk-origin accounting and fresh-entry tracking. Off by
-  /// default so non-persistent engines pay nothing and emit no
-  /// persist.* counters.
-  void set_persist_tracking(bool on) {
-    persist_tracking_.store(on, std::memory_order_relaxed);
-  }
+  /// Turns on disk-origin accounting. Off by default so non-persistent
+  /// engines emit no persist.* counters.
+  void set_persist_tracking(bool on) { persist_tracking_ = on; }
 
   /// Inserts an entry recovered from the durable store. No effect on
-  /// hit/miss statistics; never queues into the fresh list. An entry
-  /// already present (e.g. duplicated across segments) is kept as-is.
+  /// hit/miss statistics. An entry already present (e.g. duplicated
+  /// across segments) is kept as-is.
   void insert_loaded(const CacheKey& key, const sim::TimeBreakdown& value);
 
-  /// Removes and returns every freshly-computed entry queued since the
-  /// last drain, for the flush path. Safe against concurrent inserts;
-  /// an entry is returned exactly once across all drains.
-  std::vector<std::pair<CacheKey, sim::TimeBreakdown>> drain_fresh();
-
-  /// Entries currently queued for the next drain.
-  std::uint64_t fresh_entries() const noexcept {
-    return fresh_count_.load(std::memory_order_relaxed);
-  }
-
-  CachePersistStats persist_stats() const;
+  CachePersistStats persist_stats() const { return persist_; }
 
  private:
-  static constexpr std::size_t kShards = 16;
-
   struct Entry {
+    CacheKey key;
     sim::TimeBreakdown value;
     bool from_disk = false;
     bool resume_counted = false;  ///< first disk-hit already tallied
   };
 
-  struct Shard {
-    /// mutable: stats() locks shards on a const cache.
-    mutable std::mutex mu;
-    std::unordered_map<CacheKey, Entry, CacheKeyHash> map;
-    /// Keys inserted by compute since the last drain (persist only).
-    std::vector<CacheKey> fresh;
-  };
-
-  static std::size_t shard_index(const CacheKey& key) noexcept {
-    return CacheKeyHash{}(key) % kShards;
+  /// Slot index a key's probe starts at: the top bits of its hash
+  /// times the golden ratio, so keys that share low hash bits spread.
+  std::size_t home(const CacheKey& key) const noexcept {
+    return static_cast<std::size_t>(
+        (CacheKeyHash{}(key) * 0x9e3779b97f4a7c15ull) >> shift_);
   }
 
-  Shard& shard_of(const CacheKey& key) { return shards_[shard_index(key)]; }
+  /// The slot holding `key`, or the empty slot that ends its probe.
+  /// The index must not be empty.
+  std::uint32_t& slot_of(const CacheKey& key);
+  /// The entry for `key`, or nullptr.
+  Entry* find(const CacheKey& key);
+  /// Stores `key` unless present; true when it was new.
+  bool emplace(const CacheKey& key, const sim::TimeBreakdown& value,
+               bool from_disk);
+  /// Doubles the index (or allocates the first one) and refills it.
+  void grow();
 
-  bool tracking() const noexcept {
-    return persist_tracking_.load(std::memory_order_relaxed);
-  }
-
-  /// Tallies a hit on `e` under the owning shard's lock.
-  void count_hit(Entry& e);
-
-  std::array<Shard, kShards> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<bool> persist_tracking_{false};
-  std::atomic<std::uint64_t> fresh_count_{0};
-  std::atomic<std::uint64_t> persist_hits_{0};
-  std::atomic<std::uint64_t> persist_misses_{0};
-  std::atomic<std::uint64_t> persist_resumed_{0};
+  std::deque<Entry> entries_;  ///< insertion order; never moved
+  /// 0 = empty, else entry position + 1. Empty or a power-of-two size,
+  /// at most half full.
+  std::vector<std::uint32_t> index_;
+  int shift_ = 64;  ///< 64 - log2(index_.size())
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  bool persist_tracking_ = false;
+  CachePersistStats persist_;
   /// Process-wide mirrors of the per-instance statistics, aggregated
   /// over every SimCache in the obs registry ("engine.cache.*"), so a
   /// metrics snapshot carries the cache story without asking each

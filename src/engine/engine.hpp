@@ -3,29 +3,25 @@
 //
 // Responsibilities (the models stay untouched — results are bit
 // identical to direct Simulator::run calls):
-//   * memoize TimeBreakdowns in a thread-safe, content-addressed cache
-//     keyed by (machine fingerprint, signature fingerprint, SimConfig
+//   * memoize TimeBreakdowns in a content-addressed cache keyed by
+//     (machine fingerprint, signature fingerprint, SimConfig
 //     fingerprint) — see engine/fingerprint.hpp;
 //   * build each machine's Simulator once per engine, not once per
 //     pipeline;
-//   * fan the misses of large batches out over a
-//     sgp::threading::ThreadPool with dynamic scheduling (grain 1:
-//     points have irregular cost); batches too small to give every
-//     worker a full kPriceChunk task are priced on the calling thread.
-//     Batches fill a pre-sized result vector by index, so parallel
-//     output is exactly equal to a forced-serial run;
+//   * price each batch's misses on the calling thread, one
+//     sim::EvalContext and one Simulator::run_batch per (machine,
+//     signature) group, behind the engine's one mutex: concurrent
+//     callers take turns, so a key is never priced by two of them;
 //   * count everything (requests, hits, Simulator::run executions,
 //     simulators built, batches) for the bench binaries' --perf flag
 //     and the engine tests' simulation pin. Where the time goes is
 //     the tracer's job (obs/trace.hpp), not the engine's.
 //
-// Exception contract (inherits PR 1's resilience rules): if any point
-// throws, unstarted points are skipped cooperatively, the batch joins,
-// and the first exception is rethrown on the calling thread; the engine
-// remains usable.
+// Exception contract (docs/RESILIENCE.md): if any point throws, the
+// batch stops, the exception propagates to the caller, and the engine
+// remains usable (groups priced before the throw stay cached).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -39,10 +35,6 @@
 #include "engine/fingerprint.hpp"
 #include "engine/persist.hpp"
 
-namespace sgp::threading {
-class ThreadPool;
-}
-
 namespace sgp::engine {
 
 /// Durable memo-cache + checkpoint/resume configuration (see
@@ -55,8 +47,9 @@ struct EnginePersistence {
 };
 
 struct EngineOptions {
-  /// Worker threads for batches: 1 = forced serial, 0 = one per
-  /// hardware thread (threading::recommended_jobs).
+  /// Ignored: every batch is priced on the calling thread. Kept only
+  /// because the benchmark harness still sets it; remove it together
+  /// with those assignments.
   int jobs = 0;
   /// false replicates the pre-engine behaviour (every request runs the
   /// simulator); the tests use it as the reference that cached output
@@ -100,29 +93,15 @@ struct SweepPoint {
 
 class SweepEngine {
  public:
-  /// Misses per pricing task: one sim::EvalContext and one pool grain.
-  /// A batch with fewer than jobs() * kPriceChunk misses cannot give
-  /// every worker a full task, so it is priced on the calling thread.
-  static constexpr std::size_t kPriceChunk = 256;
-
   explicit SweepEngine(EngineOptions opt = {});
   ~SweepEngine();
 
   SweepEngine(const SweepEngine&) = delete;
   SweepEngine& operator=(const SweepEngine&) = delete;
 
-  /// Resolved worker count used for batches.
-  int jobs() const noexcept { return jobs_; }
-  /// Changes the worker count for subsequent batches. Not thread-safe
-  /// against in-flight batches; call between pipelines.
-  void set_jobs(int jobs);
-
   /// Evaluate a batch of points; results are positionally aligned with
-  /// `points` regardless of scheduling. Safe to call from multiple
-  /// threads on one engine: cache lookups/inserts are sharded, and the
-  /// worker-pool dispatch (whose job slot is single-occupancy) is
-  /// serialized on pool_mu_ — concurrent callers overlap on hits and
-  /// take turns pricing misses.
+  /// `points`. Safe to call from multiple threads on one engine: the
+  /// whole batch runs under the engine's mutex, so callers take turns.
   std::vector<sim::TimeBreakdown> run_batch(
       std::span<const SweepPoint> points);
 
@@ -134,9 +113,10 @@ class SweepEngine {
       std::span<const sim::SimConfig> cfgs);
 
   EngineCounters counters() const;
-  /// Drops all memoized results and per-machine simulators. Not
-  /// thread-safe against in-flight batches. Durable segments on disk
-  /// are untouched (delete the store directory to really start cold).
+  /// Drops all memoized results and per-machine simulators. Computed
+  /// entries not yet flushed stay queued for the store, and durable
+  /// segments on disk are untouched (delete the store directory to
+  /// really start cold).
   void clear_cache();
 
   // ----------------------------------------------- persistence --
@@ -144,45 +124,38 @@ class SweepEngine {
   /// True when a durable store is attached.
   bool persistent() const noexcept { return store_ != nullptr; }
 
-  /// Drains freshly-computed entries and appends them as one segment
-  /// (write-temp-then-rename, retried under the store's policy).
-  /// Returns true when nothing remains queued; on failure the entries
-  /// stay queued in memory for the next flush. Safe to call from any
-  /// thread; a no-op without a store.
+  /// Appends every computed entry queued since the last successful
+  /// flush as one segment (write-temp-then-rename, retried under the
+  /// store's policy). Returns true when nothing remains queued; on
+  /// failure the entries stay queued in memory for the next flush. A
+  /// no-op without a store.
   bool flush_persistent();
 
  private:
-  const sim::Simulator& simulator_for(const machine::MachineDescriptor& m,
-                                      std::uint64_t machine_fp);
-  void maybe_flush();
+  /// flush_persistent with mu_ already held.
+  bool flush_locked();
 
-  int jobs_;
   const bool use_cache_;
+  /// The engine's one lock, guarding every member below: batches,
+  /// flushes, counters() and clear_cache() all take it.
+  mutable std::mutex mu_;
   SimCache cache_;
 
   // Persistence (all null/zero when EngineOptions.persist is unset).
   std::unique_ptr<PersistentStore> store_;
   std::size_t flush_min_entries_ = 0;
-  std::atomic<std::uint64_t> undecodable_entries_{0};
-  /// Guards pending_ and the store, and serializes flushes: batch-end
-  /// flushes from concurrent run_batch callers, explicit
-  /// flush_persistent calls and counters()' read of the store stats.
-  mutable std::mutex flush_mu_;
+  std::uint64_t undecodable_entries_ = 0;
+  /// Computed entries not yet durable, in insertion order.
   std::vector<std::pair<CacheKey, sim::TimeBreakdown>> pending_;
-  std::atomic<std::uint64_t> pending_count_{0};
 
-  std::mutex sims_mu_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<sim::Simulator>> sims_;
+  /// Node-based, so group pointers stay valid while a batch adds
+  /// simulators.
+  std::unordered_map<std::uint64_t, sim::Simulator> sims_;
 
-  /// Guards lazy pool creation and dispatch: ThreadPool has one job
-  /// slot, so concurrent run_batch callers must not dispatch at once.
-  std::mutex pool_mu_;
-  std::unique_ptr<threading::ThreadPool> pool_;  ///< lazily created
-
-  std::atomic<std::uint64_t> requests_{0};
-  std::atomic<std::uint64_t> simulations_{0};
-  std::atomic<std::uint64_t> simulators_built_{0};
-  std::atomic<std::uint64_t> batches_{0};
+  std::uint64_t requests_ = 0;
+  std::uint64_t simulations_ = 0;
+  std::uint64_t simulators_built_ = 0;
+  std::uint64_t batches_ = 0;
 };
 
 /// The process-wide engine the convenience experiment overloads use, so

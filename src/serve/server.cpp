@@ -17,15 +17,13 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "report/csv.hpp"
-#include "threading/pool.hpp"
 
 namespace sgp::serve {
 
 namespace {
 
-/// Points evaluated per engine batch between deadline checks: small
-/// enough that a passed deadline stops burning simulator time quickly,
-/// large enough that the engine's thread pool stays busy.
+/// Points evaluated per engine batch between deadline checks, so a
+/// passed deadline stops burning simulator time quickly.
 constexpr std::size_t kChunkPoints = 32;
 
 /// Evaluation abandoned because the group's deadline passed.
@@ -79,7 +77,6 @@ std::string bool_str(bool b) { return b ? "true" : "false"; }
 
 Server::Server(ServerOptions opt) : opt_(std::move(opt)) {
   engine::EngineOptions eopt;
-  eopt.jobs = opt_.jobs;
   if (opt_.persist_dir) {
     engine::EnginePersistence p;
     p.store.dir = *opt_.persist_dir;

@@ -47,8 +47,9 @@
 namespace sgp::serve {
 
 struct ServerOptions {
-  /// Engine worker threads (0 = one per hardware thread, clamped and
-  /// clamp-logged by threading::recommended_jobs).
+  /// Ignored: the engine prices every batch on the worker thread. Kept
+  /// only because the benchmark harness still sets it; remove it
+  /// together with those assignments.
   int jobs = 0;
   /// Queue slots; admission rejects with "overloaded" beyond this.
   std::size_t max_queue = 256;

@@ -14,6 +14,7 @@
 
 #include "cachesim/replay.hpp"
 #include "cachesim/trace.hpp"
+#include "check/fuzz.hpp"
 #include "machine/descriptor.hpp"
 #include "obs/metrics.hpp"
 
@@ -214,7 +215,7 @@ TEST(Replay, StreamMatchesVectorOnEveryPattern) {
       const auto spec = small_spec(p, 2, elems);
       const auto what =
           std::string(core::to_string(p)) + " elems=" + std::to_string(elems);
-      const auto vec = replay_vector(cfgs, spec, 5);
+      const auto vec = check::replay_vector(cfgs, spec, 5);
       const auto str = replay(m, spec, 5);
       EXPECT_EQ(vec.accesses, str.accesses) << what;
       EXPECT_EQ(vec.steady_miss_rate, str.steady_miss_rate) << what;
@@ -229,7 +230,7 @@ TEST(Replay, EarlyExitExtrapolationIsExact) {
   // extrapolated reps.
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Streaming, 2, 1 << 12);
-  const auto exact = replay_vector(hierarchy_configs(m), spec, 24);
+  const auto exact = check::replay_vector(hierarchy_configs(m), spec, 24);
   const auto fast = replay(m, spec, 24);
   EXPECT_EQ(exact.accesses, fast.accesses);
   EXPECT_EQ(exact.steady_miss_rate, fast.steady_miss_rate);
@@ -257,7 +258,7 @@ TEST(Replay, GatherExtrapolationIsExact) {
   // which simulates every rep.
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Gather, 2, 1 << 10);
-  const auto exact = replay_vector(hierarchy_configs(m), spec, 8);
+  const auto exact = check::replay_vector(hierarchy_configs(m), spec, 8);
   const auto fast = replay(m, spec, 8);
   EXPECT_EQ(exact.accesses, fast.accesses);
   EXPECT_EQ(exact.steady_miss_rate, fast.steady_miss_rate);
@@ -289,7 +290,7 @@ TEST(Replay, SteadyDramBytesIsTheMeasuredRepsDramTraffic) {
   expect_same_stats(rr.hierarchy, h, "hand-streamed");
   EXPECT_GT(h.level(h.levels() - 1).stats().writebacks, 0u);
   EXPECT_EQ(rr.steady_dram_bytes, h.dram_bytes() - warm_bytes);
-  EXPECT_EQ(replay_vector(cfgs, spec, 2).steady_dram_bytes,
+  EXPECT_EQ(check::replay_vector(cfgs, spec, 2).steady_dram_bytes,
             rr.steady_dram_bytes);
 }
 
@@ -297,7 +298,7 @@ TEST(Replay, RejectsNonPositiveReps) {
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Streaming);
   EXPECT_THROW((void)replay(m, spec, 0), std::invalid_argument);
-  EXPECT_THROW((void)replay_vector(hierarchy_configs(m), spec, 0),
+  EXPECT_THROW((void)check::replay_vector(hierarchy_configs(m), spec, 0),
                std::invalid_argument);
 }
 

@@ -351,7 +351,7 @@ TEST(Artifacts, RegistryCoversEveryFigureAndTable) {
 }
 
 TEST(Artifacts, UnknownNameThrows) {
-  engine::SweepEngine eng(engine::EngineOptions{.jobs = 1});
+  engine::SweepEngine eng;
   EXPECT_THROW((void)run_artifact("fig99", eng), std::invalid_argument);
 }
 
@@ -364,11 +364,11 @@ TEST(Artifacts, Tab4MatchesItsPolicyColumns) {
   EXPECT_EQ(rows.size(), 5u);  // header + the four x86 parts
 }
 
-TEST(Artifacts, SerialAndParallelEnginesRenderIdentically) {
-  engine::SweepEngine serial(engine::EngineOptions{.jobs = 1});
-  engine::SweepEngine parallel(engine::EngineOptions{.jobs = 0});
-  const auto a = run_artifact("fig1", serial);
-  const auto b = run_artifact("fig1", parallel);
+TEST(Artifacts, CachedAndUncachedEnginesRenderIdentically) {
+  engine::SweepEngine cached;
+  engine::SweepEngine uncached(engine::EngineOptions{.use_cache = false});
+  const auto a = run_artifact("fig1", cached);
+  const auto b = run_artifact("fig1", uncached);
   EXPECT_EQ(a.csv.text(), b.csv.text());
   EXPECT_FALSE(diff_csv(a.csv.text(), b.csv.text(), a.policy).has_value());
 }

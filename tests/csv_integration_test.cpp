@@ -68,17 +68,14 @@ TEST_F(CsvIntegration, ScalingCsvHasAllCells) {
 }
 
 TEST_F(CsvIntegration, BenchArgParsing) {
-  const char* argv1[] = {"prog", "--csv", "/tmp/x", "--jobs", "4",
-                         "--perf"};
-  const auto opt = parse_bench_args(6, const_cast<char**>(argv1));
+  const char* argv1[] = {"prog", "--csv", "/tmp/x", "--perf"};
+  const auto opt = parse_bench_args(4, const_cast<char**>(argv1));
   EXPECT_EQ(opt.csv_dir.value_or(""), "/tmp/x");
-  EXPECT_EQ(opt.jobs, 4);
   EXPECT_TRUE(opt.perf);
 
   const char* argv2[] = {"prog"};
   const auto defaults = parse_bench_args(1, const_cast<char**>(argv2));
   EXPECT_FALSE(defaults.csv_dir.has_value());
-  EXPECT_EQ(defaults.jobs, 0);
   EXPECT_FALSE(defaults.perf);
 }
 
@@ -89,12 +86,13 @@ TEST_F(CsvIntegration, BenchArgParsingRejectsBadFlags) {
   const char* unknown[] = {"prog", "--wat"};
   EXPECT_EXIT(parse_bench_args(2, const_cast<char**>(unknown)),
               ::testing::ExitedWithCode(64), "unknown flag");
+  // The engine has no worker count any more, so --jobs is unknown.
+  const char* jobs[] = {"prog", "--jobs", "4"};
+  EXPECT_EXIT(parse_bench_args(3, const_cast<char**>(jobs)),
+              ::testing::ExitedWithCode(64), "unknown flag '--jobs'");
   const char* badjobs[] = {"prog", "--jobs", "pony"};
   EXPECT_EXIT(parse_bench_args(3, const_cast<char**>(badjobs)),
-              ::testing::ExitedWithCode(64), "bad value");
-  const char* negjobs[] = {"prog", "--jobs", "-2"};
-  EXPECT_EXIT(parse_bench_args(3, const_cast<char**>(negjobs)),
-              ::testing::ExitedWithCode(64), "bad value");
+              ::testing::ExitedWithCode(64), "unknown flag '--jobs'");
 }
 
 }  // namespace

@@ -1,25 +1,27 @@
 // Sweep-engine contract tests: the engine is a pure scheduling/caching
 // layer, so (1) a cache hit returns exactly the breakdown the miss
-// computed, (2) a parallel run is bit-identical to a forced-serial run,
-// (3) the counters account for every request, (4) a throwing point
-// fails the batch without poisoning the engine, (5) a pipeline
-// produces identical outputs with the memo cache on and off, with
-// fewer simulations when it is on, and (6) the whole pipeline set is
-// pinned to an exact simulation count.
+// computed, (2) a large batch is bit-identical to scalar
+// Simulator::run, (3) the counters account for every request, (4) a
+// throwing point fails the batch without poisoning the engine, (5) a
+// pipeline produces identical outputs with the memo cache on and off,
+// with fewer simulations when it is on, and (6) the whole pipeline set
+// is pinned to an exact simulation count. The flat memo table itself
+// is tested directly (SimCache.*).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <iomanip>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "check/artifacts.hpp"
+#include "engine/cache.hpp"
 #include "engine/engine.hpp"
 #include "experiments/experiments.hpp"
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace sgp::engine {
@@ -54,7 +56,7 @@ sim::SimConfig fp32_threads(int n) {
 }
 
 TEST(SweepEngine, CacheHitReturnsTheIdenticalBreakdown) {
-  SweepEngine eng({.jobs = 1});
+  SweepEngine eng;
   const auto m = machine::sg2042();
   const auto sig = kernels::all_signatures().front();
   const auto cfg = fp32_threads(32);
@@ -70,65 +72,67 @@ TEST(SweepEngine, CacheHitReturnsTheIdenticalBreakdown) {
   EXPECT_EQ(c.cache_entries, 1u);
 }
 
-std::uint64_t pool_dispatches() {
-  return obs::registry().counter("pool.dispatches").value();
-}
-
-TEST(SweepEngine, ParallelGridIsBitIdenticalToSerial) {
-  SweepEngine parallel({.jobs = 8});
-  SweepEngine serial({.jobs = 1});
+TEST(SweepEngine, LargeGroupIsBitIdenticalToScalarRun) {
+  SweepEngine eng;
   const auto m = machine::sg2042();
-  const auto sigs = kernels::all_signatures();
-  // 64 signatures x 64 thread counts: enough misses to give each of
-  // the 8 workers a full pricing task, so the batch reaches the pool.
+  const auto sig = kernels::all_signatures().front();
+  // 64 thread counts x 3 placements x 2 precisions: one (machine,
+  // signature) group of 384 misses, priced through one EvalContext.
   std::vector<sim::SimConfig> cfgs;
-  for (int t = 1; t <= 64; ++t) cfgs.push_back(fp32_threads(t));
-  ASSERT_GE(sigs.size() * cfgs.size(),
-            8 * SweepEngine::kPriceChunk);
-
-  const std::uint64_t dispatches = pool_dispatches();
-  const auto par = parallel.run_grid(m, sigs, cfgs);
-  EXPECT_GT(pool_dispatches(), dispatches);
-  const auto ser = serial.run_grid(m, sigs, cfgs);
-  ASSERT_EQ(par.size(), ser.size());
-  ASSERT_EQ(par.size(), sigs.size() * cfgs.size());
-  for (std::size_t i = 0; i < par.size(); ++i) {
-    expect_same_breakdown(par[i], ser[i]);
+  for (const auto prec : {core::Precision::FP32, core::Precision::FP64}) {
+    for (const auto place :
+         {machine::Placement::Block, machine::Placement::CyclicNuma,
+          machine::Placement::ClusterCyclic}) {
+      for (int t = 1; t <= 64; ++t) {
+        sim::SimConfig cfg;
+        cfg.precision = prec;
+        cfg.placement = place;
+        cfg.nthreads = t;
+        cfgs.push_back(cfg);
+      }
+    }
   }
-  EXPECT_EQ(parallel.counters().simulations,
-            serial.counters().simulations);
+  ASSERT_GE(cfgs.size(), 384u);
+
+  const auto got = eng.run_grid(m, {&sig, 1}, cfgs);
+  ASSERT_EQ(got.size(), cfgs.size());
+  EXPECT_EQ(eng.counters().simulations, cfgs.size());
+  const sim::Simulator scalar(m);
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
+    expect_same_breakdown(got[i], scalar.run(sig, cfgs[i]));
+  }
 }
 
-TEST(SweepEngine, PipelinesAreIdenticalUnderParallelismAndCacheReuse) {
-  SweepEngine parallel({.jobs = 8});
-  SweepEngine serial({.jobs = 1});
+TEST(SweepEngine, PipelinesAreIdenticalWithCacheOnAndOffAndOnReuse) {
+  SweepEngine cached;
+  SweepEngine uncached({.use_cache = false});
 
-  const auto fig1_par = experiments::figure1(parallel);
-  const auto fig1_ser = experiments::figure1(serial);
-  ASSERT_EQ(fig1_par.size(), fig1_ser.size());
-  for (std::size_t s = 0; s < fig1_par.size(); ++s) {
-    EXPECT_EQ(fig1_par[s].label, fig1_ser[s].label);
+  const auto fig1_on = experiments::figure1(cached);
+  const auto fig1_off = experiments::figure1(uncached);
+  ASSERT_EQ(fig1_on.size(), fig1_off.size());
+  for (std::size_t s = 0; s < fig1_on.size(); ++s) {
+    EXPECT_EQ(fig1_on[s].label, fig1_off[s].label);
     // Exact double equality: map operator== compares values with ==.
-    EXPECT_TRUE(fig1_par[s].per_kernel_ratio ==
-                fig1_ser[s].per_kernel_ratio)
-        << fig1_par[s].label;
-    for (std::size_t g = 0; g < fig1_par[s].groups.size(); ++g) {
-      EXPECT_EQ(fig1_par[s].groups[g].mean, fig1_ser[s].groups[g].mean);
-      EXPECT_EQ(fig1_par[s].groups[g].min, fig1_ser[s].groups[g].min);
-      EXPECT_EQ(fig1_par[s].groups[g].max, fig1_ser[s].groups[g].max);
+    EXPECT_TRUE(fig1_on[s].per_kernel_ratio ==
+                fig1_off[s].per_kernel_ratio)
+        << fig1_on[s].label;
+    for (std::size_t g = 0; g < fig1_on[s].groups.size(); ++g) {
+      EXPECT_EQ(fig1_on[s].groups[g].mean, fig1_off[s].groups[g].mean);
+      EXPECT_EQ(fig1_on[s].groups[g].min, fig1_off[s].groups[g].min);
+      EXPECT_EQ(fig1_on[s].groups[g].max, fig1_off[s].groups[g].max);
     }
   }
 
-  const auto tab_par =
+  const auto tab_on =
       experiments::scaling_table(machine::Placement::ClusterCyclic,
-                                 parallel);
-  const auto tab_ser =
+                                 cached);
+  const auto tab_off =
       experiments::scaling_table(machine::Placement::ClusterCyclic,
-                                 serial);
-  ASSERT_TRUE(tab_par.thread_counts == tab_ser.thread_counts);
+                                 uncached);
+  ASSERT_TRUE(tab_on.thread_counts == tab_off.thread_counts);
   for (const auto g : core::all_groups) {
-    const auto& p = tab_par.cells.at(g);
-    const auto& s = tab_ser.cells.at(g);
+    const auto& p = tab_on.cells.at(g);
+    const auto& s = tab_off.cells.at(g);
     ASSERT_EQ(p.size(), s.size());
     for (std::size_t i = 0; i < p.size(); ++i) {
       EXPECT_EQ(p[i].speedup, s[i].speedup);
@@ -137,79 +141,14 @@ TEST(SweepEngine, PipelinesAreIdenticalUnderParallelismAndCacheReuse) {
   }
 
   // A second identical pipeline run must be served fully from cache.
-  const auto sims_before = parallel.counters().simulations;
-  const auto again = experiments::figure1(parallel);
-  EXPECT_EQ(parallel.counters().simulations, sims_before);
-  ASSERT_EQ(again.size(), fig1_par.size());
+  const auto sims_before = cached.counters().simulations;
+  const auto again = experiments::figure1(cached);
+  EXPECT_EQ(cached.counters().simulations, sims_before);
+  ASSERT_EQ(again.size(), fig1_on.size());
   for (std::size_t s = 0; s < again.size(); ++s) {
     EXPECT_TRUE(again[s].per_kernel_ratio ==
-                fig1_par[s].per_kernel_ratio);
+                fig1_on[s].per_kernel_ratio);
   }
-}
-
-/// Walks parent links: true when span `id` lies under span `ancestor`.
-bool descends_from(const std::vector<obs::SpanEvent>& events,
-                   std::uint64_t id, std::uint64_t ancestor) {
-  while (id != 0) {
-    if (id == ancestor) return true;
-    const auto it = std::find_if(events.begin(), events.end(),
-                                 [&](const auto& ev) { return ev.id == id; });
-    if (it == events.end()) return false;
-    id = it->parent;
-  }
-  return false;
-}
-
-TEST(SweepEngine, OnlyBatchesThatFillThePoolDispatchToIt) {
-  const auto m = machine::sg2042();
-  const auto sigs = kernels::all_signatures();
-  // 64 signatures x 8 thread counts = 512 misses, one full pricing task
-  // per worker at 2 jobs; then 64 fresh misses, too few to split.
-  std::vector<sim::SimConfig> large;
-  for (int t = 1; t <= 8; ++t) large.push_back(fp32_threads(t));
-  ASSERT_GE(sigs.size() * large.size(), 2 * SweepEngine::kPriceChunk);
-  const std::vector<sim::SimConfig> small = {fp32_threads(9)};
-
-  SweepEngine eng({.jobs = 2});
-  ASSERT_EQ(eng.jobs(), 2);
-  auto traced_events = [&](std::span<const sim::SimConfig> cfgs) {
-    obs::tracer().enable();
-    obs::tracer().clear();
-    (void)eng.run_grid(m, sigs, cfgs);
-    obs::tracer().disable();
-    return obs::tracer().events();
-  };
-
-  const auto events = traced_events(large);
-  std::uint64_t batch_id = 0;
-  for (const auto& ev : events) {
-    if (ev.name == "SweepEngine::run_batch") batch_id = ev.id;
-  }
-  ASSERT_NE(batch_id, 0u);
-  std::size_t dispatches = 0;
-  std::size_t chunks = 0;
-  for (const auto& ev : events) {
-    if (ev.name.starts_with("ThreadPool::")) {
-      ++dispatches;
-      EXPECT_TRUE(descends_from(events, ev.id, batch_id)) << ev.name;
-    }
-    if (ev.name == "pool.chunk") {
-      ++chunks;
-      EXPECT_TRUE(descends_from(events, ev.id, batch_id));
-    }
-  }
-  EXPECT_GT(dispatches, 0u);
-  EXPECT_GT(chunks, 0u);
-
-  const auto inline_events = traced_events(small);
-  EXPECT_EQ(eng.counters().simulations, sigs.size() * (large.size() + 1));
-  bool priced_in_batch = false;
-  for (const auto& ev : inline_events) {
-    EXPECT_FALSE(ev.name.starts_with("ThreadPool::")) << ev.name;
-    EXPECT_NE(ev.name, "pool.chunk");
-    priced_in_batch |= ev.name == "SweepEngine::run_batch";
-  }
-  EXPECT_TRUE(priced_in_batch);
 }
 
 TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
@@ -218,20 +157,17 @@ TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
   auto bad = sigs.front();
   bad.iters_per_rep = 0.0;  // Simulator::run rejects this
 
-  // One thread count prices on the calling thread; 16 give 1,024
-  // misses, a full task per worker, so the throw crosses the pool.
+  // A small batch (64 good points) and a large one (1,024): the bad
+  // signature's group comes last either way.
   for (const int nthreads : {1, 16}) {
-    SweepEngine eng({.jobs = 4});
+    SweepEngine eng;
     std::vector<SweepPoint> points;
     for (int t = 1; t <= nthreads; ++t) {
       for (const auto& s : sigs) points.push_back({&m, &s, fp32_threads(t)});
     }
     points.push_back({&m, &bad, fp32_threads(1)});
 
-    const std::uint64_t dispatches = pool_dispatches();
-    EXPECT_THROW((void)eng.run_batch(points), std::invalid_argument);
-    EXPECT_EQ(pool_dispatches() > dispatches,
-              points.size() >= 4 * SweepEngine::kPriceChunk)
+    EXPECT_THROW((void)eng.run_batch(points), std::invalid_argument)
         << nthreads;
 
     // The engine stays usable and the cached good points are intact.
@@ -241,7 +177,7 @@ TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
 }
 
 TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
-  SweepEngine eng({.jobs = 1, .use_cache = false});
+  SweepEngine eng({.use_cache = false});
   const auto m = machine::sg2042();
   const auto sig = kernels::all_signatures().front();
   const auto cfg = fp32_threads(32);
@@ -254,8 +190,8 @@ TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
 }
 
 TEST(SweepEngine, CacheOnAndOffProduceTheSameX86Comparison) {
-  SweepEngine uncached({.jobs = 0, .use_cache = false});
-  SweepEngine cached({.jobs = 0});
+  SweepEngine uncached({.use_cache = false});
+  SweepEngine cached;
 
   experiments::reset_best_threads_memo();
   const auto off = experiments::x86_comparison(
@@ -286,7 +222,7 @@ TEST(SweepEngine, CacheOnAndOffProduceTheSameX86Comparison) {
 }
 
 TEST(SweepEngine, BestThreadsMemoAsksTheEngineOnce) {
-  SweepEngine eng({.jobs = 1});
+  SweepEngine eng;
   experiments::reset_best_threads_memo();
   const int first = experiments::best_sg2042_threads(
       core::Group::Stream, core::Precision::FP32, eng);
@@ -306,7 +242,7 @@ TEST(SweepEngine, PipelinesOpenPhaseSpansAroundEngineBatches) {
   obs::tracer().enable();
   obs::tracer().clear();
   {
-    SweepEngine eng({.jobs = 1});
+    SweepEngine eng;
     (void)experiments::figure1(eng);
     (void)experiments::scaling_table(machine::Placement::Block, eng);
     (void)experiments::x86_comparison(core::Precision::FP64, false, eng);
@@ -332,7 +268,7 @@ TEST(SweepEngine, PipelinesOpenPhaseSpansAroundEngineBatches) {
   }
 }
 
-/// Exact Simulator::run count of a forced-serial cached engine over
+/// Exact Simulator::run count of a cached engine over
 /// render_pipeline_set: every distinct evaluation point the pipelines
 /// ask for, simulated once. Any change means a pipeline now asks for
 /// different points (or the memo cache stopped deduplicating them) and
@@ -375,25 +311,92 @@ std::string render_pipeline_set(SweepEngine& eng) {
   return out.str();
 }
 
-TEST(SweepEngine, PipelineSetIsPinnedAndIdenticalAcrossCacheJobsAndReuse) {
-  SweepEngine uncached({.jobs = 1, .use_cache = false});
-  SweepEngine parallel({.jobs = 4});
-  SweepEngine serial({.jobs = 1});
+TEST(SweepEngine, PipelineSetIsPinnedAndIdenticalAcrossCacheAndReuse) {
+  SweepEngine uncached({.use_cache = false});
+  SweepEngine cached;
 
   const auto reference = render_pipeline_set(uncached);
-  const auto first = render_pipeline_set(parallel);
-  const auto sims_first = parallel.counters().simulations;
-  const auto reuse = render_pipeline_set(parallel);
-  const auto forced_serial = render_pipeline_set(serial);
-
-  EXPECT_EQ(serial.counters().simulations, kPinnedSimulations);
-  EXPECT_LE(sims_first, kPinnedSimulations);
-  EXPECT_EQ(parallel.counters().simulations, sims_first)
+  const auto first = render_pipeline_set(cached);
+  EXPECT_EQ(cached.counters().simulations, kPinnedSimulations);
+  const auto reuse = render_pipeline_set(cached);
+  EXPECT_EQ(cached.counters().simulations, kPinnedSimulations)
       << "the reuse pass simulated";
   // Whole-text comparisons; a mismatch names the pair, not the diff.
   EXPECT_TRUE(first == reference) << "cache on vs off";
-  EXPECT_TRUE(forced_serial == first) << "serial vs parallel";
   EXPECT_TRUE(reuse == first) << "first run vs reuse";
+}
+
+// ------------------------------------------------- the flat memo --
+
+/// Inverse of an odd multiplier modulo 2^64 (Newton's iteration; each
+/// step doubles the correct low bits, starting from 3).
+constexpr std::uint64_t inverse_of(std::uint64_t a) {
+  std::uint64_t x = a;
+  for (int i = 0; i < 5; ++i) x *= 2 - a * x;
+  return x;
+}
+
+/// A key whose CacheKeyHash is exactly `h`: machine and signature are
+/// fixed and the config word is solved for. CacheKeyHash ends in
+/// h ^ (h >> 32), which is its own inverse.
+CacheKey key_with_hash(std::uint64_t h) {
+  constexpr std::uint64_t kMachine = 0x1234, kSignature = 0x5678;
+  const std::uint64_t prefix = kMachine * 0x9e3779b97f4a7c15ull ^
+                               kSignature * 0xc2b2ae3d27d4eb4full;
+  return {kMachine, kSignature,
+          ((h ^ (h >> 32)) ^ prefix) * inverse_of(0x165667b19e3779f9ull)};
+}
+
+sim::TimeBreakdown value_of(double v) {
+  sim::TimeBreakdown tb;
+  tb.compute_s = v;
+  tb.total_s = v;
+  return tb;
+}
+
+TEST(SimCache, FlatTableKeepsEveryKeyThroughGrowthAndClear) {
+  // 100,000 keys whose hashes all end in the same 16 bits, so a table
+  // indexed by low hash bits would put every key in one probe chain.
+  constexpr std::size_t kKeys = 100'000;
+  std::vector<CacheKey> keys;
+  for (std::uint64_t i = 0; i < 2 * kKeys; ++i) {
+    keys.push_back(key_with_hash(i << 16 | 0xbeef));
+  }
+  ASSERT_EQ(CacheKeyHash{}(keys.back()) & 0xffff, 0xbeefu);
+  const std::span<const CacheKey> stored(keys.data(), kKeys);
+  const std::span<const CacheKey> absent(keys.data() + kKeys, kKeys);
+
+  SimCache cache;
+  std::vector<sim::TimeBreakdown> results(kKeys);
+  std::vector<std::uint8_t> hit(kKeys);
+  for (const double offset : {0.0, 0.5}) {  // the second pass reuses
+    std::size_t fresh = 0;
+    std::size_t again = 0;
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      fresh += cache.insert(stored[i], value_of(i + offset));
+      again += cache.insert(stored[i], value_of(-1.0));
+    }
+    EXPECT_EQ(fresh, kKeys);
+    EXPECT_EQ(again, 0u);  // duplicates keep the first value
+    EXPECT_EQ(cache.stats().entries, kKeys);
+
+    cache.lookup_batch(stored, results, hit);
+    std::size_t found = 0;
+    for (std::size_t i = 0; i < kKeys; ++i) {
+      found += hit[i] && results[i].total_s == i + offset;
+    }
+    EXPECT_EQ(found, kKeys);
+    cache.lookup_batch(absent, results, hit);
+    EXPECT_EQ(std::count(hit.begin(), hit.end(), 0), kKeys);
+
+    cache.clear();
+    EXPECT_EQ(cache.stats().entries, 0u);
+    cache.lookup_batch(stored.first(1), results, hit);
+    EXPECT_EQ(hit[0], 0);
+  }
+  const CacheStats st = cache.stats();
+  EXPECT_EQ(st.hits, 2 * kKeys);
+  EXPECT_EQ(st.misses, 2 * kKeys + 2);
 }
 
 }  // namespace

@@ -4,9 +4,7 @@
 //   * the CSV artifacts are byte-identical with observability on and
 //     off (instrumentation never perturbs results);
 //   * the trace is well-formed Chrome trace_event JSON containing
-//     spans from the simulator and the sweep engine (fig1's batches are
-//     too small to wake the thread pool; engine_test checks pool spans
-//     in process);
+//     spans from the simulator and the sweep engine;
 //   * the manifest is well-formed and its cache accounting is
 //     internally consistent (hits + misses == requests, one
 //     simulation per miss).
@@ -60,7 +58,7 @@ TEST(ObsIntegration, BenchWithTraceAndMetricsMatchesPlainRun) {
 
   ASSERT_EQ(run(bin + " --csv " + plain.string()), 0);
   ASSERT_EQ(run(bin + " --csv " + traced.string() +
-                " --jobs 2 --trace " + trace_json.string() +
+                " --trace " + trace_json.string() +
                 " --metrics " + manifest_json.string()),
             0);
 

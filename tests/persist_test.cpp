@@ -343,13 +343,13 @@ TEST(PersistentStore, RetriesFailedAppendsUnderTheJitteredPolicy) {
 
 // ------------------------------------------------ engine round trip --
 
-engine::EngineOptions persistent_options(const std::string& dir, int jobs,
+engine::EngineOptions persistent_options(const std::string& dir,
                                          std::size_t flush_min = 4) {
   engine::EnginePersistence p;
   p.store.dir = dir;
   p.store.warn = false;
   p.flush_min_entries = flush_min;
-  return engine::EngineOptions{jobs, true, p};
+  return engine::EngineOptions{.persist = p};
 }
 
 /// A small deterministic sweep: every kernel signature on one machine
@@ -377,7 +377,7 @@ TEST(EnginePersist, WarmEngineReplaysWithoutSimulating) {
   std::vector<sim::TimeBreakdown> cold_out;
   std::uint64_t cold_sims = 0;
   {
-    engine::SweepEngine eng(persistent_options(dir.str(), 1));
+    engine::SweepEngine eng(persistent_options(dir.str()));
     cold_out = small_sweep(eng);
     cold_sims = eng.counters().simulations;
     EXPECT_GT(cold_sims, 0u);
@@ -386,7 +386,7 @@ TEST(EnginePersist, WarmEngineReplaysWithoutSimulating) {
     const auto name = e.path().filename().string();
     EXPECT_TRUE(name.starts_with("seg-") && name.ends_with(".sgpc")) << name;
   }
-  engine::SweepEngine warm(persistent_options(dir.str(), 1));
+  engine::SweepEngine warm(persistent_options(dir.str()));
   const auto warm_out = small_sweep(warm);
   const auto c = warm.counters();
   EXPECT_EQ(c.simulations, 0u);  // pure replay
@@ -408,7 +408,7 @@ TEST(EnginePersist, KilledMidFlushResumesByteIdentically) {
   // Reference: one uninterrupted run.
   std::vector<sim::TimeBreakdown> reference;
   {
-    engine::SweepEngine eng(persistent_options(ref_dir.str(), 1));
+    engine::SweepEngine eng(persistent_options(ref_dir.str()));
     reference = small_sweep(eng);
   }
 
@@ -420,10 +420,10 @@ TEST(EnginePersist, KilledMidFlushResumesByteIdentically) {
     const std::string kind = torn ? "torn tail" : "read bitflip";
     const TempDir dir(torn ? "kill" : "bitflip");
     {
-      engine::SweepEngine eng(persistent_options(dir.str(), 1));
+      engine::SweepEngine eng(persistent_options(dir.str()));
       small_sweep(eng);
     }
-    auto opts = persistent_options(dir.str(), 1);
+    auto opts = persistent_options(dir.str());
     resilience::FaultInjector injector(
         resilience::FaultPlan::parse("persist.read:bitflip:1"), 99u);
     std::string last;
@@ -478,7 +478,7 @@ TEST(EnginePersist, FlushFailuresKeepEntriesQueuedUntilTheFaultClears) {
   p.store.warn = false;
   p.store.retry.max_attempts = 1;  // no in-call retries: fail fast
   p.flush_min_entries = 1;
-  engine::SweepEngine eng(engine::EngineOptions{1, true, p});
+  engine::SweepEngine eng(engine::EngineOptions{.persist = p});
   small_sweep(eng);
   EXPECT_FALSE(eng.flush_persistent());
   const auto before = eng.counters();
@@ -510,7 +510,7 @@ TEST(EnginePersist, UndecodablePayloadIsCountedApartFromCorruption) {
   const auto undecodable_before = undecodable.value();
   const auto corrupt_before = corrupt.value();
 
-  engine::SweepEngine eng(persistent_options(dir.str(), 1));
+  engine::SweepEngine eng(persistent_options(dir.str()));
   const engine::SweepPoint point{&m, &sig, cfg};
   (void)eng.run_batch({&point, 1});
   const auto c = eng.counters();
@@ -521,10 +521,42 @@ TEST(EnginePersist, UndecodablePayloadIsCountedApartFromCorruption) {
   EXPECT_EQ(c.simulations, 0u);  // the valid entry replayed
 }
 
+TEST(EnginePersist, KeyAskedTwiceInOneBatchIsStoredQueuedAndFlushedOnce) {
+  const TempDir dir("twice");
+  const auto m = machine::sg2042();
+  const auto sig = kernels::all_signatures().front();
+  const engine::SweepPoint point{&m, &sig, sim::SimConfig{}};
+  const std::vector<engine::SweepPoint> batch{point, point};
+
+  engine::SweepEngine eng(persistent_options(dir.str(), 64));
+  const auto out = eng.run_batch(batch);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].total_s, out[1].total_s);
+  const auto c = eng.counters();
+  EXPECT_EQ(c.simulations, 2u);  // both misses are priced
+  EXPECT_EQ(c.cache_entries, 1u);
+  EXPECT_EQ(c.persist.pending_entries, 1u);
+
+  ASSERT_TRUE(eng.flush_persistent());
+  EXPECT_EQ(eng.counters().persist.store.entries_flushed, 1u);
+  std::uint64_t entries = 0;
+  const auto parse = engine::load_segment_file(
+      dir.file("seg-000001.sgpc"),
+      [&](std::span<const std::byte> payload) {
+        const auto entry = engine::decode_cache_entry(payload);
+        ASSERT_TRUE(entry.has_value());
+        EXPECT_EQ(entry->second.total_s, out[0].total_s);
+        ++entries;
+      },
+      nullptr, false);
+  EXPECT_EQ(parse.status, SegmentStatus::Ok);
+  EXPECT_EQ(entries, 1u);
+}
+
 // ------------------------------------------------- thread safety --
-// Aimed at -DSGP_SANITIZE=thread (the check_tsan target):
-// explicit flushes, batch-end flushes of parallel batches, stats
-// readers and clear() all race on the cache; TSan must stay quiet.
+// Aimed at -DSGP_SANITIZE=thread (the check_tsan target): explicit
+// flushes, batch-end flushes, stats readers and clear_cache() race on
+// one engine; they take turns on its mutex and TSan must stay quiet.
 
 TEST(EnginePersist, ConcurrentFlushesRaceBatchesStatsAndClearCleanly) {
   const TempDir dir("race");
@@ -532,7 +564,7 @@ TEST(EnginePersist, ConcurrentFlushesRaceBatchesStatsAndClearCleanly) {
   p.store.dir = dir.str();
   p.store.warn = false;
   p.flush_min_entries = 8;
-  engine::SweepEngine eng(engine::EngineOptions{4, true, p});
+  engine::SweepEngine eng(engine::EngineOptions{.persist = p});
 
   std::atomic<bool> stop{false};
   std::thread reader([&] {

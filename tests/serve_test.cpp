@@ -189,7 +189,6 @@ std::string sweep_line(const std::string& id, const std::string& kernel,
 
 TEST(Server, CoalescesIdenticalConcurrentRequests) {
   serve::ServerOptions opt;
-  opt.jobs = 1;
   opt.warn = false;
   serve::Server server(opt);
   Collector out;
@@ -222,7 +221,6 @@ TEST(Server, CoalescesIdenticalConcurrentRequests) {
 
 TEST(Server, RejectsOverloadDuplicateAndAfterShutdown) {
   serve::ServerOptions opt;
-  opt.jobs = 1;
   opt.max_queue = 2;
   opt.warn = false;
   serve::Server server(opt);
@@ -253,7 +251,6 @@ TEST(Server, RejectsOverloadDuplicateAndAfterShutdown) {
 
 TEST(Server, ExpiredDeadlineGetsStructuredErrorWithoutSimulating) {
   serve::ServerOptions opt;
-  opt.jobs = 1;
   opt.warn = false;
   serve::Server server(opt);
   Collector out;
@@ -281,7 +278,6 @@ TEST(Server, ExpiredDeadlineGetsStructuredErrorWithoutSimulating) {
 
 TEST(Server, FutureDeadlineEvaluatesEveryChunkUnchanged) {
   serve::ServerOptions opt;
-  opt.jobs = 1;
   opt.warn = false;
   serve::Server server(opt);
   Collector out;
@@ -328,7 +324,6 @@ TEST(Server, PipeModeAnswersEveryLine) {
       R"({"id":"never","op":"ping"})" + "\n");
   std::ostringstream out;
   serve::ServerOptions opt;
-  opt.jobs = 1;
   opt.warn = false;
   serve::Server server(opt);
   EXPECT_EQ(server.run_pipe(in, out), 0);
@@ -369,7 +364,6 @@ TEST(Server, WarmRestartServesFromDiskWithIdenticalPayloads) {
   auto run_session = [&](std::map<std::string, std::string>& by_id)
       -> engine::EngineCounters {
     serve::ServerOptions opt;
-    opt.jobs = 1;
     opt.warn = false;
     opt.persist_dir = dir.str();
     serve::Server server(opt);
@@ -422,7 +416,6 @@ TEST(Server, UnixSocketEndToEnd) {
   const std::string path = dir.str() + "/sgp.sock";
 
   serve::ServerOptions opt;
-  opt.jobs = 1;
   opt.warn = false;
   serve::Server server(opt);
   std::thread listener([&] { server.run_unix_socket(path); });
