@@ -343,6 +343,55 @@ TEST(Server, PipeModeAnswersEveryLine) {
   EXPECT_EQ(parse_errors, 1u);
 }
 
+// The kernel-name rejections are answered synchronously, so their full
+// response lines can be pinned in submission order.
+TEST(Server, KernelNameErrorLinesArePinned) {
+  serve::ServerOptions opt;
+  opt.warn = false;
+  serve::Server server(opt);
+  Collector out;
+  auto kernels_line = [](const std::string& id, const std::string& list) {
+    return "{\"id\":\"" + id +
+           "\",\"op\":\"sweep\",\"machine\":\"sg2042\",\"kernels\":[" +
+           list + "],\"threads\":1}";
+  };
+  server.submit_line(kernels_line("hint", R"("TRAID")"), out.sink());
+  server.submit_line(kernels_line("nohint", R"("QQQQQQQQQQQQ")"),
+                     out.sink());
+  server.submit_line(kernels_line("dup", R"("TRIAD","COPY","TRIAD")"),
+                     out.sink());
+  const std::vector<std::string> expected = {
+      R"({"id":"hint","ok":false,"error":{"code":"bad-request",)"
+      R"x("message":"unknown kernel 'TRAID' (did you mean 'TRIAD'?)"}})x",
+      R"({"id":"nohint","ok":false,"error":{"code":"bad-request",)"
+      R"("message":"unknown kernel 'QQQQQQQQQQQQ'"}})",
+      R"({"id":"dup","ok":false,"error":{"code":"bad-request",)"
+      R"("message":"duplicate kernel 'TRIAD'"}})"};
+  EXPECT_EQ(out.snapshot(), expected);
+}
+
+TEST(Protocol, SweepWithoutKernelsCoversTheSuiteInRegistryOrder) {
+  const auto req = parse_ok(
+      R"({"id":"all","op":"sweep","machine":"sg2042","threads":1})");
+  std::string joined;
+  for (const auto& k : req.kernels) joined += (joined.empty() ? "" : " ") + k;
+  EXPECT_EQ(joined,
+            "MEMCPY MEMSET REDUCE_SUM SCAN SORT SORTPAIRS "
+            "CONVECTION3DPA DEL_DOT_VEC_2D DIFFUSION3DPA ENERGY FIR "
+            "HALO_PACKING HALO_UNPACKING LTIMES LTIMES_NOVIEW MASS3DPA "
+            "NODAL_ACCUMULATION_3D PRESSURE VOL3D "
+            "DAXPY DAXPY_ATOMIC IF_QUAD INDEXLIST INDEXLIST_3LOOP INIT3 "
+            "INIT_VIEW1D INIT_VIEW1D_OFFSET MAT_MAT_SHARED MULADDSUB "
+            "NESTED_INIT PI_ATOMIC PI_REDUCE REDUCE3_INT REDUCE_STRUCT "
+            "TRAP_INT "
+            "DIFF_PREDICT EOS FIRST_DIFF FIRST_MIN FIRST_SUM GEN_LIN_RECUR "
+            "HYDRO_1D HYDRO_2D INT_PREDICT PLANCKIAN TRIDIAG_ELIM "
+            "2MM 3MM ADI ATAX FDTD_2D FLOYD_WARSHALL GEMM GEMVER GESUMMV "
+            "HEAT_3D JACOBI_1D JACOBI_2D MVT "
+            "ADD COPY DOT MUL TRIAD");
+  EXPECT_EQ(req.points(), 128u);  // 64 kernels x {FP32, FP64} x 1 thread
+}
+
 // The acceptance end-to-end: cold start -> mixed requests (duplicates,
 // one past-deadline, one malformed) -> drain -> restart on the same
 // persist dir -> same requests answered warm with >= 3x fewer
