@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
 
   int scalar_u74_wins = 0, vector_c906_wins = 0, total = 0;
   double scalar_sum = 0.0, vector_sum = 0.0;
-  for (const auto& [name, t_u74] : u74) {
+  for (std::size_t i = 0; i < u74.size(); ++i) {
     ++total;
-    const double scalar_ratio = c906_scalar.at(name) / t_u74;  // >1: U74 wins
-    const double vector_ratio = c906_vector.at(name) / t_u74;
+    const double scalar_ratio = c906_scalar[i] / u74[i];  // >1: U74 wins
+    const double vector_ratio = c906_vector[i] / u74[i];
     if (scalar_ratio > 1.0) ++scalar_u74_wins;
     if (vector_ratio < 1.0) ++vector_c906_wins;
     scalar_sum += scalar_ratio;
@@ -65,10 +65,11 @@ int main(int argc, char** argv) {
   if (opt.csv_dir) {
     report::CsvWriter csv({"kernel", "u74_s", "c906_scalar_s",
                            "c906_vector_s"});
-    for (const auto& [name, t_u74] : u74) {
-      csv.add_row({name, report::Table::num(t_u74, 6),
-                   report::Table::num(c906_scalar.at(name), 6),
-                   report::Table::num(c906_vector.at(name), 6)});
+    for (std::size_t i = 0; i < u74.size(); ++i) {
+      csv.add_row({kernels::all_signatures()[i].name,
+                   report::Table::num(u74[i], 6),
+                   report::Table::num(c906_scalar[i], 6),
+                   report::Table::num(c906_vector[i], 6)});
     }
     csv.write(*opt.csv_dir + "/background_d1.csv");
   }

@@ -47,10 +47,7 @@ int main(int argc, char** argv) {
                              "SG2042 32c FP32 ms", "Rome 64c FP32 ms",
                              "code path on C920"});
   for (const char* name : {"TRIAD", "DAXPY", "GEMM", "FIR", "JACOBI_2D"}) {
-    core::KernelSignature sig;
-    for (const auto& s : kernels::all_signatures()) {
-      if (s.name == name) sig = s;
-    }
+    const auto& sig = *kernels::find_signature(name);
     sim::SimConfig one;
     one.precision = core::Precision::FP32;
     sim::SimConfig many = one;

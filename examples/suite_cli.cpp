@@ -54,7 +54,6 @@
 //
 // Exit codes: 0 = all kernels ok (or skipped), 1 = completed with
 // partial failures, 2 = fatal error, 64 = usage error.
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -270,7 +269,7 @@ std::uint64_t params_fingerprint(const core::RunParams& rp) {
 // ------------------------------------------------ kernel checkpoint --
 //
 // The checkpoint is ONE segment file in the engine/persist.hpp format
-// (versioned header, per-entry FNV checksums), rewritten atomically
+// (versioned header, per-entry checksums), rewritten atomically
 // after every completed kernel. Payload 0 is a params-fingerprint
 // header; each further payload is one completed-ok KernelRunRecord.
 // Failed/skipped runs are never persisted, so a resume re-runs them.
@@ -499,20 +498,17 @@ int run_simulated(const Options& opt) {
   // Same kernel selection rules as the native path, resolved against
   // the model signatures instead of the native registry.
   std::vector<core::KernelSignature> sigs;
-  const auto all = kernels::all_signatures();
   if (!opt.kernels.empty()) {
     for (const auto& name : opt.kernels) {
-      const auto it = std::find_if(
-          all.begin(), all.end(),
-          [&](const core::KernelSignature& s) { return s.name == name; });
-      if (it == all.end()) {
+      const core::KernelSignature* sig = kernels::find_signature(name);
+      if (sig == nullptr) {
         std::cerr << "error: unknown kernel '" << name << "'\n";
         return 64;
       }
-      sigs.push_back(*it);
+      sigs.push_back(*sig);
     }
   } else {
-    for (const auto& s : all) {
+    for (const auto& s : kernels::all_signatures()) {
       if (!opt.group || s.group == *opt.group) sigs.push_back(s);
     }
   }

@@ -157,16 +157,11 @@ CheckReport fuzz_invariants(unsigned first_seed, unsigned num_seeds,
                             const FuzzOptions& opt, int jobs) {
   std::vector<core::KernelSignature> sigs;
   for (const auto& name : opt.kernels) {
-    bool found = false;
-    for (const auto& s : kernels::all_signatures()) {
-      if (s.name == name) {
-        sigs.push_back(s);
-        found = true;
-      }
-    }
-    if (!found) {
+    const core::KernelSignature* sig = kernels::find_signature(name);
+    if (sig == nullptr) {
       throw std::invalid_argument("fuzz_invariants: unknown kernel " + name);
     }
+    sigs.push_back(*sig);
   }
 
   // One shard per seed; the InvariantChecker (and its Simulator) is

@@ -7,7 +7,7 @@
 //   * every segment is produced write-temp-then-rename, so a crash
 //     leaves either no new segment or a complete one — plus possibly a
 //     "*.tmp" file, which the loader deletes as debris;
-//   * every entry carries an FNV-1a checksum and the header declares
+//   * every entry carries a 64-bit checksum and the header declares
 //     the entry count, so torn writes, bit rot and truncation — even
 //     truncation at an exact entry boundary — are detected;
 //   * a segment is the atomic unit of recovery: the loader verifies
@@ -52,7 +52,10 @@ inline constexpr char kSegmentMagic[8] = {'S', 'G', 'P', 'C',
 /// structured note fields (kind, compiler, mode, rollback).
 inline constexpr std::uint32_t kSegmentVersion = 2;
 /// Header: magic(8) + version(4) + reserved(4, must be 0) + entry
-/// count(8). Entries follow: [len u32][payload][fnv1a(payload) u64].
+/// count(8). Entries follow: [len u32][payload][checksum u64], the
+/// checksum being byte-wise FNV-1a steps over the payload from
+/// engine::Fnv1a's offset basis (the published FNV-1a-64 basis with its
+/// last digit dropped), so not the published FNV-1a-64 values.
 inline constexpr std::size_t kSegmentHeaderSize = 24;
 
 enum class SegmentStatus {

@@ -1,8 +1,7 @@
 #include "experiments/experiments.hpp"
 
 #include <algorithm>
-#include <mutex>
-#include <stdexcept>
+#include <array>
 #include <utility>
 
 #include "engine/engine.hpp"
@@ -24,38 +23,20 @@ using sim::SimConfig;
 
 namespace {
 
-const std::vector<core::KernelSignature>& signatures() {
-  static const std::vector<core::KernelSignature> sigs =
-      kernels::all_signatures();
-  return sigs;
-}
-
-/// Per-kernel ratios baseline/subject.
-std::map<std::string, double> time_ratios(
-    const std::map<std::string, double>& baseline,
-    const std::map<std::string, double>& subject) {
-  std::map<std::string, double> out;
-  for (const auto& [name, tb] : baseline) {
-    const auto it = subject.find(name);
-    if (it == subject.end()) {
-      throw std::logic_error("time_ratios: missing kernel " + name);
-    }
-    out[name] = tb / it->second;
-  }
-  return out;
-}
-
-RatioSeries make_series(std::string label,
-                        const std::map<std::string, double>& baseline,
-                        const std::map<std::string, double>& subject) {
+RatioSeries make_series(std::string label, const std::vector<double>& baseline,
+                        const std::vector<double>& subject) {
   RatioSeries s;
   s.label = std::move(label);
-  s.per_kernel_ratio = time_ratios(baseline, subject);
-  s.groups = summarize_by_group(s.per_kernel_ratio, suite_groups());
+  s.per_kernel_ratio.reserve(baseline.size());
+  for (std::size_t i = 0; i < baseline.size(); ++i) {
+    s.per_kernel_ratio.push_back(baseline[i] / subject[i]);
+  }
+  s.groups = summarize_by_group(s.per_kernel_ratio, kernels::all_signatures());
   return s;
 }
 
-/// SimConfig for best_sg2042_threads candidates (cluster placement).
+/// SimConfig of the SG2042 x86 baseline and its thread candidates
+/// (cluster placement).
 SimConfig best_threads_cfg(Precision prec, int n) {
   SimConfig c;
   c.precision = prec;
@@ -66,36 +47,32 @@ SimConfig best_threads_cfg(Precision prec, int n) {
   return c;
 }
 
-/// Unmemoized kernel of best_sg2042_threads: sums the class's times at
-/// each candidate thread count in suite order, exactly as the historic
-/// serial loop did, so the winner (including tie-breaks) is unchanged.
-int best_threads_uncached(Group g, Precision prec, SweepEngine& eng) {
-  const auto& sg = pipeline_machine();
-  std::vector<core::KernelSignature> group_sigs;
-  for (const auto& sig : signatures()) {
-    if (sig.group == g) group_sigs.push_back(sig);
-  }
-  const SimConfig cfgs[] = {best_threads_cfg(prec, 32),
-                            best_threads_cfg(prec, 64)};
-  const auto times = eng.run_grid(sg, group_sigs, cfgs);
-  double best_time = 0.0;
-  int best_n = 32;
+/// best_sg2042_threads for every class at once, indexed by group: one
+/// {32, 64} grid over the suite; each class's times are summed in suite
+/// order and the first strictly smaller total wins.
+std::array<int, core::all_groups.size()> best_threads_by_group(
+    Precision prec, SweepEngine& eng) {
+  const auto& sigs = kernels::all_signatures();
   const int candidates[] = {32, 64};
-  for (std::size_t c = 0; c < 2; ++c) {
-    double total = 0.0;
-    for (std::size_t s = 0; s < group_sigs.size(); ++s) {
-      total += times[c * group_sigs.size() + s].total_s;
-    }
-    if (best_time == 0.0 || total < best_time) {
-      best_time = total;
-      best_n = candidates[c];
+  const SimConfig cfgs[] = {best_threads_cfg(prec, candidates[0]),
+                            best_threads_cfg(prec, candidates[1])};
+  const auto times = eng.run_grid(pipeline_machine(), sigs, cfgs);
+  std::array<int, core::all_groups.size()> best{};
+  for (const Group g : core::all_groups) {
+    double best_time = 0.0;
+    for (std::size_t c = 0; c < 2; ++c) {
+      double total = 0.0;
+      for (std::size_t s = 0; s < sigs.size(); ++s) {
+        if (sigs[s].group == g) total += times[c * sigs.size() + s].total_s;
+      }
+      if (best_time == 0.0 || total < best_time) {
+        best_time = total;
+        best[static_cast<std::size_t>(g)] = candidates[c];
+      }
     }
   }
-  return best_n;
+  return best;
 }
-
-std::mutex best_threads_mu;
-std::map<std::pair<Group, Precision>, int> best_threads_memo;
 
 }  // namespace
 
@@ -103,42 +80,30 @@ const machine::MachineDescriptor& pipeline_machine() {
   return machine::shared_registry().descriptor("sg2042");
 }
 
-const std::map<std::string, core::Group>& suite_groups() {
-  static const std::map<std::string, core::Group> groups = [] {
-    std::map<std::string, core::Group> out;
-    for (const auto& sig : signatures()) out[sig.name] = sig.group;
-    return out;
-  }();
-  return groups;
-}
-
-std::map<std::string, double> kernel_times(
-    const machine::MachineDescriptor& m, const SimConfig& cfg,
-    SweepEngine& eng) {
+std::vector<double> kernel_times(const machine::MachineDescriptor& m,
+                                 const SimConfig& cfg, SweepEngine& eng) {
   const SimConfig cfgs[] = {cfg};
-  const auto times = eng.run_grid(m, signatures(), cfgs);
-  std::map<std::string, double> out;
-  for (std::size_t i = 0; i < signatures().size(); ++i) {
-    out[signatures()[i].name] = times[i].total_s;
-  }
+  const auto times = eng.run_grid(m, kernels::all_signatures(), cfgs);
+  std::vector<double> out;
+  out.reserve(times.size());
+  for (const auto& t : times) out.push_back(t.total_s);
   return out;
 }
 
-std::map<std::string, double> kernel_times(
-    const machine::MachineDescriptor& m, const SimConfig& cfg) {
+std::vector<double> kernel_times(const machine::MachineDescriptor& m,
+                                 const SimConfig& cfg) {
   return kernel_times(m, cfg, engine::shared_engine());
 }
 
 std::vector<GroupRatios> summarize_by_group(
-    const std::map<std::string, double>& ratios,
-    const std::map<std::string, core::Group>& groups) {
+    std::span<const double> ratios,
+    std::span<const core::KernelSignature> sigs) {
   std::vector<GroupRatios> out;
   for (const Group g : core::all_groups) {
     std::vector<double> encoded;
-    for (const auto& [name, r] : ratios) {
-      const auto it = groups.find(name);
-      if (it != groups.end() && it->second == g) {
-        encoded.push_back(report::encode_ratio(r));
+    for (std::size_t i = 0; i < ratios.size(); ++i) {
+      if (sigs[i].group == g) {
+        encoded.push_back(report::encode_ratio(ratios[i]));
       }
     }
     GroupRatios gr;
@@ -219,29 +184,21 @@ ScalingTable scaling_table(Placement placement, SweepEngine& eng) {
   std::vector<SimConfig> cfgs;
   cfgs.push_back(cfg(1));
   for (const int n : table.thread_counts) cfgs.push_back(cfg(n));
-  const auto times = eng.run_grid(sg, signatures(), cfgs);
-  const std::size_t nsigs = signatures().size();
+  const auto& sigs = kernels::all_signatures();
+  const auto times = eng.run_grid(sg, sigs, cfgs);
+  const std::size_t nsigs = sigs.size();
 
-  // Serial baseline per kernel (grid row 0).
-  std::map<std::string, double> t1;
-  for (std::size_t s = 0; s < nsigs; ++s) {
-    t1[signatures()[s].name] = times[s].total_s;
-  }
-
-  for (const Group g : core::all_groups) {
-    table.cells[g] = {};
-  }
   for (std::size_t row = 0; row < table.thread_counts.size(); ++row) {
     const int n = table.thread_counts[row];
-    // Class speedup = arithmetic mean of per-kernel speedups.
-    std::map<Group, std::vector<double>> per_group;
-    for (std::size_t s = 0; s < nsigs; ++s) {
-      const auto& sig = signatures()[s];
-      const double tn = times[(row + 1) * nsigs + s].total_s;
-      per_group[sig.group].push_back(t1[sig.name] / tn);
-    }
     for (const Group g : core::all_groups) {
-      const auto& v = per_group[g];
+      // Class speedup = arithmetic mean of per-kernel speedups over the
+      // serial baseline (grid row 0).
+      std::vector<double> v;
+      for (std::size_t s = 0; s < nsigs; ++s) {
+        if (sigs[s].group == g) {
+          v.push_back(times[s].total_s / times[(row + 1) * nsigs + s].total_s);
+        }
+      }
       ScalingCell cell;
       cell.speedup = report::arithmetic_mean(
           std::span<const double>(v.data(), v.size()));
@@ -304,7 +261,7 @@ std::vector<Fig3Row> figure3(SweepEngine& eng) {
       "HEAT_3D", "JACOBI_1D", "JACOBI_2D"};
 
   std::vector<core::KernelSignature> poly;
-  for (const auto& sig : signatures()) {
+  for (const auto& sig : kernels::all_signatures()) {
     if (sig.group == Group::Polybench) poly.push_back(sig);
   }
   const SimConfig cfgs[] = {cfg(CompilerId::Gcc, VectorMode::VLS),
@@ -339,25 +296,14 @@ std::vector<Fig3Row> figure3() {
 }
 
 int best_sg2042_threads(Group g, Precision prec, SweepEngine& eng) {
-  {
-    std::lock_guard<std::mutex> lock(best_threads_mu);
-    const auto it = best_threads_memo.find({g, prec});
-    if (it != best_threads_memo.end()) return it->second;
-  }
-  const int best = best_threads_uncached(g, prec, eng);
-  std::lock_guard<std::mutex> lock(best_threads_mu);
-  best_threads_memo.emplace(std::make_pair(g, prec), best);
-  return best;
+  return best_threads_by_group(prec, eng)[static_cast<std::size_t>(g)];
 }
 
 int best_sg2042_threads(Group g, Precision prec) {
   return best_sg2042_threads(g, prec, engine::shared_engine());
 }
 
-void reset_best_threads_memo() {
-  std::lock_guard<std::mutex> lock(best_threads_mu);
-  best_threads_memo.clear();
-}
+void reset_best_threads_memo() {}
 
 std::vector<RatioSeries> x86_comparison(Precision prec, bool multithreaded,
                                         SweepEngine& eng) {
@@ -368,24 +314,20 @@ std::vector<RatioSeries> x86_comparison(Precision prec, bool multithreaded,
 
   // SG2042 baseline: single core, or the most performant thread count
   // per class with cluster placement (Section 3.2's best practice).
-  std::map<std::string, double> baseline;
+  std::vector<double> baseline;
   {
-    SimConfig c;
-    c.precision = prec;
-    c.compiler = CompilerId::Gcc;
-    c.vector_mode = VectorMode::VLS;
-    c.placement = Placement::ClusterCyclic;
+    std::array<int, core::all_groups.size()> threads;
+    threads.fill(1);
+    if (multithreaded) threads = best_threads_by_group(prec, eng);
+    const auto& sigs = kernels::all_signatures();
     std::vector<engine::SweepPoint> points;
-    points.reserve(signatures().size());
-    for (const auto& sig : signatures()) {
-      c.nthreads =
-          multithreaded ? best_sg2042_threads(sig.group, prec, eng) : 1;
-      points.push_back(engine::SweepPoint{&sg, &sig, c});
+    points.reserve(sigs.size());
+    for (const auto& sig : sigs) {
+      const int n = threads[static_cast<std::size_t>(sig.group)];
+      points.push_back(
+          engine::SweepPoint{&sg, &sig, best_threads_cfg(prec, n)});
     }
-    const auto times = eng.run_batch(points);
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      baseline[points[i].signature->name] = times[i].total_s;
-    }
+    for (const auto& t : eng.run_batch(points)) baseline.push_back(t.total_s);
   }
 
   std::vector<RatioSeries> out;

@@ -3,19 +3,21 @@
 // the paper's qualitative findings on the same structured outputs.
 //
 // Every pipeline runs on the sweep engine (src/engine): evaluation
-// points are memoized in a content-addressed cache and fanned out over
-// a thread pool, so pipelines sharing points (the x86 baselines, the
-// scaling tables, repeated invocations from tests and bench binaries in
-// one process) stop re-simulating them. The parameterless overloads use
-// the process-wide engine::shared_engine(); results are bit-identical
-// to the historical serial code by construction (the engine only
-// schedules and caches — the models are untouched).
+// points are memoized in a content-addressed cache, so pipelines sharing
+// points (the x86 baselines, the scaling tables, repeated invocations
+// from tests and bench binaries in one process) stop re-simulating them.
+// The parameterless overloads use the process-wide
+// engine::shared_engine(). Per-kernel values are vectors aligned with
+// kernels::all_signatures(); inside a class that is ascending name
+// order, so every per-class sum runs in a fixed order.
 #pragma once
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/signature.hpp"
 #include "core/types.hpp"
 #include "machine/descriptor.hpp"
 #include "machine/placement.hpp"
@@ -31,17 +33,17 @@ namespace sgp::experiments {
 // --------------------------------------------------- pipeline machine --
 /// The machine the SG2042-centric pipelines (figure1's SG series,
 /// figure2/3, scaling tables, the x86 comparison baseline and the
-/// best-threads memo) run on: machine::shared_registry()'s "sg2042".
+/// best-thread search) run on: machine::shared_registry()'s "sg2042".
 /// Returns a registry-stable reference.
 const machine::MachineDescriptor& pipeline_machine();
 
 /// Per-kernel simulated times (seconds over all reps) for one machine
-/// under one configuration, keyed by kernel name.
-std::map<std::string, double> kernel_times(
-    const machine::MachineDescriptor& m, const sim::SimConfig& cfg);
-std::map<std::string, double> kernel_times(
-    const machine::MachineDescriptor& m, const sim::SimConfig& cfg,
-    engine::SweepEngine& eng);
+/// under one configuration, aligned with kernels::all_signatures().
+std::vector<double> kernel_times(const machine::MachineDescriptor& m,
+                                 const sim::SimConfig& cfg);
+std::vector<double> kernel_times(const machine::MachineDescriptor& m,
+                                 const sim::SimConfig& cfg,
+                                 engine::SweepEngine& eng);
 
 /// A per-class summary of encoded ratios (the paper's bar + whiskers):
 /// mean/min/max are in the paper's "times faster/slower" encoding.
@@ -57,8 +59,9 @@ struct GroupRatios {
 struct RatioSeries {
   std::string label;
   std::vector<GroupRatios> groups;  // in all_groups order
-  /// Raw per-kernel time ratios baseline/subject (>1 = subject faster).
-  std::map<std::string, double> per_kernel_ratio;
+  /// Raw per-kernel time ratios baseline/subject (>1 = subject faster),
+  /// aligned with kernels::all_signatures().
+  std::vector<double> per_kernel_ratio;
 };
 
 // ---------------------------------------------------------- Figure 1 --
@@ -118,24 +121,21 @@ std::vector<RatioSeries> x86_comparison(core::Precision prec,
 
 /// The most performant SG2042 thread count for a class (the paper found
 /// 32 beats 64 for some classes); candidates {32, 64}, cluster placement.
-/// Memoized per (group, precision) process-wide, so the x86 baselines
-/// ask once per class instead of once per kernel.
+/// Prices the whole suite's candidate grid; a repeated ask is served by
+/// the engine's memo.
 int best_sg2042_threads(core::Group g, core::Precision prec);
 int best_sg2042_threads(core::Group g, core::Precision prec,
                         engine::SweepEngine& eng);
 
-/// Drops the best_sg2042_threads memo, so a test can count a fresh
-/// engine's requests and simulations from a clean slate.
+/// Does nothing: there is no best-thread memo outside the engine any
+/// more. Kept only for callers that still reset it between runs.
 void reset_best_threads_memo();
 
 // ------------------------------------------------------------ Helpers --
-/// Mean/min/max of encoded ratios per group, given per-kernel ratios and
-/// a name->group mapping.
+/// Mean/min/max of encoded ratios per group, in all_groups order;
+/// ratios[i] belongs to sigs[i]'s group.
 std::vector<GroupRatios> summarize_by_group(
-    const std::map<std::string, double>& ratios,
-    const std::map<std::string, core::Group>& groups);
-
-/// Name -> group for the whole suite, built once.
-const std::map<std::string, core::Group>& suite_groups();
+    std::span<const double> ratios,
+    std::span<const core::KernelSignature> sigs);
 
 }  // namespace sgp::experiments

@@ -99,13 +99,23 @@ core::Registry make_registry() {
   return reg;
 }
 
-std::vector<core::KernelSignature> all_signatures() {
-  const core::Registry reg = make_registry();
-  std::vector<core::KernelSignature> sigs;
-  for (const auto& name : reg.names()) {
-    sigs.push_back(reg.create(name)->signature());
-  }
+const std::vector<core::KernelSignature>& all_signatures() {
+  static const std::vector<core::KernelSignature> sigs = [] {
+    const core::Registry reg = make_registry();
+    std::vector<core::KernelSignature> out;
+    for (const auto& name : reg.names()) {
+      out.push_back(reg.create(name)->signature());
+    }
+    return out;
+  }();
   return sigs;
+}
+
+const core::KernelSignature* find_signature(std::string_view name) {
+  for (const auto& sig : all_signatures()) {
+    if (sig.name == name) return &sig;
+  }
+  return nullptr;
 }
 
 }  // namespace sgp::kernels

@@ -1,11 +1,9 @@
 #include "serve/protocol.hpp"
 
-#include <algorithm>
-#include <map>
-#include <mutex>
 #include <set>
 #include <utility>
 
+#include "core/names.hpp"
 #include "engine/fingerprint.hpp"
 #include "kernels/register_all.hpp"
 #include "machine/descriptor.hpp"
@@ -42,12 +40,6 @@ std::string_view to_string(Op op) noexcept {
 }
 
 namespace {
-
-/// Registry-backed kernel name validation with did-you-mean.
-const core::Registry& kernel_registry() {
-  static const core::Registry reg = kernels::make_registry();
-  return reg;
-}
 
 struct FieldError {
   ServeError err;
@@ -216,12 +208,18 @@ Request build_request(const obs::JsonValue& root,
       req.kernels.push_back(field_str(k, "kernels[]", 64));
     }
   } else {
-    req.kernels = kernel_registry().names();  // default: the full suite
+    for (const auto& sig : kernels::all_signatures()) {
+      req.kernels.push_back(sig.name);  // default: the full suite
+    }
   }
   std::set<std::string> seen;
   for (const auto& k : req.kernels) {
-    if (!kernel_registry().contains(k)) {
-      const std::string close = kernel_registry().closest(k);
+    if (kernels::find_signature(k) == nullptr) {
+      std::vector<std::string> names;
+      for (const auto& sig : kernels::all_signatures()) {
+        names.push_back(sig.name);
+      }
+      const std::string close = core::closest_name(k, names);
       bad("unknown kernel '" + k + "'" +
           (close.empty() ? "" : " (did you mean '" + close + "'?)"));
     }

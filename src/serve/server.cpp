@@ -58,19 +58,6 @@ struct ServeMetrics {
   }
 };
 
-/// Kernel name -> signature, built once (signatures are borrowed by
-/// engine::SweepPoint, so storage must be stable).
-const std::map<std::string, core::KernelSignature>& signature_map() {
-  static const std::map<std::string, core::KernelSignature> sigs = [] {
-    std::map<std::string, core::KernelSignature> out;
-    for (auto& sig : kernels::all_signatures()) {
-      out.emplace(sig.name, std::move(sig));
-    }
-    return out;
-  }();
-  return sigs;
-}
-
 std::string bool_str(bool b) { return b ? "true" : "false"; }
 
 }  // namespace
@@ -401,13 +388,12 @@ std::string Server::evaluate(
   if (m == nullptr) {
     throw std::logic_error("validated machine vanished: " + req.machine);
   }
-  const auto& sigs = signature_map();
 
   std::vector<engine::SweepPoint> pts;
   pts.reserve(req.points());
   for (const auto& kernel : req.kernels) {
-    const auto sit = sigs.find(kernel);
-    if (sit == sigs.end()) {
+    const core::KernelSignature* sig = kernels::find_signature(kernel);
+    if (sig == nullptr) {
       throw std::logic_error("validated kernel vanished: " + kernel);
     }
     for (const auto prec : req.precisions) {
@@ -418,7 +404,7 @@ std::string Server::evaluate(
         cfg.vector_mode = req.vector_mode;
         cfg.nthreads = n;
         cfg.placement = req.placement;
-        pts.push_back(engine::SweepPoint{m, &sit->second, cfg});
+        pts.push_back(engine::SweepPoint{m, sig, cfg});
       }
     }
   }

@@ -294,6 +294,36 @@ TEST(Replay, SteadyDramBytesIsTheMeasuredRepsDramTraffic) {
             rr.steady_dram_bytes);
 }
 
+TEST(Replay, SteadyDramBytesWritesBackWhatTheMeasuredRepWrote) {
+  // A read+write sweep of two arrays, each the size of the last level:
+  // in the measured rep every written line leaves the last level dirty
+  // exactly once, so the rep's DRAM traffic beyond its last-level fills
+  // is one writeback per written byte. Fills alone (writebacks dropped)
+  // reach the validator's 1.25x write-allocate floor on some machines;
+  // this check fails on every machine.
+  for (const auto& m : machine::all_machines()) {
+    const auto llc = hierarchy_configs(m).back();
+    SweepSpec spec;
+    spec.arrays = 2;
+    spec.elem_bytes = 8;
+    spec.elems = llc.size_bytes / spec.elem_bytes;
+
+    const auto cold = replay(m, spec, 1);
+    const auto both = replay(m, spec, 2);
+    const std::size_t last = both.hierarchy.levels() - 1;
+    const std::uint64_t fill_bytes =
+        (both.hierarchy.level(last).stats().misses() -
+         cold.hierarchy.level(last).stats().misses()) *
+        llc.line_bytes;
+    const double written = static_cast<double>(spec.elems * spec.elem_bytes);
+    const double written_back =
+        static_cast<double>(both.steady_dram_bytes) -
+        static_cast<double>(fill_bytes);
+    EXPECT_GT(written_back, 0.95 * written) << m.name;
+    EXPECT_LT(written_back, 1.05 * written) << m.name;
+  }
+}
+
 TEST(Replay, RejectsNonPositiveReps) {
   const auto m = machine::visionfive_v2();
   const auto spec = small_spec(AccessPattern::Streaming);

@@ -18,13 +18,6 @@
 namespace sgp::check {
 namespace {
 
-core::KernelSignature find_sig(const std::string& name) {
-  for (const auto& s : kernels::all_signatures()) {
-    if (s.name == name) return s;
-  }
-  throw std::runtime_error("no kernel " + name);
-}
-
 /// sg2042 with a vector unit realising 1% of ideal scaling: its vector
 /// path loses to forced-scalar code, so check_machine reports
 /// scalar-floor violations.
@@ -118,7 +111,7 @@ TEST(InvariantChecker, Sg2042PointsAreClean) {
   InvariantChecker checker(machine::sg2042());
   CheckReport report;
   for (const char* name : {"TRIAD", "GEMM", "DOT"}) {
-    const auto sig = find_sig(name);
+    const auto& sig = *kernels::find_signature(name);
     for (const int t : {1, 32, 64}) {
       sim::SimConfig cfg;
       cfg.precision = core::Precision::FP32;
@@ -151,7 +144,7 @@ TEST(InvariantChecker, ScalarFloorFiresOnMiscalibratedVectorUnit) {
   CheckReport report;
   sim::SimConfig cfg;
   cfg.precision = core::Precision::FP32;
-  checker.check_point(find_sig("GEMM"), cfg, report);
+  checker.check_point(*kernels::find_signature("GEMM"), cfg, report);
   ASSERT_FALSE(report.ok());
   const auto hit = std::find_if(
       report.violations.begin(), report.violations.end(),
@@ -167,7 +160,8 @@ TEST(InvariantChecker, ScalarFloorFiresOnMiscalibratedVectorUnit) {
 
 TEST(InvariantChecker, CheckMachineCoversTheGrid) {
   const auto report = check_machine(
-      machine::visionfive_v2(), {find_sig("TRIAD"), find_sig("GEMM")});
+      machine::visionfive_v2(),
+      {*kernels::find_signature("TRIAD"), *kernels::find_signature("GEMM")});
   EXPECT_TRUE(report.ok()) << to_string(report.violations.front());
   EXPECT_GT(report.points, 50u);
 }
@@ -227,8 +221,8 @@ TEST(Sharding, CheckMachineIsJobCountInvariant) {
   auto big_l2 = broken_vector_sg2042();
   big_l2.name = "sg2042-broken-vector-64mib-l2";
   big_l2.l2.size_bytes *= 64;
-  const auto sigs = std::vector<core::KernelSignature>{find_sig("TRIAD"),
-                                                       find_sig("GEMM")};
+  const auto sigs = std::vector<core::KernelSignature>{
+      *kernels::find_signature("TRIAD"), *kernels::find_signature("GEMM")};
   for (const auto& m : {broken_vector_sg2042(), big_l2}) {
     const auto serial = check_machine(m, sigs, {}, /*jobs=*/1);
     const auto parallel = check_machine(m, sigs, {}, /*jobs=*/4);
@@ -293,8 +287,8 @@ TEST(Sharding, CheckMachineCountersMatchTheReport) {
     }
     return sum;
   };
-  const auto sigs = std::vector<core::KernelSignature>{find_sig("TRIAD"),
-                                                       find_sig("GEMM")};
+  const auto sigs = std::vector<core::KernelSignature>{
+      *kernels::find_signature("TRIAD"), *kernels::find_signature("GEMM")};
   const std::pair<std::string, std::function<CheckReport(int)>> runs[] = {
       {"check_machine",
        [&](int jobs) {

@@ -13,15 +13,8 @@ using core::CompilerId;
 using core::Precision;
 using core::VectorMode;
 
-core::KernelSignature find_sig(const std::string& name) {
-  for (auto& s : kernels::all_signatures()) {
-    if (s.name == name) return s;
-  }
-  throw std::runtime_error("no kernel " + name);
-}
-
 TEST(Plan, ScalarModeIsScalar) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const auto p = plan(sig, Precision::FP32, CompilerId::Gcc,
                       VectorMode::Scalar, machine::sg2042());
   EXPECT_FALSE(p.vector_path);
@@ -29,7 +22,7 @@ TEST(Plan, ScalarModeIsScalar) {
 }
 
 TEST(Plan, NoVectorUnitMeansScalar) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const auto p = plan(sig, Precision::FP32, CompilerId::Gcc,
                       VectorMode::VLS, machine::visionfive_v2());
   EXPECT_FALSE(p.vector_path);
@@ -41,21 +34,22 @@ TEST(Plan, NoVectorUnitMeansScalar) {
 }
 
 TEST(Plan, GccCannotEmitVla) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   EXPECT_THROW((void)plan(sig, Precision::FP32, CompilerId::Gcc,
                           VectorMode::VLA, machine::sg2042()),
                std::invalid_argument);
 }
 
 TEST(Plan, ClangCanEmitVla) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const auto p = plan(sig, Precision::FP32, CompilerId::Clang,
                       VectorMode::VLA, machine::sg2042());
   EXPECT_TRUE(p.vector_path);
 }
 
 TEST(Plan, UnvectorizableKernelStaysScalar) {
-  const auto sig = find_sig("SORT");  // neither compiler vectorises sorts
+  // Neither compiler vectorises sorts.
+  const auto& sig = *kernels::find_signature("SORT");
   for (const auto comp : {CompilerId::Gcc, CompilerId::Clang}) {
     const auto p =
         plan(sig, Precision::FP32, comp, VectorMode::VLS, machine::sg2042());
@@ -64,7 +58,8 @@ TEST(Plan, UnvectorizableKernelStaysScalar) {
 }
 
 TEST(Plan, RuntimeScalarPathCarriesSmallPenalty) {
-  const auto sig = find_sig("JACOBI_1D");  // GCC vectorises, scalar runs
+  // GCC vectorises, the scalar path runs.
+  const auto& sig = *kernels::find_signature("JACOBI_1D");
   const auto p = plan(sig, Precision::FP32, CompilerId::Gcc,
                       VectorMode::VLS, machine::sg2042());
   EXPECT_FALSE(p.vector_path);
@@ -73,7 +68,7 @@ TEST(Plan, RuntimeScalarPathCarriesSmallPenalty) {
 }
 
 TEST(Plan, C920Fp64FallsBackToScalarWithOverhead) {
-  const auto sig = find_sig("TRIAD");  // vectorised by GCC
+  const auto& sig = *kernels::find_signature("TRIAD");  // vectorised by GCC
   const auto p = plan(sig, Precision::FP64, CompilerId::Gcc,
                       VectorMode::VLS, machine::sg2042());
   EXPECT_FALSE(p.vector_path);
@@ -86,7 +81,7 @@ TEST(Plan, C920Fp64FallsBackToScalarWithOverhead) {
 }
 
 TEST(Plan, X86Fp64Vectorizes) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   for (const auto& m : machine::x86_machines()) {
     const auto p =
         plan(sig, Precision::FP64, CompilerId::Gcc, VectorMode::VLS, m);
@@ -96,7 +91,7 @@ TEST(Plan, X86Fp64Vectorizes) {
 }
 
 TEST(Plan, IntegerKernelVectorizesAtBothPrecisions) {
-  const auto sig = find_sig("REDUCE3_INT");
+  const auto& sig = *kernels::find_signature("REDUCE3_INT");
   for (const auto prec : {Precision::FP32, Precision::FP64}) {
     const auto p = plan(sig, prec, CompilerId::Gcc, VectorMode::VLS,
                         machine::sg2042());
@@ -106,7 +101,7 @@ TEST(Plan, IntegerKernelVectorizesAtBothPrecisions) {
 }
 
 TEST(Plan, LanesFollowWidthAndPrecision) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const auto sg = plan(sig, Precision::FP32, CompilerId::Gcc,
                        VectorMode::VLS, machine::sg2042());
   EXPECT_DOUBLE_EQ(sg.lanes, 4.0);  // 128 / 32
@@ -116,7 +111,7 @@ TEST(Plan, LanesFollowWidthAndPrecision) {
 }
 
 TEST(Plan, ClangOnC920NeedsRollback) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const auto p = plan(sig, Precision::FP32, CompilerId::Clang,
                       VectorMode::VLS, machine::sg2042());
   EXPECT_TRUE(p.needs_rollback);
@@ -128,7 +123,7 @@ TEST(Plan, ClangOnC920NeedsRollback) {
 }
 
 TEST(Plan, VlaCostsStreamEfficiency) {
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const auto vla = plan(sig, Precision::FP32, CompilerId::Clang,
                         VectorMode::VLA, machine::sg2042());
   const auto vls = plan(sig, Precision::FP32, CompilerId::Clang,
@@ -138,7 +133,7 @@ TEST(Plan, VlaCostsStreamEfficiency) {
 }
 
 TEST(Plan, Jacobi2dClangPathologyIsEncoded) {
-  const auto sig = find_sig("JACOBI_2D");
+  const auto& sig = *kernels::find_signature("JACOBI_2D");
   const auto p = plan(sig, Precision::FP32, CompilerId::Clang,
                       VectorMode::VLS, machine::sg2042());
   EXPECT_TRUE(p.vector_path);
@@ -167,15 +162,15 @@ TEST(Capabilities, StreamClassFullyVectorisedByGcc) {
 }
 
 TEST(Capabilities, PaperNamedAnchors) {
-  EXPECT_FALSE(find_sig("FLOYD_WARSHALL").gcc.vectorizes);
-  EXPECT_FALSE(find_sig("HEAT_3D").gcc.vectorizes);
-  EXPECT_TRUE(find_sig("JACOBI_1D").gcc.vectorizes);
-  EXPECT_FALSE(find_sig("JACOBI_1D").gcc.runtime_vector_path);
-  EXPECT_TRUE(find_sig("JACOBI_2D").gcc.vectorizes);
-  EXPECT_FALSE(find_sig("JACOBI_2D").gcc.runtime_vector_path);
+  EXPECT_FALSE(kernels::find_signature("FLOYD_WARSHALL")->gcc.vectorizes);
+  EXPECT_FALSE(kernels::find_signature("HEAT_3D")->gcc.vectorizes);
+  EXPECT_TRUE(kernels::find_signature("JACOBI_1D")->gcc.vectorizes);
+  EXPECT_FALSE(kernels::find_signature("JACOBI_1D")->gcc.runtime_vector_path);
+  EXPECT_TRUE(kernels::find_signature("JACOBI_2D")->gcc.vectorizes);
+  EXPECT_FALSE(kernels::find_signature("JACOBI_2D")->gcc.runtime_vector_path);
   for (const char* k : {"2MM", "3MM", "GEMM"}) {
-    EXPECT_FALSE(find_sig(k).clang.vectorizes) << k;
-    EXPECT_TRUE(find_sig(k).gcc.effective()) << k;
+    EXPECT_FALSE(kernels::find_signature(k)->clang.vectorizes) << k;
+    EXPECT_TRUE(kernels::find_signature(k)->gcc.effective()) << k;
   }
 }
 

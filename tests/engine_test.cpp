@@ -193,13 +193,10 @@ TEST(SweepEngine, CacheOnAndOffProduceTheSameX86Comparison) {
   SweepEngine uncached({.use_cache = false});
   SweepEngine cached;
 
-  experiments::reset_best_threads_memo();
   const auto off = experiments::x86_comparison(
       core::Precision::FP32, /*multithreaded=*/true, uncached);
-  experiments::reset_best_threads_memo();
   const auto on = experiments::x86_comparison(
       core::Precision::FP32, /*multithreaded=*/true, cached);
-  experiments::reset_best_threads_memo();
 
   ASSERT_EQ(off.size(), on.size());
   for (std::size_t s = 0; s < off.size(); ++s) {
@@ -221,18 +218,16 @@ TEST(SweepEngine, CacheOnAndOffProduceTheSameX86Comparison) {
   EXPECT_LT(cached.counters().simulations, uncached.counters().simulations);
 }
 
-TEST(SweepEngine, BestThreadsMemoAsksTheEngineOnce) {
+TEST(SweepEngine, RepeatedBestThreadsAskIsServedByTheEngineMemo) {
   SweepEngine eng;
-  experiments::reset_best_threads_memo();
   const int first = experiments::best_sg2042_threads(
       core::Group::Stream, core::Precision::FP32, eng);
-  const auto requests_after_first = eng.counters().requests;
-  EXPECT_GT(requests_after_first, 0u);
+  const auto sims_after_first = eng.counters().simulations;
+  EXPECT_GT(sims_after_first, 0u);
   const int second = experiments::best_sg2042_threads(
       core::Group::Stream, core::Precision::FP32, eng);
   EXPECT_EQ(first, second);
-  EXPECT_EQ(eng.counters().requests, requests_after_first);
-  experiments::reset_best_threads_memo();
+  EXPECT_EQ(eng.counters().simulations, sims_after_first);
 }
 
 /// perfbench's experiments layer is the self time of the `phase:<name>`
@@ -279,7 +274,6 @@ constexpr std::uint64_t kPinnedSimulations = 3162;
 /// paper artifacts, background_d1_vs_v2's three whole-suite sweeps and
 /// the best-thread search over every class and precision.
 std::string render_pipeline_set(SweepEngine& eng) {
-  experiments::reset_best_threads_memo();
   std::ostringstream out;
   out << std::setprecision(17);
   for (const auto& a : check::run_all_artifacts(eng)) {
@@ -292,8 +286,10 @@ std::string render_pipeline_set(SweepEngine& eng) {
     cfg.vector_mode = mode;
     cfg.compiler = comp;
     cfg.nthreads = 1;
-    for (const auto& [name, t] : experiments::kernel_times(m, cfg, eng)) {
-      out << m.name << ',' << name << ',' << t << '\n';
+    const auto times = experiments::kernel_times(m, cfg, eng);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      out << m.name << ',' << kernels::all_signatures()[i].name << ','
+          << times[i] << '\n';
     }
   };
   kernel_times(machine::visionfive_v2(), core::VectorMode::VLS,

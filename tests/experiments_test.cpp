@@ -4,9 +4,10 @@
 // reproduction; absolute magnitudes are compared in EXPERIMENTS.md.
 #include <gtest/gtest.h>
 
-#include <map>
+#include <string>
 
 #include "experiments/experiments.hpp"
+#include "kernels/register_all.hpp"
 
 namespace sgp::experiments {
 namespace {
@@ -46,8 +47,9 @@ TEST_F(Figure1Test, C920NeverSlowerThanTheU74) {
   for (const auto* label : {"SG2042 FP64", "SG2042 FP32"}) {
     for (const auto& s : series()) {
       if (s.label.find(label) == std::string::npos) continue;
-      for (const auto& [kernel, ratio] : s.per_kernel_ratio) {
-        EXPECT_GT(ratio, 1.0) << label << " " << kernel;
+      for (std::size_t i = 0; i < s.per_kernel_ratio.size(); ++i) {
+        EXPECT_GT(s.per_kernel_ratio[i], 1.0)
+            << label << " " << kernels::all_signatures()[i].name;
       }
     }
   }
@@ -66,8 +68,9 @@ TEST_F(Figure1Test, Sg2042Fp32BeatsFp64) {
 TEST_F(Figure1Test, V1SlowerThanV2Everywhere) {
   // The unexplained V1 anomaly: 3-6x slower at FP64.
   const auto& v1fp64 = series()[0];
-  for (const auto& [kernel, ratio] : v1fp64.per_kernel_ratio) {
-    EXPECT_LT(ratio, 1.0) << kernel;
+  for (std::size_t i = 0; i < v1fp64.per_kernel_ratio.size(); ++i) {
+    EXPECT_LT(v1fp64.per_kernel_ratio[i], 1.0)
+        << kernels::all_signatures()[i].name;
   }
   // And V1 FP32 never beats the V2 FP64 baseline on average.
   const auto& v1fp32 = series()[1];
@@ -216,7 +219,11 @@ TEST_F(Figure2Test, IntegerKernelLiftsBasicFp64) {
   // this average upwards"
   const auto& fp64 = series()[1];
   EXPECT_GT(group_of(fp64, Group::Basic).max, 0.5);
-  EXPECT_GT(fp64.per_kernel_ratio.at("REDUCE3_INT"), 1.5);
+  const auto* reduce3 = kernels::find_signature("REDUCE3_INT");
+  ASSERT_NE(reduce3, nullptr);
+  EXPECT_GT(
+      fp64.per_kernel_ratio[reduce3 - kernels::all_signatures().data()],
+      1.5);
 }
 
 TEST_F(Figure2Test, Fp32BenefitExistsAndStreamIsLargest) {
@@ -409,15 +416,48 @@ TEST_F(X86Test, BestSg2042ThreadsIsThirtyTwoOrSixtyFour) {
 }
 
 // ------------------------------------------------------------ helpers --
-TEST(Helpers, SuiteGroupsCoversSixtyFourKernels) {
-  EXPECT_EQ(suite_groups().size(), 64u);
+// The pipelines' per-class sums walk the table in registry order; they
+// match the historical name-keyed walk only because, inside every group,
+// registry order is ascending std::string order.
+TEST(Helpers, KernelTableIsNameSortedInsideEachGroupAndIndexable) {
+  const auto& sigs = kernels::all_signatures();
+  ASSERT_EQ(sigs.size(), 64u);
+  for (const Group g : core::all_groups) {
+    const std::string* prev = nullptr;
+    std::size_t count = 0;
+    for (const auto& sig : sigs) {
+      if (sig.group != g) continue;
+      ++count;
+      if (prev != nullptr) {
+        EXPECT_LT(*prev, sig.name) << core::to_string(g);
+      }
+      prev = &sig.name;
+    }
+    EXPECT_GT(count, 0u) << core::to_string(g);
+  }
+  for (std::size_t i = 0; i < sigs.size(); ++i) {
+    EXPECT_EQ(kernels::find_signature(sigs[i].name), &sigs[i])
+        << sigs[i].name;
+  }
+  EXPECT_EQ(kernels::find_signature("NOT_A_KERNEL"), nullptr);
+  EXPECT_EQ(kernels::find_signature("triad"), nullptr);
+  EXPECT_EQ(kernels::find_signature("Triad"), nullptr);
+  EXPECT_EQ(kernels::find_signature(""), nullptr);
+  // The table is one process-wide object.
+  EXPECT_EQ(&kernels::all_signatures(), &sigs);
 }
 
 TEST(Helpers, SummarizeByGroupHandlesEncodedNegatives) {
-  std::map<std::string, double> ratios{{"A", 2.0}, {"B", 0.5}};
-  std::map<std::string, Group> groups{{"A", Group::Stream},
-                                      {"B", Group::Stream}};
-  const auto out = summarize_by_group(ratios, groups);
+  const std::vector<double> ratios{2.0, 0.5, 3.0};
+  std::vector<core::KernelSignature> sigs(3);
+  sigs[0].group = Group::Stream;
+  sigs[1].group = Group::Stream;
+  sigs[2].group = Group::Apps;
+  const auto out = summarize_by_group(ratios, sigs);
+  ASSERT_EQ(out.size(), core::all_groups.size());
+  EXPECT_EQ(out[1].kernels, 1u);  // Apps
+  EXPECT_DOUBLE_EQ(out[1].mean, 2.0);
+  EXPECT_EQ(out[0].kernels, 0u);  // Algorithm: no kernels, zeros
   const auto& stream = out[5];  // Stream is last in all_groups
   EXPECT_EQ(stream.kernels, 2u);
   EXPECT_DOUBLE_EQ(stream.mean, 0.0);  // +1 and -1 encoded

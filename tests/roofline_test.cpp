@@ -7,13 +7,6 @@
 namespace sgp::sim {
 namespace {
 
-core::KernelSignature find_sig(const std::string& name) {
-  for (auto& s : kernels::all_signatures()) {
-    if (s.name == name) return s;
-  }
-  throw std::runtime_error("no kernel " + name);
-}
-
 TEST(Roofline, C920Fp64RoofEqualsScalarRoof) {
   const auto r = roofline_for(machine::sg2042());
   EXPECT_DOUBLE_EQ(r.peak_vector_gflops_fp64, r.peak_scalar_gflops);
@@ -75,7 +68,8 @@ TEST(RooflinePoints, MatmulIsComputeBound) {
   SimConfig cfg;
   cfg.precision = core::Precision::FP32;
   const auto pts = roofline_points(machine::sg2042(), cfg,
-                                   {find_sig("GEMM"), find_sig("2MM")});
+                                   {*kernels::find_signature("GEMM"),
+                                    *kernels::find_signature("2MM")});
   for (const auto& p : pts) {
     EXPECT_FALSE(p.memory_bound) << p.kernel;
     EXPECT_GT(p.intensity, 2.0) << p.kernel;
@@ -102,7 +96,7 @@ TEST(RooflinePoints, Fp64LowersTheC920CeilingForVectorKernels) {
   SimConfig c32, c64;
   c32.precision = core::Precision::FP32;
   c64.precision = core::Precision::FP64;
-  const auto sig = find_sig("TRIAD");  // GCC-vectorised
+  const auto& sig = *kernels::find_signature("TRIAD");  // GCC-vectorised
   const auto p32 =
       roofline_points(machine::sg2042(), c32, {sig}).front();
   const auto p64 =

@@ -44,13 +44,6 @@ void expect_identical(const sim::TimeBreakdown& a,
   EXPECT_EQ(a.note_rollback, b.note_rollback) << ctx;
 }
 
-core::KernelSignature find_sig(const std::string& name) {
-  for (const auto& s : kernels::all_signatures()) {
-    if (s.name == name) return s;
-  }
-  throw std::runtime_error("no kernel " + name);
-}
-
 /// The full valid config grid on `m`: every (compiler, mode) pair
 /// compiler::plan accepts, both precisions, all placements, a spread of
 /// thread counts.
@@ -87,7 +80,7 @@ TEST(SimBatch, BatchMatchesScalarBitForBitAcrossTheGrid) {
   const auto grid = full_grid(sim.machine());
   for (const char* name :
        {"TRIAD", "DAXPY", "GEMM", "DOT", "FIR", "SORT", "JACOBI_2D"}) {
-    const auto sig = find_sig(name);
+    const auto& sig = *kernels::find_signature(name);
     sim::EvalContext ctx(sim, sig);
     std::vector<sim::TimeBreakdown> batch(grid.size());
     sim.run_batch(ctx, grid, batch);
@@ -100,7 +93,7 @@ TEST(SimBatch, BatchMatchesScalarBitForBitAcrossTheGrid) {
 
 TEST(SimBatch, ContextReuseAcrossBatchesStaysIdentical) {
   const sim::Simulator sim(machine::sg2042());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   sim::EvalContext ctx(sim, sig);
   const auto grid = full_grid(sim.machine());
   // Same context, three batches over different slices (including the
@@ -120,7 +113,7 @@ TEST(SimBatch, ContextReuseAcrossBatchesStaysIdentical) {
 
 TEST(SimBatch, EmptyAndSinglePointBatches) {
   const sim::Simulator sim(machine::sg2042());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   sim::EvalContext ctx(sim, sig);
 
   std::vector<sim::SimConfig> none;
@@ -136,7 +129,7 @@ TEST(SimBatch, EmptyAndSinglePointBatches) {
 
 TEST(SimBatch, MismatchedSpansThrow) {
   const sim::Simulator sim(machine::sg2042());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   sim::EvalContext ctx(sim, sig);
   std::vector<sim::SimConfig> cfgs(2);
   std::vector<sim::TimeBreakdown> out(3);
@@ -146,7 +139,7 @@ TEST(SimBatch, MismatchedSpansThrow) {
 TEST(SimBatch, ForeignContextIsRejected) {
   const sim::Simulator sg(machine::sg2042());
   const sim::Simulator rome(machine::amd_rome());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   sim::EvalContext ctx(sg, sig);
   std::vector<sim::SimConfig> cfgs(1);
   std::vector<sim::TimeBreakdown> out(1);
@@ -155,7 +148,7 @@ TEST(SimBatch, ForeignContextIsRejected) {
 
 TEST(SimBatch, InvalidPointsThrowLikeTheScalarPath) {
   const sim::Simulator sim(machine::sg2042());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   sim::EvalContext ctx(sim, sig);
   std::vector<sim::SimConfig> cfgs(1);
   cfgs[0].nthreads = sim.machine().num_cores + 1;
@@ -203,7 +196,7 @@ TEST(NoteText, PinnedHistoricalStrings) {
 
 TEST(NoteText, BreakdownNoteStringMatchesPlan) {
   const sim::Simulator sim(machine::sg2042());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   sim::SimConfig cfg;
   cfg.nthreads = 4;
   // FP32: the SG2042 vector unit has no FP64 arithmetic, which would

@@ -23,13 +23,6 @@ using core::Precision;
 using core::VectorMode;
 using machine::Placement;
 
-core::KernelSignature find_sig(const std::string& name) {
-  for (auto& s : kernels::all_signatures()) {
-    if (s.name == name) return s;
-  }
-  throw std::runtime_error("no kernel " + name);
-}
-
 machine::PlacementStats stats_for(const machine::MachineDescriptor& m,
                                   Placement p, int t) {
   return machine::analyze(m, machine::assign_cores(m, p, t));
@@ -182,7 +175,7 @@ TEST(MemoryModel, DeratingAppliesToV1) {
 TEST(CoreModel, VectorPathIsFasterOnVectorisableKernels) {
   const auto m = machine::sg2042();
   const CoreModel cm(m);
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const auto scalar = compiler::plan(sig, Precision::FP32, CompilerId::Gcc,
                                      VectorMode::Scalar, m);
   const auto vec = compiler::plan(sig, Precision::FP32, CompilerId::Gcc,
@@ -196,7 +189,7 @@ TEST(CoreModel, VectorPathIsFasterOnVectorisableKernels) {
 TEST(CoreModel, DividesAreExpensive) {
   const auto m = machine::sg2042();
   const CoreModel cm(m);
-  auto cheap = find_sig("TRIAD");
+  auto cheap = *kernels::find_signature("TRIAD");
   auto costly = cheap;
   costly.mix.fdiv = 2.0;
   const auto plan = compiler::plan(cheap, Precision::FP64, CompilerId::Gcc,
@@ -226,7 +219,7 @@ TEST(PatternBandwidth, GatherWastesLines) {
 TEST(SyncModel, SerialHasNoSyncCost) {
   const auto m = machine::sg2042();
   const SyncModel sm(m);
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   EXPECT_DOUBLE_EQ(
       sm.seconds_per_rep(sig, stats_for(m, Placement::Block, 1), 1), 0.0);
 }
@@ -234,7 +227,7 @@ TEST(SyncModel, SerialHasNoSyncCost) {
 TEST(SyncModel, CostGrowsWithThreadsAndRegions) {
   const auto m = machine::sg2042();
   const SyncModel sm(m);
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   const double two =
       sm.seconds_per_rep(sig, stats_for(m, Placement::Block, 2), 2);
   const double many =
@@ -253,8 +246,9 @@ TEST(SyncModel, ManyRegionKernelsPayMore) {
   const auto m = machine::sg2042();
   const SyncModel sm(m);
   const auto st = stats_for(m, Placement::Block, 8);
-  const auto one_region = find_sig("TRIAD");           // 1 region/rep
-  const auto many_regions = find_sig("HALO_PACKING");  // 78 regions/rep
+  // 1 and 78 regions/rep.
+  const auto& one_region = *kernels::find_signature("TRIAD");
+  const auto& many_regions = *kernels::find_signature("HALO_PACKING");
   EXPECT_GT(sm.seconds_per_rep(many_regions, st, 8),
             50.0 * sm.seconds_per_rep(one_region, st, 8));
 }
@@ -264,9 +258,11 @@ TEST(Simulator, ValidatesConfig) {
   const Simulator sim(machine::sg2042());
   SimConfig cfg;
   cfg.nthreads = 0;
-  EXPECT_THROW((void)sim.run(find_sig("TRIAD"), cfg), std::invalid_argument);
+  EXPECT_THROW((void)sim.run(*kernels::find_signature("TRIAD"), cfg),
+               std::invalid_argument);
   cfg.nthreads = 65;
-  EXPECT_THROW((void)sim.run(find_sig("TRIAD"), cfg), std::invalid_argument);
+  EXPECT_THROW((void)sim.run(*kernels::find_signature("TRIAD"), cfg),
+               std::invalid_argument);
 }
 
 TEST(Simulator, TimesArePositiveAndFinite) {
@@ -286,7 +282,7 @@ TEST(Simulator, ComputeBoundKernelsScaleWithThreads) {
   c1.precision = c16.precision = Precision::FP32;
   c16.nthreads = 16;
   c16.placement = Placement::ClusterCyclic;
-  const auto sig = find_sig("GEMM");
+  const auto& sig = *kernels::find_signature("GEMM");
   const double t1 = sim.seconds(sig, c1);
   const double t16 = sim.seconds(sig, c16);
   EXPECT_GT(t1 / t16, 8.0);
@@ -294,7 +290,7 @@ TEST(Simulator, ComputeBoundKernelsScaleWithThreads) {
 
 TEST(Simulator, ContendedAtomicsAreCatastrophicMultithreaded) {
   const Simulator sim(machine::sg2042());
-  const auto sig = find_sig("PI_ATOMIC");
+  const auto& sig = *kernels::find_signature("PI_ATOMIC");
   SimConfig c1, c8;
   c8.nthreads = 8;
   c8.placement = Placement::ClusterCyclic;
@@ -303,7 +299,7 @@ TEST(Simulator, ContendedAtomicsAreCatastrophicMultithreaded) {
 
 TEST(Simulator, Fp64OnC920DoesNotBenefitFromVectorisation) {
   const Simulator sim(machine::sg2042());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   SimConfig vec, sca;
   vec.precision = sca.precision = Precision::FP64;
   vec.vector_mode = VectorMode::VLS;
@@ -313,7 +309,7 @@ TEST(Simulator, Fp64OnC920DoesNotBenefitFromVectorisation) {
 
 TEST(Simulator, Fp32OnC920DoesBenefitFromVectorisation) {
   const Simulator sim(machine::sg2042());
-  const auto sig = find_sig("TRIAD");
+  const auto& sig = *kernels::find_signature("TRIAD");
   SimConfig vec, sca;
   vec.precision = sca.precision = Precision::FP32;
   vec.vector_mode = VectorMode::VLS;
@@ -324,9 +320,9 @@ TEST(Simulator, Fp32OnC920DoesBenefitFromVectorisation) {
 TEST(Simulator, BreakdownLabelsServingLevel) {
   const Simulator sim(machine::sg2042());
   SimConfig cfg;
-  const auto small = sim.run(find_sig("PI_REDUCE"), cfg);
+  const auto small = sim.run(*kernels::find_signature("PI_REDUCE"), cfg);
   EXPECT_EQ(small.serving, MemLevel::L1);
-  const auto big = sim.run(find_sig("TRIAD"), cfg);
+  const auto big = sim.run(*kernels::find_signature("TRIAD"), cfg);
   EXPECT_TRUE(big.serving == MemLevel::L3 || big.serving == MemLevel::DRAM);
 }
 
@@ -334,7 +330,7 @@ TEST(Simulator, DeterministicResults) {
   const Simulator sim(machine::amd_rome());
   SimConfig cfg;
   cfg.nthreads = 32;
-  const auto sig = find_sig("HYDRO_2D");
+  const auto& sig = *kernels::find_signature("HYDRO_2D");
   EXPECT_DOUBLE_EQ(sim.seconds(sig, cfg), sim.seconds(sig, cfg));
 }
 
