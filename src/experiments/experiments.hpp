@@ -127,8 +127,8 @@ int best_sg2042_threads(core::Group g, core::Precision prec);
 int best_sg2042_threads(core::Group g, core::Precision prec,
                         engine::SweepEngine& eng);
 
-/// Does nothing: there is no best-thread memo outside the engine any
-/// more. Kept only for callers that still reset it between runs.
+/// Does nothing: the best-thread search keeps no memo outside the
+/// engine. Kept because perfbench's paper_regen workload still calls it.
 void reset_best_threads_memo();
 
 // ------------------------------------------------------------ Helpers --

@@ -300,7 +300,10 @@ TEST(Replay, SteadyDramBytesWritesBackWhatTheMeasuredRepWrote) {
   // exactly once, so the rep's DRAM traffic beyond its last-level fills
   // is one writeback per written byte. Fills alone (writebacks dropped)
   // reach the validator's 1.25x write-allocate floor on some machines;
-  // this check fails on every machine.
+  // this check fails on every machine. It runs on each machine's
+  // one-core hierarchy, whose last level is larger than the level
+  // above; where a per-core share is not (Icelake's 1 MiB L2 over a
+  // 1 MiB L3 share), lines are written back twice (see ROADMAP).
   for (const auto& m : machine::all_machines()) {
     const auto llc = hierarchy_configs(m).back();
     SweepSpec spec;
