@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <new>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include <sys/mman.h>
@@ -255,6 +256,26 @@ bool Cache::probe(Addr addr) const {
   return false;
 }
 
+void Cache::append_state(std::vector<std::uint64_t>& out) const {
+  std::vector<std::size_t> order(ways_);
+  for (std::size_t word = 0; word < filled_.size(); ++word) {
+    for (std::uint64_t bits = filled_[word]; bits != 0; bits &= bits - 1) {
+      const std::size_t set = word * 64 + std::countr_zero(bits);
+      const std::size_t base = set * ways_;
+      for (std::size_t w = 0; w < ways_; ++w) order[w] = base + w;
+      // Invalid ways (stamp 0, tag 0) sort first and read as 0.
+      std::sort(order.begin(), order.end(),
+                [&](std::size_t a, std::size_t b) {
+                  return stamps_[a] < stamps_[b];
+                });
+      out.push_back(set);
+      for (const std::size_t i : order) {
+        out.push_back(tags_[i] << 1 | dirty_[i]);
+      }
+    }
+  }
+}
+
 void Cache::flush() { clear_filled_sets(); }
 
 std::size_t Cache::resident_lines() const {
@@ -262,12 +283,43 @@ std::size_t Cache::resident_lines() const {
                       std::count(tags_, tags_ + lines_, Addr{0}));
 }
 
-Hierarchy::Hierarchy(std::vector<CacheConfig> levels) {
+std::size_t Hierarchy::shard_limit(const std::vector<CacheConfig>& levels) {
+  std::uint32_t widest_line = 0;
+  std::uint32_t narrowest_index = 64;  // line offset plus set index bits
+  for (const auto& cfg : levels) {
+    cfg.validate();
+    widest_line = std::max(widest_line, log2_pow2(cfg.line_bytes));
+    narrowest_index = std::min(
+        narrowest_index, log2_pow2(cfg.line_bytes * cfg.num_sets()));
+  }
+  return narrowest_index > widest_line
+             ? std::size_t{1} << (narrowest_index - widest_line)
+             : 1;
+}
+
+Hierarchy::Hierarchy(std::vector<CacheConfig> levels, std::size_t shard,
+                     std::size_t shards) {
   if (levels.empty()) {
     throw std::invalid_argument("Hierarchy: needs at least one level");
   }
+  if (!is_pow2(shards) || shards > shard_limit(levels) || shard >= shards) {
+    throw std::invalid_argument(
+        "Hierarchy: shard " + std::to_string(shard) + " of " +
+        std::to_string(shards) + " (at most " +
+        std::to_string(shard_limit(levels)) +
+        " power-of-two set shards)");
+  }
+  for (const auto& cfg : levels) {
+    shard_shift_ = std::max(shard_shift_, log2_pow2(cfg.line_bytes));
+  }
+  shard_bits_ = log2_pow2(shards);
+  shard_mask_ = shards - 1;
+  shard_ = shard;
   caches_.reserve(levels.size());
-  for (auto& cfg : levels) caches_.emplace_back(std::move(cfg));
+  for (auto& cfg : levels) {
+    cfg.size_bytes /= shards;
+    caches_.emplace_back(std::move(cfg));
+  }
   pending_wb_.reserve(caches_.size());
 }
 
@@ -323,8 +375,9 @@ void Hierarchy::write_back(std::size_t level, Addr addr) {
 }
 
 void Hierarchy::access_run(const AccessRun& run) {
-  ++telemetry_.runs;
-  telemetry_.accesses += run.count;
+  // A run belongs to the shard of its first segment, so the shards
+  // count every run once between them.
+  if (owns(run.base)) ++telemetry_.runs;
   const Addr line = caches_.front().config().line_bytes;
   Addr addr = run.base;
   std::uint64_t left = run.count;
@@ -335,22 +388,31 @@ void Hierarchy::access_run(const AccessRun& run) {
       const std::uint64_t fit = (line_end - 1 - addr) / run.step_bytes + 1;
       n = std::min(left, fit);
     }
-    ++telemetry_.line_segments;
-    telemetry_.coalesced += n - 1;
-    process_segment(addr, run.is_write, n);
+    if (owns(addr)) {
+      ++telemetry_.line_segments;
+      telemetry_.coalesced += n - 1;
+      telemetry_.accesses += n;
+      process_segment(local(addr), run.is_write, n);
+    }
     addr += n * run.step_bytes;
     left -= n;
   }
 }
 
+void Hierarchy::state(std::vector<std::uint64_t>& out) const {
+  out.clear();
+  for (const auto& cache : caches_) {
+    // The level's word count keeps the levels apart.
+    const std::size_t begin = out.size();
+    out.push_back(0);
+    cache.append_state(out);
+    out[begin] = out.size() - begin;
+  }
+}
+
 std::uint64_t Hierarchy::dram_bytes() const {
-  // Last-level demand misses are fills from memory; dirty evictions
-  // from the last level and writebacks that pass through it unabsorbed
-  // are writes to memory.
   const auto& last = caches_.back();
-  return (last.stats().misses() + last.stats().writebacks +
-          last.stats().wb_misses) *
-         last.config().line_bytes;
+  return last.stats().lines_below() * last.config().line_bytes;
 }
 
 }  // namespace sgp::cachesim

@@ -61,6 +61,12 @@ struct CacheStats {
     return read_hits + read_misses + write_hits + write_misses;
   }
   std::uint64_t misses() const { return read_misses + write_misses; }
+  /// Lines moved between this level and the one below: demand fills,
+  /// dirty evictions and writebacks passing through unabsorbed. At the
+  /// last level that is the DRAM traffic (Hierarchy::dram_bytes()).
+  std::uint64_t lines_below() const {
+    return misses() + writebacks + wb_misses;
+  }
   double miss_rate() const {
     const auto a = accesses();
     return a == 0 ? 0.0 : static_cast<double>(misses()) / a;
@@ -153,11 +159,17 @@ class Cache {
 
   /// Folds externally accounted events into the statistics — used by
   /// the replay engine's steady-state extrapolation, which skips
-  /// simulating reps whose per-level deltas are already periodic.
+  /// simulating reps once the state has closed (see append_state).
   void add_stats(const CacheStats& delta) { stats_ += delta; }
 
   /// Is the line currently resident (no state change)?
   bool probe(Addr addr) const;
+
+  /// Appends a canonical form of the line state to `out`: per non-empty
+  /// set, its index and its ways' (tag, dirty) in stamp order. Equal
+  /// forms behave identically under any further accesses, whatever the
+  /// clock read, since stamps are only compared within a set.
+  void append_state(std::vector<std::uint64_t>& out) const;
 
   /// Invalidate everything (keeps statistics).
   void flush();
@@ -244,6 +256,17 @@ class Cache {
 /// when resident (write hit) and otherwise passes through as a write
 /// miss towards memory without allocating. Reports per-level stats and
 /// the DRAM traffic in bytes.
+///
+/// A hierarchy can also be one set shard of K (a power of two): the
+/// log2(K) address bits just above the largest line offset pick the
+/// shard, and they lie inside every level's set index, so each set of
+/// every level (and every victim, which shares its set) belongs to one
+/// shard. The shard's levels are ordinary Caches of size_bytes / K; it
+/// processes only its own L1 segments, with the shard bits removed from
+/// the address. Since LRU/FIFO stamps are only compared within a set and
+/// a shard sees its sets' operations in the original order, the K
+/// shards' per-level stats sum to the whole hierarchy's (see
+/// docs/CACHESIM.md, "Set shards"). K = 1 is the whole hierarchy.
 class Hierarchy {
  public:
   /// Accesses processed through access_run, for obs instrumentation.
@@ -254,15 +277,27 @@ class Hierarchy {
     std::uint64_t accesses = 0;       ///< logical accesses replayed
   };
 
-  explicit Hierarchy(std::vector<CacheConfig> levels);
+  /// Shard `shard` of `shards` of the hierarchy `levels` describes.
+  /// Throws std::invalid_argument on invalid geometry, or when `shards`
+  /// is not a power of two no larger than shard_limit(levels), or
+  /// `shard` is not below it.
+  explicit Hierarchy(std::vector<CacheConfig> levels, std::size_t shard = 0,
+                     std::size_t shards = 1);
 
-  /// Performs one access; returns the deepest level index that HIT, or
-  /// levels() if it went to memory.
+  /// The most set shards `levels` can be split into: the largest power
+  /// of two K with log2(K) bits above the largest line offset inside
+  /// every level's set index. Throws like CacheConfig::validate().
+  static std::size_t shard_limit(const std::vector<CacheConfig>& levels);
+
+  /// Performs one access on a whole (one-shard) hierarchy; returns the
+  /// deepest level index that HIT, or levels() if it went to memory.
   std::size_t access(Addr addr, bool is_write);
 
   /// Replays a whole run, coalescing the accesses that share an L1
   /// line into one tag check per line touched. Bit-identical
-  /// statistics to calling `access` once per run element.
+  /// statistics to calling `access` once per run element. A shard
+  /// skips the segments of other shards and counts only its own in the
+  /// telemetry, so the shards' telemetry sums to the whole's.
   void access_run(const AccessRun& run);
 
   std::size_t levels() const noexcept { return caches_.size(); }
@@ -277,6 +312,9 @@ class Hierarchy {
   /// Bytes fetched from memory (miss traffic of the last level).
   std::uint64_t dram_bytes() const;
 
+  /// Every level's Cache::append_state, into `out` (replaced).
+  void state(std::vector<std::uint64_t>& out) const;
+
   const RunTelemetry& telemetry() const noexcept { return telemetry_; }
 
  private:
@@ -290,7 +328,21 @@ class Hierarchy {
   /// Walks a writeback down from `level` until a cache absorbs it.
   void write_back(std::size_t level, Addr addr);
 
+  bool owns(Addr addr) const noexcept {
+    return ((addr >> shard_shift_) & shard_mask_) == shard_;
+  }
+  /// The address with the shard bits taken out (the identity for one
+  /// shard): the shard's caches index the remaining bits.
+  Addr local(Addr addr) const noexcept {
+    return ((addr >> (shard_shift_ + shard_bits_)) << shard_shift_) |
+           (addr & ((Addr{1} << shard_shift_) - 1));
+  }
+
   std::vector<Cache> caches_;
+  std::uint32_t shard_shift_ = 0;  ///< largest log2(line_bytes)
+  std::uint32_t shard_bits_ = 0;   ///< log2(shards)
+  Addr shard_mask_ = 0;            ///< shards - 1
+  Addr shard_ = 0;
   /// (next level, victim address) collected during one demand walk.
   std::vector<std::pair<std::size_t, Addr>> pending_wb_;
   RunTelemetry telemetry_;

@@ -202,52 +202,50 @@ std::vector<CacheStats> level_stats(const Hierarchy& h) {
   return out;
 }
 
-/// Fills the steady-state fields from the measured rep's per-level
-/// stats delta.
-void set_steady_state(ReplayResult& result,
-                      const std::vector<CacheStats>& delta) {
-  for (const auto& d : delta) {
-    result.steady_miss_rate.push_back(d.miss_rate());
-  }
-  // What Hierarchy::dram_bytes() adds over that rep.
-  const CacheStats& last = delta.back();
-  result.steady_dram_bytes =
-      (last.misses() + last.writebacks + last.wb_misses) *
-      result.hierarchy.level(delta.size() - 1).config().line_bytes;
-}
-
 struct RepLoopOutcome {
   std::vector<CacheStats> final_delta;  ///< last (or periodic) rep delta
+  std::uint64_t rep_accesses = 0;       ///< accesses one rep simulates
   std::uint64_t skipped = 0;            ///< reps extrapolated, not run
 };
 
-/// The streaming rep loop: stream the sweep per rep, and once two
-/// consecutive reps have identical per-level stats deltas the cache
-/// state is periodic, so the remaining reps each add exactly this
-/// delta again — extrapolate instead of simulating them.
+/// The streaming rep loop: stream the sweep per rep, and stop once
+/// the hierarchy's state is back where the previous rep left it (in
+/// Hierarchy::state's canonical form): every further rep then starts
+/// from that state and replays the same trace, so it adds exactly the
+/// last rep's delta again — extrapolate instead of simulating them.
+/// Equal consecutive deltas are only the cheap first test; alone they
+/// do not prove the state has closed (FIFO Gather sweeps on small
+/// caches show equal deltas on states that still drift). States are
+/// captured only while a later rep could still be skipped.
 RepLoopOutcome run_reps(Hierarchy& h, TraceCursor& cursor, int reps) {
   const std::size_t nlevels = h.levels();
   std::vector<CacheStats> prev(nlevels), delta(nlevels),
       prev_delta(nlevels);
+  std::vector<std::uint64_t> state, prev_state;
   bool have_prev_delta = false;
   RepLoopOutcome out;
   AccessRun run;
   for (int r = 0; r < reps; ++r) {
     cursor.rewind();
     while (cursor.next(run)) h.access_run(run);
+    if (r == 0) out.rep_accesses = h.telemetry().accesses;
     const auto now = level_stats(h);
     for (std::size_t i = 0; i < nlevels; ++i) {
       delta[i] = now[i];
       delta[i] -= prev[i];
     }
     prev = now;
-    if (have_prev_delta && delta == prev_delta && r + 1 < reps) {
+    const bool could_skip = r + 1 < reps;
+    const bool same_delta = have_prev_delta && delta == prev_delta;
+    if (could_skip && (same_delta || r + 2 < reps)) h.state(state);
+    if (could_skip && same_delta && state == prev_state) {
       out.skipped = static_cast<std::uint64_t>(reps - (r + 1));
       for (std::size_t i = 0; i < nlevels; ++i) {
         h.add_stats(i, delta[i].scaled(out.skipped));
       }
       break;
     }
+    std::swap(prev_state, state);
     prev_delta = delta;
     have_prev_delta = true;
   }
@@ -257,10 +255,13 @@ RepLoopOutcome run_reps(Hierarchy& h, TraceCursor& cursor, int reps) {
   return out;
 }
 
+/// A replay split into set shards counts once in cachesim.replays (on
+/// shard 0); the other counters sum over the shards, whose telemetry
+/// covers only the segments each processed.
 void count_replay_obs(const Hierarchy::RunTelemetry& t,
-                      std::uint64_t skipped) {
+                      std::uint64_t skipped, bool first_shard) {
   auto& reg = obs::registry();
-  reg.counter("cachesim.replays").add();
+  if (first_shard) reg.counter("cachesim.replays").add();
   reg.counter("cachesim.runs").add(t.runs);
   reg.counter("cachesim.line_segments").add(t.line_segments);
   reg.counter("cachesim.accesses_coalesced").add(t.coalesced);
@@ -271,7 +272,8 @@ void count_replay_obs(const Hierarchy::RunTelemetry& t,
 }  // namespace
 
 ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps) {
+                           const SweepSpec& spec, int reps,
+                           std::size_t shard, std::size_t shards) {
   if (reps < 1) throw std::invalid_argument("replay: reps must be >= 1");
   if (cfgs.empty()) {
     throw std::invalid_argument("replay: needs at least one level");
@@ -279,13 +281,12 @@ ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
   obs::Span span("cachesim.replay");
 
   TraceCursor cursor(spec);
-  ReplayResult result{Hierarchy(cfgs), 0, {}, 0};
-  const auto out = run_reps(result.hierarchy, cursor, reps);
-  // Simulated + extrapolated reps all cover the full sweep.
-  result.accesses =
-      cursor.total_accesses() * static_cast<std::uint64_t>(reps);
-  set_steady_state(result, out.final_delta);
-  count_replay_obs(result.hierarchy.telemetry(), out.skipped);
+  ReplayResult result{Hierarchy(cfgs, shard, shards), 0, {}};
+  auto out = run_reps(result.hierarchy, cursor, reps);
+  // Simulated + extrapolated reps all cover the shard's whole sweep.
+  result.accesses = out.rep_accesses * static_cast<std::uint64_t>(reps);
+  result.steady_delta = std::move(out.final_delta);
+  count_replay_obs(result.hierarchy.telemetry(), out.skipped, shard == 0);
   return result;
 }
 

@@ -7,11 +7,12 @@
 // to *build* the input. Here every rep rewinds a TraceCursor and feeds
 // its runs to Hierarchy::access_run, one tag check per L1 line a run
 // touches, so the trace is never materialized. replay_stream stops
-// simulating reps once the per-level stats deltas of two consecutive
-// reps are identical, extrapolating the remaining reps arithmetically
-// (exact whenever two equal deltas imply a closed state orbit — which
-// holds for every pattern, Gather included, because rewind() re-seeds
-// Gather's index stream, so every rep replays the identical addresses).
+// simulating reps once two consecutive reps have identical per-level
+// stats deltas and leave the hierarchy in the same canonical state,
+// extrapolating the remaining reps arithmetically. That is exact for
+// every pattern, Gather included, because rewind() re-seeds Gather's
+// index stream, so every later rep replays the identical addresses
+// from the same state.
 //
 // generate_sweep (trace.hpp) is implemented on top of TraceCursor, so
 // the materialized trace and the streamed runs are the same access
@@ -23,8 +24,8 @@
 //
 // Obs counters (docs/OBSERVABILITY.md): cachesim.replays,
 // cachesim.runs, cachesim.line_segments, cachesim.accesses_coalesced,
-// cachesim.accesses_simulated, cachesim.reps_skipped; each replay is
-// wrapped in a "cachesim.replay" span.
+// cachesim.accesses_simulated, cachesim.reps_skipped; each replay (each
+// set shard of one) is wrapped in a "cachesim.replay" span.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +94,14 @@ class TraceCursor {
 /// cachesim::replay (trace.hpp) builds `cfgs` from a descriptor;
 /// config-level oracles pass FIFO / write-around / single-level
 /// hierarchies the descriptor path never builds.
+///
+/// `shard` of `shards` replays one set shard on
+/// Hierarchy(cfgs, shard, shards); `shards` must be a power of two no
+/// larger than Hierarchy::shard_limit(cfgs). Each shard stops early on
+/// its own deltas, which is exact for the same reason as the whole
+/// replay, so the shards' results sum to the unsharded one.
 ReplayResult replay_stream(const std::vector<CacheConfig>& cfgs,
-                           const SweepSpec& spec, int reps);
+                           const SweepSpec& spec, int reps,
+                           std::size_t shard = 0, std::size_t shards = 1);
 
 }  // namespace sgp::cachesim

@@ -66,6 +66,18 @@ std::vector<CacheConfig> hierarchy_configs(
   return cfgs;
 }
 
+std::vector<double> ReplayResult::steady_miss_rate() const {
+  std::vector<double> out;
+  out.reserve(steady_delta.size());
+  for (const auto& d : steady_delta) out.push_back(d.miss_rate());
+  return out;
+}
+
+std::uint64_t ReplayResult::steady_dram_bytes() const {
+  return steady_delta.back().lines_below() *
+         hierarchy.level(hierarchy.levels() - 1).config().line_bytes;
+}
+
 ReplayResult replay(const machine::MachineDescriptor& m,
                     const SweepSpec& spec, int reps, int l2_sharers,
                     int l3_sharers) {

@@ -53,16 +53,22 @@ std::vector<CacheConfig> hierarchy_configs(
 /// hierarchy_configs(m, l2_sharers, l3_sharers) and returns it for
 /// inspection. Delegates to the streaming engine (replay_stream in
 /// replay.hpp): runs are coalesced per cache line and reps are
-/// extrapolated once the per-level deltas go periodic — the statistics
-/// are bit-identical to the full vector replay.
+/// extrapolated once the hierarchy's state goes periodic — the
+/// statistics are bit-identical to the full vector replay.
+///
+/// A replay of one set shard (replay_stream) counts that shard's sets
+/// only; the shards' counts and steady deltas sum to the whole replay's.
 struct ReplayResult {
   Hierarchy hierarchy;
   std::uint64_t accesses = 0;
-  /// Miss rate of the *last* rep at each level (steady state).
-  std::vector<double> steady_miss_rate;
-  /// DRAM bytes the *last* rep moved: hierarchy.dram_bytes() after it
+  /// Per-level stats delta of the *last* rep (the steady state).
+  std::vector<CacheStats> steady_delta;
+
+  /// Miss rate of the last rep at each level.
+  std::vector<double> steady_miss_rate() const;
+  /// DRAM bytes the last rep moved: hierarchy.dram_bytes() after it
   /// minus dram_bytes() before it.
-  std::uint64_t steady_dram_bytes = 0;
+  std::uint64_t steady_dram_bytes() const;
 };
 
 ReplayResult replay(const machine::MachineDescriptor& m,

@@ -222,8 +222,8 @@ std::string diff_replays(const cachesim::ReplayResult& a,
            " (" + an + ") vs " + std::to_string(b.hierarchy.dram_bytes()) +
            " (" + bn + ")";
   }
-  if (a.steady_miss_rate != b.steady_miss_rate) {
-    return "steady miss rates differ (" + an + " vs " + bn + ")";
+  if (a.steady_delta != b.steady_delta) {
+    return "measured rep deltas differ (" + an + " vs " + bn + ")";
   }
   for (std::size_t l = 0; l < a.hierarchy.levels(); ++l) {
     const auto& sa = a.hierarchy.level(l).stats();
@@ -231,6 +231,41 @@ std::string diff_replays(const cachesim::ReplayResult& a,
     if (!(sa == sb)) {
       return a.hierarchy.level(l).config().name + " " + an + "{" +
              render_stats(sa) + "} " + bn + "{" + render_stats(sb) + "}";
+    }
+  }
+  return {};
+}
+
+/// "" when the set shards of a replay sum to the whole replay: access
+/// count, every level's stats and the measured rep's delta. Otherwise
+/// a one-line description of the first divergence.
+std::string diff_shard_sum(const cachesim::ReplayResult& whole,
+                           const std::vector<cachesim::ReplayResult>& shards) {
+  const std::size_t levels = whole.hierarchy.levels();
+  std::uint64_t accesses = 0;
+  std::vector<cachesim::CacheStats> stats(levels), delta(levels);
+  for (const auto& s : shards) {
+    accesses += s.accesses;
+    for (std::size_t l = 0; l < levels; ++l) {
+      stats[l] += s.hierarchy.level(l).stats();
+      delta[l] += s.steady_delta[l];
+    }
+  }
+  const std::string k = std::to_string(shards.size());
+  if (accesses != whole.accesses) {
+    return "accesses " + std::to_string(whole.accesses) + " (stream) vs " +
+           std::to_string(accesses) + " (" + k + " shards)";
+  }
+  for (std::size_t l = 0; l < levels; ++l) {
+    const auto& level = whole.hierarchy.level(l);
+    if (!(stats[l] == level.stats())) {
+      return level.config().name + " stream{" + render_stats(level.stats()) +
+             "} " + k + " shards{" + render_stats(stats[l]) + "}";
+    }
+    if (!(delta[l] == whole.steady_delta[l])) {
+      return level.config().name + " measured rep stream{" +
+             render_stats(whole.steady_delta[l]) + "} " + k + " shards{" +
+             render_stats(delta[l]) + "}";
     }
   }
   return {};
@@ -265,17 +300,14 @@ cachesim::ReplayResult replay_vector(
   if (cfgs.empty()) {
     throw std::invalid_argument("replay: needs at least one level");
   }
-  cachesim::ReplayResult result{cachesim::Hierarchy(cfgs), 0, {}, 0};
+  cachesim::ReplayResult result{cachesim::Hierarchy(cfgs), 0, {}};
   cachesim::Hierarchy& h = result.hierarchy;
   const cachesim::Trace trace = cachesim::generate_sweep(spec);
-  std::vector<cachesim::CacheStats> before;
-  std::uint64_t dram_before = 0;
   for (int r = 0; r < reps; ++r) {
     if (r + 1 == reps) {  // the measured rep
       for (std::size_t i = 0; i < h.levels(); ++i) {
-        before.push_back(h.level(i).stats());
+        result.steady_delta.push_back(h.level(i).stats());
       }
-      dram_before = h.dram_bytes();
     }
     for (const auto& a : trace) {
       h.access(a.addr, a.is_write);
@@ -283,18 +315,18 @@ cachesim::ReplayResult replay_vector(
     }
   }
   for (std::size_t i = 0; i < h.levels(); ++i) {
-    cachesim::CacheStats delta = h.level(i).stats();
-    delta -= before[i];
-    result.steady_miss_rate.push_back(delta.miss_rate());
+    const cachesim::CacheStats before = result.steady_delta[i];
+    result.steady_delta[i] = h.level(i).stats();
+    result.steady_delta[i] -= before;
   }
-  result.steady_dram_bytes = h.dram_bytes() - dram_before;
   return result;
 }
 
 namespace {
 
-/// Replay identity (vector vs stream) of one case on an explicit
-/// hierarchy. `subject` names the machine (plus any config
+/// Replay identity of one case on an explicit hierarchy: vector vs
+/// stream, and (where the hierarchy splits) the sum of two set shards
+/// vs the stream. `subject` names the machine (plus any config
 /// perturbation) in violation reports.
 void agree_replays(const std::vector<cachesim::CacheConfig>& cfgs,
                    const std::string& subject, const AgreeCase& c,
@@ -307,7 +339,14 @@ void agree_replays(const std::vector<cachesim::CacheConfig>& cfgs,
 
   const auto vec = replay_vector(cfgs, spec, c.reps);
   const auto str = cachesim::replay_stream(cfgs, spec, c.reps);
-  const std::string detail = diff_replays(vec, str, "vector", "stream");
+  std::string detail = diff_replays(vec, str, "vector", "stream");
+  if (detail.empty() && cachesim::Hierarchy::shard_limit(cfgs) >= 2) {
+    std::vector<cachesim::ReplayResult> shards;
+    for (std::size_t k = 0; k < 2; ++k) {
+      shards.push_back(cachesim::replay_stream(cfgs, spec, c.reps, k, 2));
+    }
+    detail = diff_shard_sum(str, shards);
+  }
 
   const SeedTally tally(
       report, "cachesim-replay-agreement", subject,

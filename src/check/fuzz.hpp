@@ -41,7 +41,7 @@ CheckReport fuzz_invariants(unsigned first_seed, unsigned num_seeds,
 /// The cachesim oracle's reference replay: materializes the sweep with
 /// generate_sweep, then feeds one Hierarchy::access per record per rep,
 /// simulating every rep (no early exit, no line-run coalescing). The
-/// steady-state fields are measured directly on the last rep. Throws
+/// steady delta is measured directly on the last rep. Throws
 /// std::invalid_argument on reps < 1 or an empty `cfgs`, like
 /// cachesim::replay_stream.
 cachesim::ReplayResult replay_vector(
@@ -53,7 +53,10 @@ cachesim::ReplayResult replay_vector(
 /// steady-state early exit — on machine `m` (plus FIFO and
 /// write-around config perturbations of its hierarchy) and demands
 /// bit-identical per-level CacheStats, DRAM bytes, access counts and
-/// steady miss rates (invariant "cachesim-replay-agreement").
+/// steady miss rates; where the hierarchy splits into set shards, the
+/// two shards of the stream replay must also sum to it, measured rep
+/// included (invariant "cachesim-replay-agreement", one point per
+/// case).
 CheckReport cachesim_agreement(const machine::MachineDescriptor& m);
 
 /// cachesim_agreement over `num_seeds` random machines starting at

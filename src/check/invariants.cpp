@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <sstream>
 #include <string_view>
 #include <utility>
 
+#include "cachesim/replay.hpp"
 #include "cachesim/trace.hpp"
 #include "machine/placement.hpp"
 #include "obs/metrics.hpp"
@@ -267,7 +269,56 @@ void InvariantChecker::check_thread_monotonicity(
   }
 }
 
+namespace {
+
+/// Case 2's sweep: a working set at 2.5x the aggregate last-level
+/// capacity, split evenly over the cores, each of which replays its
+/// part on its share of the shared levels.
+struct DramStream {
+  double ws_total = 0.0;
+  cachesim::SweepSpec spec;
+  std::vector<cachesim::CacheConfig> cfgs;
+};
+
+DramStream dram_stream(const machine::MachineDescriptor& m) {
+  DramStream c;
+  const double aggregate_llc =
+      m.l3.present()
+          ? static_cast<double>(m.l3.size_bytes) *
+                (static_cast<double>(m.num_cores) /
+                 std::max(1, m.l3.shared_by))
+          : static_cast<double>(m.l2.size_bytes) *
+                (static_cast<double>(m.num_cores) /
+                 std::max(1, m.l2.shared_by));
+  c.ws_total = 2.5 * aggregate_llc;
+  c.spec.arrays = 2;
+  c.spec.elem_bytes = 8;
+  c.spec.elems = std::max<std::size_t>(
+      4096, static_cast<std::size_t>(
+                c.ws_total / m.num_cores /
+                static_cast<double>(c.spec.arrays * c.spec.elem_bytes)));
+  c.cfgs = cachesim::hierarchy_configs(
+      m, std::max(1, m.l2.shared_by),
+      m.l3.present() ? std::max(1, m.l3.shared_by) : 1);
+  return c;
+}
+
+}  // namespace
+
+std::size_t InvariantChecker::dram_stream_shard_limit() const {
+  return cachesim::Hierarchy::shard_limit(dram_stream(sim_.machine()).cfgs);
+}
+
+std::vector<cachesim::CacheStats> InvariantChecker::dram_stream_delta(
+    std::size_t shard, std::size_t shards) const {
+  // Two reps, warm then measured.
+  const auto c = dram_stream(sim_.machine());
+  return cachesim::replay_stream(c.cfgs, c.spec, 2, shard, shards)
+      .steady_delta;
+}
+
 void InvariantChecker::check_cachesim_consistency(
+    const std::vector<cachesim::CacheStats>& dram_delta,
     CheckReport& report) const {
   const auto& m = sim_.machine();
   const sim::CacheModel cm(m);
@@ -296,17 +347,12 @@ void InvariantChecker::check_cachesim_consistency(
              std::string(sim::to_string(level));
     });
 
-    const auto rr = cachesim::replay(m, spec, 3);
-    rec.observe(kCachesimSteadyHits,
-                !rr.steady_miss_rate.empty() &&
-                    rr.steady_miss_rate.front() < 0.02,
-                [&] {
-                  return "steady L1 miss rate " +
-                         num(rr.steady_miss_rate.empty()
-                                 ? 1.0
-                                 : rr.steady_miss_rate.front()) +
-                         " for an L1-resident sweep";
-                });
+    const double l1_miss =
+        cachesim::replay(m, spec, 3).steady_delta.front().miss_rate();
+    rec.observe(kCachesimSteadyHits, l1_miss < 0.02, [&] {
+      return "steady L1 miss rate " + num(l1_miss) +
+             " for an L1-resident sweep";
+    });
   }
 
   // Case 2: a working set at 2.5x the aggregate last-level capacity
@@ -315,45 +361,22 @@ void InvariantChecker::check_cachesim_consistency(
   // traffic agreeing with the analytic streamed-bytes term to within the
   // write-allocate floor and the line granularity factor (1.25x..3x).
   {
-    const double aggregate_llc =
-        m.l3.present()
-            ? static_cast<double>(m.l3.size_bytes) *
-                  (static_cast<double>(m.num_cores) /
-                   std::max(1, m.l3.shared_by))
-            : static_cast<double>(m.l2.size_bytes) *
-                  (static_cast<double>(m.num_cores) /
-                   std::max(1, m.l2.shared_by));
-    const double ws_total = 2.5 * aggregate_llc;
-
-    cachesim::SweepSpec spec;
-    spec.arrays = 2;
-    spec.elem_bytes = 8;
-    spec.elems = std::max<std::size_t>(
-        4096, static_cast<std::size_t>(
-                  ws_total / m.num_cores /
-                  static_cast<double>(spec.arrays * spec.elem_bytes)));
-
+    const auto c = dram_stream(m);
     const auto stats = machine::analyze(
         m, machine::assign_cores(m, machine::Placement::Block, m.num_cores));
-    const auto level = cm.serving_level(ws_total, stats, m.num_cores);
+    const auto level = cm.serving_level(c.ws_total, stats, m.num_cores);
     Recorder rec(report, m.name, "synthetic-dram-stream", [&] {
-      return "ws=" + num(ws_total) + "B t=" + std::to_string(m.num_cores);
+      return "ws=" + num(c.ws_total) + "B t=" + std::to_string(m.num_cores);
     });
     rec.observe(kCachesimServingLevel, level == sim::MemLevel::DRAM, [&] {
       return "analytic model serves a 2.5x-LLC working set from " +
              std::string(sim::to_string(level));
     });
 
-    // Two reps, warm then measured, on the per-core share of the
-    // shared levels.
-    const auto rr = cachesim::replay(
-        m, spec, 2, std::max(1, m.l2.shared_by),
-        m.l3.present() ? std::max(1, m.l3.shared_by) : 1);
-    const double rep_bytes = static_cast<double>(rr.steady_dram_bytes);
-
     // The measured rep alone: a sweep that streams from DRAM misses the
     // last level on every rep, not just the cold one.
-    const double last_miss = rr.steady_miss_rate.back();
+    const cachesim::CacheStats& last = dram_delta.back();
+    const double last_miss = last.miss_rate();
     rec.observe(kCachesimSteadyMisses, last_miss > 0.5, [&] {
       return "steady last-level miss rate " + num(last_miss) +
              " for a DRAM-streaming sweep";
@@ -363,8 +386,10 @@ void InvariantChecker::check_cachesim_consistency(
     // arrays * elem_bytes of streamed traffic per element. The floor is
     // write-allocate: every written line is read before it is written
     // back, so the written array moves twice.
+    const double rep_bytes = static_cast<double>(
+        last.lines_below() * c.cfgs.back().line_bytes);
     const double analytic_bytes = static_cast<double>(
-        spec.arrays * spec.elems * spec.elem_bytes);
+        c.spec.arrays * c.spec.elems * c.spec.elem_bytes);
     rec.observe(kCachesimTraffic,
                 rep_bytes >= 1.25 * analytic_bytes &&
                     rep_bytes <= 3.0 * analytic_bytes,
@@ -406,21 +431,28 @@ CheckReport check_machine(const machine::MachineDescriptor& m,
   thread_grid.erase(std::unique(thread_grid.begin(), thread_grid.end()),
                     thread_grid.end());
 
-  // Index 0 is the cachesim consistency pass, the longest single task:
-  // dynamic scheduling starts it first and the signature shards (index
-  // si + 1, sim::Simulator::run is const and thread-safe) fill the other
-  // workers around it. Its report is kept aside and merged after the
-  // shards', so the report reads in serial order: signatures in order,
+  // Indices [0, shards) are the set shards of the cachesim pass's
+  // DRAM-streaming replay, most of the machine's work: dynamic
+  // scheduling starts them first, one per worker, and the signature
+  // shards (index si + shards, sim::Simulator::run is const and
+  // thread-safe) fill the workers around them. One worker replays one
+  // shard, since shards run back to back cost more than the whole. The
+  // shards' measured-rep deltas are summed once the pool returns, and
+  // the cachesim pass is evaluated and merged after the signature
+  // reports, so the report reads in serial order: signatures in order,
   // then the cachesim pass.
-  CheckReport cachesim;
+  const int workers = threading::recommended_jobs(jobs);
+  const std::size_t shards = std::bit_floor(std::min(
+      static_cast<std::size_t>(workers), checker.dram_stream_shard_limit()));
+  std::vector<std::vector<cachesim::CacheStats>> dram(shards);
   CheckReport report = sharded_reports(
-      sigs.size() + 1, jobs, [&](std::size_t i) {
+      shards + sigs.size(), workers, [&](std::size_t i) {
         CheckReport shard;
-        if (i == 0) {
-          checker.check_cachesim_consistency(cachesim);
+        if (i < shards) {
+          dram[i] = checker.dram_stream_delta(i, shards);
           return shard;
         }
-        const auto& sig = sigs[i - 1];
+        const auto& sig = sigs[i - shards];
         for (const auto prec : core::all_precisions) {
           sim::SimConfig cfg;
           cfg.precision = prec;
@@ -445,7 +477,10 @@ CheckReport check_machine(const machine::MachineDescriptor& m,
         return shard;
       });
 
-  report.merge(std::move(cachesim));
+  for (std::size_t k = 1; k < shards; ++k) {
+    for (std::size_t l = 0; l < dram[0].size(); ++l) dram[0][l] += dram[k][l];
+  }
+  checker.check_cachesim_consistency(dram[0], report);
   return report;
 }
 

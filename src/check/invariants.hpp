@@ -40,6 +40,7 @@
 #include <string>
 #include <vector>
 
+#include "cachesim/cache.hpp"
 #include "core/signature.hpp"
 #include "machine/descriptor.hpp"
 #include "sim/config.hpp"
@@ -106,8 +107,23 @@ class InvariantChecker {
 
   /// Replays synthetic traces through cachesim and checks the analytic
   /// serving level and DRAM traffic term agree with the simulated
-  /// hierarchy (an L1-resident case and a DRAM-streaming case).
-  void check_cachesim_consistency(CheckReport& report) const;
+  /// hierarchy (an L1-resident case and a DRAM-streaming case). The
+  /// DRAM-streaming case reads its measured rep's per-level stats delta
+  /// summed over the set shards of dram_stream_delta (one shard:
+  /// dram_stream_delta(0, 1)); the report is the same for any shard
+  /// count.
+  void check_cachesim_consistency(
+      const std::vector<cachesim::CacheStats>& dram_delta,
+      CheckReport& report) const;
+
+  /// Set shard `shard` of `shards` of the DRAM-streaming case's replay:
+  /// its measured rep's per-level stats delta. `shards` is a power of
+  /// two no larger than dram_stream_shard_limit().
+  std::vector<cachesim::CacheStats> dram_stream_delta(
+      std::size_t shard, std::size_t shards) const;
+
+  /// Hierarchy::shard_limit of the DRAM-streaming case's hierarchy.
+  std::size_t dram_stream_shard_limit() const;
 
  private:
   sim::Simulator sim_;
@@ -126,11 +142,13 @@ CheckReport sharded_reports(
 /// Every invariant for one machine over the given kernels at a standard
 /// config grid (both precisions; serial, half and full threads; the
 /// three placements at full width), plus the cachesim consistency pass.
-/// One sharded_reports dispatch over `jobs` workers runs the cachesim
-/// pass (index 0, the longest task, so it starts first) alongside one
-/// shard per kernel signature. Reports merge in signature order with
-/// the cachesim pass last, so the output does not depend on the worker
-/// count. Violation text is rendered only for failing invariants.
+/// One sharded_reports dispatch over `jobs` workers runs the
+/// DRAM-streaming replay as one set shard per worker (the first tasks,
+/// as the longest) alongside one task per kernel signature; the
+/// cachesim pass is evaluated from the summed shards afterwards.
+/// Reports merge in signature order with the cachesim pass last, so the
+/// output does not depend on the worker count. Violation text is
+/// rendered only for failing invariants.
 CheckReport check_machine(const machine::MachineDescriptor& m,
                           const std::vector<core::KernelSignature>& sigs,
                           const CheckOptions& opt = {}, int jobs = 1);

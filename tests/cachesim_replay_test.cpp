@@ -1,8 +1,8 @@
 // Tests for the streaming replay engine (src/cachesim/replay.hpp): the
 // TraceCursor as the canonical trace order, exactness of line-run
 // coalescing against the per-access path, steady-state early exit
-// (Gather included), the measured rep's DRAM bytes, and the
-// writeback-propagation fix in Hierarchy.
+// (Gather included), the measured rep's DRAM bytes, set shards summing
+// to the whole replay, and the writeback-propagation fix in Hierarchy.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -218,8 +218,8 @@ TEST(Replay, StreamMatchesVectorOnEveryPattern) {
       const auto vec = check::replay_vector(cfgs, spec, 5);
       const auto str = replay(m, spec, 5);
       EXPECT_EQ(vec.accesses, str.accesses) << what;
-      EXPECT_EQ(vec.steady_miss_rate, str.steady_miss_rate) << what;
-      EXPECT_EQ(vec.steady_dram_bytes, str.steady_dram_bytes) << what;
+      EXPECT_EQ(vec.steady_miss_rate(), str.steady_miss_rate()) << what;
+      EXPECT_EQ(vec.steady_dram_bytes(), str.steady_dram_bytes()) << what;
       expect_same_stats(vec.hierarchy, str.hierarchy, what);
     }
   }
@@ -233,8 +233,8 @@ TEST(Replay, EarlyExitExtrapolationIsExact) {
   const auto exact = check::replay_vector(hierarchy_configs(m), spec, 24);
   const auto fast = replay(m, spec, 24);
   EXPECT_EQ(exact.accesses, fast.accesses);
-  EXPECT_EQ(exact.steady_miss_rate, fast.steady_miss_rate);
-  EXPECT_EQ(exact.steady_dram_bytes, fast.steady_dram_bytes);
+  EXPECT_EQ(exact.steady_miss_rate(), fast.steady_miss_rate());
+  EXPECT_EQ(exact.steady_dram_bytes(), fast.steady_dram_bytes());
   expect_same_stats(exact.hierarchy, fast.hierarchy, "early-exit");
   // The fast path really did skip simulation work: its telemetry counts
   // only the reps it executed before extrapolating.
@@ -261,8 +261,8 @@ TEST(Replay, GatherExtrapolationIsExact) {
   const auto exact = check::replay_vector(hierarchy_configs(m), spec, 8);
   const auto fast = replay(m, spec, 8);
   EXPECT_EQ(exact.accesses, fast.accesses);
-  EXPECT_EQ(exact.steady_miss_rate, fast.steady_miss_rate);
-  EXPECT_EQ(exact.steady_dram_bytes, fast.steady_dram_bytes);
+  EXPECT_EQ(exact.steady_miss_rate(), fast.steady_miss_rate());
+  EXPECT_EQ(exact.steady_dram_bytes(), fast.steady_dram_bytes());
   expect_same_stats(exact.hierarchy, fast.hierarchy, "gather-early-exit");
   EXPECT_LT(fast.hierarchy.telemetry().accesses, fast.accesses);
   TraceCursor cursor(spec);
@@ -289,9 +289,9 @@ TEST(Replay, SteadyDramBytesIsTheMeasuredRepsDramTraffic) {
   const auto rr = replay(m, spec, 2);
   expect_same_stats(rr.hierarchy, h, "hand-streamed");
   EXPECT_GT(h.level(h.levels() - 1).stats().writebacks, 0u);
-  EXPECT_EQ(rr.steady_dram_bytes, h.dram_bytes() - warm_bytes);
-  EXPECT_EQ(check::replay_vector(cfgs, spec, 2).steady_dram_bytes,
-            rr.steady_dram_bytes);
+  EXPECT_EQ(rr.steady_dram_bytes(), h.dram_bytes() - warm_bytes);
+  EXPECT_EQ(check::replay_vector(cfgs, spec, 2).steady_dram_bytes(),
+            rr.steady_dram_bytes());
 }
 
 TEST(Replay, SteadyDramBytesWritesBackWhatTheMeasuredRepWrote) {
@@ -320,11 +320,80 @@ TEST(Replay, SteadyDramBytesWritesBackWhatTheMeasuredRepWrote) {
         llc.line_bytes;
     const double written = static_cast<double>(spec.elems * spec.elem_bytes);
     const double written_back =
-        static_cast<double>(both.steady_dram_bytes) -
+        static_cast<double>(both.steady_dram_bytes()) -
         static_cast<double>(fill_bytes);
     EXPECT_GT(written_back, 0.95 * written) << m.name;
     EXPECT_LT(written_back, 1.05 * written) << m.name;
   }
+}
+
+// ------------------------------------------------------------ set shards --
+TEST(Replay, SetShardsSumToTheUnshardedReplay) {
+  // Every hierarchy spills the 32 KiB sweep past its last level. With
+  // mixed line sizes the shard bits sit above the 128-byte L3 line, two
+  // bits above the 32-byte L1 line offset, and reach the top of the L1
+  // set index at the limit. 24 reps exit early, and each shard
+  // extrapolates on its own deltas.
+  const std::vector<CacheConfig> lru{tiny_cache(1024, 2), tiny_cache(4096, 4),
+                                     tiny_cache(16384, 8)};
+  auto fifo = lru;
+  for (auto& c : fifo) c.policy = ReplacementPolicy::FIFO;
+  auto write_around = lru;
+  write_around.front().write_allocate = false;
+  const std::vector<CacheConfig> mixed{tiny_cache(1024, 2, 32),
+                                       tiny_cache(4096, 4, 64),
+                                       tiny_cache(16384, 8, 128)};
+  const std::pair<std::string, std::vector<CacheConfig>> hierarchies[] = {
+      {"mixed-lines", mixed},
+      {"lru", lru},
+      {"fifo", fifo},
+      {"write-around", write_around}};
+  for (const auto& [name, cfgs] : hierarchies) {
+    const std::size_t limit = Hierarchy::shard_limit(cfgs);
+    EXPECT_EQ(limit, name == "mixed-lines" ? 4u : 8u) << name;
+    for (const auto p : kAllPatterns) {
+      for (const int reps : {2, 24}) {
+        const auto spec = small_spec(p, 2, 1 << 11);
+        const auto whole = replay_stream(cfgs, spec, reps);
+        for (std::size_t shards = 2; shards <= limit; shards *= 2) {
+          const auto what = name + " " + std::string(core::to_string(p)) +
+                            " reps=" + std::to_string(reps) +
+                            " shards=" + std::to_string(shards);
+          std::uint64_t accesses = 0;
+          std::vector<CacheStats> stats(cfgs.size()), delta(cfgs.size());
+          for (std::size_t k = 0; k < shards; ++k) {
+            const auto part = replay_stream(cfgs, spec, reps, k, shards);
+            accesses += part.accesses;
+            for (std::size_t l = 0; l < cfgs.size(); ++l) {
+              stats[l] += part.hierarchy.level(l).stats();
+              delta[l] += part.steady_delta[l];
+            }
+          }
+          EXPECT_EQ(accesses, whole.accesses) << what;
+          for (std::size_t l = 0; l < cfgs.size(); ++l) {
+            EXPECT_EQ(stats[l], whole.hierarchy.level(l).stats())
+                << what << " level " << l;
+            EXPECT_EQ(delta[l], whole.steady_delta[l])
+                << what << " level " << l;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(Replay, RejectsShardCountsTheHierarchyCannotSplit) {
+  const std::vector<CacheConfig> cfgs{tiny_cache(1024, 2),
+                                      tiny_cache(4096, 4)};
+  ASSERT_EQ(Hierarchy::shard_limit(cfgs), 8u);
+  const auto spec = small_spec(AccessPattern::Streaming);
+  EXPECT_THROW((void)replay_stream(cfgs, spec, 2, 0, 16),
+               std::invalid_argument);
+  EXPECT_THROW((void)replay_stream(cfgs, spec, 2, 0, 3),
+               std::invalid_argument);
+  EXPECT_THROW((void)replay_stream(cfgs, spec, 2, 4, 4),
+               std::invalid_argument);
+  EXPECT_NO_THROW((void)replay_stream(cfgs, spec, 2, 7, 8));
 }
 
 TEST(Replay, RejectsNonPositiveReps) {

@@ -287,7 +287,7 @@ TEST_P(AnalyticalAgreement, ServingLevelMatchesSteadyMissRates) {
   spec.arrays = 2;
   spec.elems = elems;
   const auto result = replay(m, spec, 4);
-  const auto& mr = result.steady_miss_rate;
+  const auto& mr = result.steady_miss_rate();
   ASSERT_EQ(mr.size(), 3u);
 
   switch (expected) {
@@ -328,7 +328,7 @@ TEST(AnalyticalAgreementExtra, StreamingNeverReusesAcrossRepsWhenHuge) {
   const auto result = replay(m, spec, 2, /*l2_sharers=*/1,
                              /*l3_sharers=*/2);
   // With only half the L3 (two sharers) the last level keeps missing.
-  EXPECT_GT(result.steady_miss_rate.back(), 0.5);
+  EXPECT_GT(result.steady_miss_rate().back(), 0.5);
 }
 
 TEST(AnalyticalAgreementExtra, L2SharingDegradesResidency) {
@@ -339,8 +339,8 @@ TEST(AnalyticalAgreementExtra, L2SharingDegradesResidency) {
   spec.elems = (700 * 1024) / 8;  // ~700 KB
   const auto alone = replay(m, spec, 4, /*l2_sharers=*/1);
   const auto shared = replay(m, spec, 4, /*l2_sharers=*/4);
-  EXPECT_LT(alone.steady_miss_rate[1], 0.1);
-  EXPECT_GT(shared.steady_miss_rate[1], 0.5);
+  EXPECT_LT(alone.steady_miss_rate()[1], 0.1);
+  EXPECT_GT(shared.steady_miss_rate()[1], 0.5);
 }
 
 TEST(AnalyticalAgreementExtra, StridedSweepWastesLines) {
@@ -355,7 +355,7 @@ TEST(AnalyticalAgreementExtra, StridedSweepWastesLines) {
   const auto r_str = replay(m, strided, 2);
   // Same element count, but the strided walk revisits lines across
   // phases after they were evicted -> more L1 misses.
-  EXPECT_GT(r_str.steady_miss_rate[0], r_unit.steady_miss_rate[0]);
+  EXPECT_GT(r_str.steady_miss_rate()[0], r_unit.steady_miss_rate()[0]);
 }
 
 }  // namespace

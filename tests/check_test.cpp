@@ -130,7 +130,8 @@ TEST(InvariantChecker, CachesimConsistencyHoldsOnPaperMachines) {
   for (const auto& m : machine::all_machines()) {
     InvariantChecker checker(m);
     CheckReport report;
-    checker.check_cachesim_consistency(report);
+    checker.check_cachesim_consistency(checker.dram_stream_delta(0, 1),
+                                       report);
     EXPECT_TRUE(report.ok())
         << m.name << ": " << to_string(report.violations.front());
   }
@@ -217,7 +218,8 @@ TEST(Sharding, CheckMachineIsJobCountInvariant) {
   // Machines with violations, so the comparison covers the rendered
   // violation text, not only the counts, whichever worker ran a shard.
   // The second one's 64 MiB L2 also fails the cachesim pass, whose
-  // violations follow every signature's.
+  // violations follow every signature's. At 2 and 4 jobs the
+  // DRAM-streaming replay runs as 2 and 4 set shards.
   auto big_l2 = broken_vector_sg2042();
   big_l2.name = "sg2042-broken-vector-64mib-l2";
   big_l2.l2.size_bytes *= 64;
@@ -225,27 +227,48 @@ TEST(Sharding, CheckMachineIsJobCountInvariant) {
       *kernels::find_signature("TRIAD"), *kernels::find_signature("GEMM")};
   for (const auto& m : {broken_vector_sg2042(), big_l2}) {
     const auto serial = check_machine(m, sigs, {}, /*jobs=*/1);
-    const auto parallel = check_machine(m, sigs, {}, /*jobs=*/4);
     ASSERT_FALSE(serial.ok()) << m.name;
-    EXPECT_EQ(serial.points, parallel.points) << m.name;
-    ASSERT_EQ(serial.violations.size(), parallel.violations.size())
-        << m.name;
-    for (std::size_t i = 0; i < serial.violations.size(); ++i) {
-      EXPECT_EQ(to_string(serial.violations[i]),
-                to_string(parallel.violations[i]));
+    for (const int jobs : {2, 4}) {
+      const auto parallel = check_machine(m, sigs, {}, jobs);
+      EXPECT_EQ(serial.points, parallel.points) << m.name << " jobs=" << jobs;
+      ASSERT_EQ(serial.violations.size(), parallel.violations.size())
+          << m.name << " jobs=" << jobs;
+      for (std::size_t i = 0; i < serial.violations.size(); ++i) {
+        EXPECT_EQ(to_string(serial.violations[i]),
+                  to_string(parallel.violations[i]))
+            << "jobs=" << jobs;
+      }
     }
   }
-  const auto replays = [] {
-    for (const auto& [name, value] : obs::registry().snapshot().counters) {
-      if (name == "cachesim.replays") return value;
-    }
-    return std::uint64_t{0};
+  const auto counter = [](const std::string& name) {
+    return obs::registry().snapshot().counter_or(name);
   };
-  const auto replays_before = replays();
+  // What one check_machine adds to the cachesim counters: a replay
+  // split into set shards counts once, and its shards count only the
+  // segments each processed, so no count depends on the worker count.
+  const auto cachesim_counts = [&](int jobs) {
+    const char* names[] = {"cachesim.replays", "cachesim.runs",
+                           "cachesim.line_segments",
+                           "cachesim.accesses_coalesced",
+                           "cachesim.accesses_simulated"};
+    std::vector<std::uint64_t> before;
+    for (const char* name : names) before.push_back(counter(name));
+    (void)check_machine(big_l2, sigs, {}, jobs);
+    std::vector<std::uint64_t> added;
+    for (std::size_t i = 0; i < before.size(); ++i) {
+      added.push_back(counter(names[i]) - before[i]);
+    }
+    return added;
+  };
+  const auto serial_counts = cachesim_counts(1);
+  EXPECT_EQ(cachesim_counts(2), serial_counts);
+  EXPECT_EQ(cachesim_counts(4), serial_counts);
+
+  const auto replays_before = counter("cachesim.replays");
   const auto report = check_machine(big_l2, sigs, {}, /*jobs=*/4);
-  // Both cachesim cases replay through cachesim::replay, so both are
-  // spanned and counted.
-  EXPECT_EQ(replays() - replays_before, 2u);
+  // Both cachesim cases replay through cachesim::replay_stream, so both
+  // are spanned and counted, the sharded one once.
+  EXPECT_EQ(counter("cachesim.replays") - replays_before, 2u);
   ASSERT_GE(report.violations.size(), 3u);
   EXPECT_EQ(report.violations.front().kernel, "TRIAD");
   // The 64 MiB L2 holds the whole DRAM-streaming sweep: the analytic
