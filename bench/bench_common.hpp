@@ -202,8 +202,12 @@ inline void print_series(const std::string& title,
     for (const auto& s : series) {
       const auto& gr = s.groups[g];
       row.push_back(report::Table::num(gr.mean, 2));
-      row.push_back("[" + report::Table::num(gr.min, 2) + ", " +
-                    report::Table::num(gr.max, 2) + "]");
+      std::string whisker = "[";
+      whisker += report::Table::num(gr.min, 2);
+      whisker += ", ";
+      whisker += report::Table::num(gr.max, 2);
+      whisker += "]";
+      row.push_back(std::move(whisker));
     }
     t.add_row(std::move(row));
   }

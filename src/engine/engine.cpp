@@ -1,6 +1,9 @@
 #include "engine/engine.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <numeric>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -90,17 +93,17 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   requests_ += points.size();
   EngineMetrics::get().requests.add(points.size());
 
-  // Group the batch by (machine, signature) identity: the expensive
-  // fingerprint prefix (machine_fingerprint walks every descriptor
-  // field, signature_fingerprint ~30 fields) is computed once per
-  // group, so each point only hashes its SimConfig.
+  // Group the batch by (machine, signature) identity, in order of first
+  // appearance: the fingerprint prefix (machine_fingerprint walks every
+  // descriptor field; a signature's comes from the kernel table or
+  // hashes ~30 fields) is found once per group, so each point only
+  // hashes its SimConfig.
   struct Group {
-    const machine::MachineDescriptor* machine = nullptr;
-    const core::KernelSignature* signature = nullptr;
-    const sim::Simulator* simulator = nullptr;
-    std::uint64_t machine_fp = 0;
-    std::uint64_t signature_fp = 0;
-    std::vector<std::size_t> miss;  ///< result indices left to price
+    const machine::MachineDescriptor* machine;
+    const core::KernelSignature* signature;
+    const sim::Simulator* simulator;
+    std::uint64_t machine_fp;
+    std::uint64_t signature_fp;
   };
   struct MachineEntry {
     const machine::MachineDescriptor* machine;
@@ -109,31 +112,28 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   };
   std::vector<Group> groups;
   std::vector<MachineEntry> machines;
+  // Open-addressing index from the pointer pair to group + 1 (0 =
+  // empty). A batch has no more groups than points, so twice as many
+  // slots keep it at most half full.
+  std::vector<std::uint32_t> index(std::bit_ceil(2 * points.size()), 0);
+  const std::size_t mask = index.size() - 1;
+  const int shift = 64 - std::countr_zero(index.size());
   std::vector<std::uint32_t> point_group(points.size());
   std::vector<CacheKey> keys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
-    // Batches come from grids: the same few (machine, signature) pairs
-    // repeat point after point, so a linear scan beats hashing.
-    std::size_t g = groups.size();
-    for (std::size_t j = 0; j < groups.size(); ++j) {
-      if (groups[j].machine == p.machine &&
-          groups[j].signature == p.signature) {
-        g = j;
-        break;
-      }
+    const std::uint64_t h =
+        (reinterpret_cast<std::uintptr_t>(p.machine) * 0x9e3779b97f4a7c15ull ^
+         reinterpret_cast<std::uintptr_t>(p.signature)) *
+        0xc2b2ae3d27d4eb4full;
+    std::size_t slot = static_cast<std::size_t>(h >> shift);
+    for (; index[slot] != 0; slot = (slot + 1) & mask) {
+      const Group& g = groups[index[slot] - 1];
+      if (g.machine == p.machine && g.signature == p.signature) break;
     }
-    if (g == groups.size()) {
-      Group group;
-      group.machine = p.machine;
-      group.signature = p.signature;
-      std::size_t me = machines.size();
-      for (std::size_t j = 0; j < machines.size(); ++j) {
-        if (machines[j].machine == p.machine) {
-          me = j;
-          break;
-        }
-      }
+    if (index[slot] == 0) {
+      std::size_t me = 0;
+      while (me < machines.size() && machines[me].machine != p.machine) ++me;
       if (me == machines.size()) {
         const std::uint64_t fp = machine_fingerprint(*p.machine);
         const auto [it, built] = sims_.try_emplace(fp, *p.machine);
@@ -143,13 +143,14 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
         }
         machines.push_back(MachineEntry{p.machine, fp, &it->second});
       }
-      group.machine_fp = machines[me].fp;
-      group.simulator = machines[me].simulator;
-      group.signature_fp = signature_fingerprint(*p.signature);
-      groups.push_back(std::move(group));
+      groups.push_back(Group{p.machine, p.signature, machines[me].simulator,
+                             machines[me].fp,
+                             table_signature_fingerprint(*p.signature)});
+      index[slot] = static_cast<std::uint32_t>(groups.size());
     }
-    point_group[i] = static_cast<std::uint32_t>(g);
-    keys[i] = CacheKey{groups[g].machine_fp, groups[g].signature_fp,
+    const Group& g = groups[index[slot] - 1];
+    point_group[i] = index[slot] - 1;
+    keys[i] = CacheKey{g.machine_fp, g.signature_fp,
                        config_fingerprint(p.config)};
   }
 
@@ -157,8 +158,22 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   if (use_cache_) {
     cache_.lookup_batch(keys, results, hit);
   }
+  // Counting sort of the misses by group, in point order inside each
+  // group: count into miss_end[g], turn the counts into starts, then
+  // advance each start past its group's misses, which leaves group g's
+  // run of `miss` at [miss_end[g - 1], miss_end[g]).
+  std::vector<std::uint32_t> miss_end(groups.size(), 0);
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!hit[i]) groups[point_group[i]].miss.push_back(i);
+    if (!hit[i]) ++miss_end[point_group[i]];
+  }
+  std::exclusive_scan(miss_end.begin(), miss_end.end(), miss_end.begin(),
+                      std::uint32_t{0});
+  std::vector<std::uint32_t> miss(
+      static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 0)));
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (!hit[i]) {
+      miss[miss_end[point_group[i]]++] = static_cast<std::uint32_t>(i);
+    }
   }
 
   // Price each group's misses through one EvalContext and one
@@ -166,17 +181,22 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   // (identical values) but stored and queued for the store once.
   std::vector<sim::SimConfig> cfgs;
   std::vector<sim::TimeBreakdown> outs;
-  for (const Group& g : groups) {
-    if (g.miss.empty()) continue;
+  std::uint32_t begin = 0;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    const std::span<const std::uint32_t> run(miss.data() + begin,
+                                             miss_end[gi] - begin);
+    begin = miss_end[gi];
+    if (run.empty()) continue;
+    const Group& g = groups[gi];
     sim::EvalContext ctx(*g.simulator, *g.signature);
     cfgs.clear();
-    for (const std::size_t i : g.miss) cfgs.push_back(points[i].config);
+    for (const std::uint32_t i : run) cfgs.push_back(points[i].config);
     outs.resize(cfgs.size());
     g.simulator->run_batch(ctx, cfgs, outs);
     simulations_ += cfgs.size();
     EngineMetrics::get().simulations.add(cfgs.size());
-    for (std::size_t k = 0; k < g.miss.size(); ++k) {
-      const std::size_t i = g.miss[k];
+    for (std::size_t k = 0; k < run.size(); ++k) {
+      const std::uint32_t i = run[k];
       results[i] = outs[k];
       if (use_cache_ && cache_.insert(keys[i], outs[k]) && store_) {
         pending_.emplace_back(keys[i], outs[k]);

@@ -1,6 +1,11 @@
 #include "engine/fingerprint.hpp"
 
 #include <bit>
+#include <functional>
+#include <span>
+#include <vector>
+
+#include "kernels/register_all.hpp"
 
 namespace sgp::engine {
 
@@ -117,6 +122,26 @@ std::uint64_t signature_fingerprint(const core::KernelSignature& sig) {
   h.flag(sig.atomic);
   h.flag(sig.recurrence);
   return h.digest();
+}
+
+std::uint64_t table_signature_fingerprint(const core::KernelSignature& sig) {
+  struct Table {
+    std::span<const core::KernelSignature> sigs;
+    std::vector<std::uint64_t> fps;  ///< aligned with sigs
+  };
+  static const Table table = [] {
+    Table t{kernels::all_signatures(), {}};
+    t.fps.reserve(t.sigs.size());
+    for (const auto& s : t.sigs) t.fps.push_back(signature_fingerprint(s));
+    return t;
+  }();
+  // std::less orders unrelated pointers too.
+  const std::less<const core::KernelSignature*> before;
+  if (!before(&sig, table.sigs.data()) &&
+      before(&sig, table.sigs.data() + table.sigs.size())) {
+    return table.fps[static_cast<std::size_t>(&sig - table.sigs.data())];
+  }
+  return signature_fingerprint(sig);
 }
 
 std::uint64_t config_fingerprint(const sim::SimConfig& cfg) {

@@ -60,6 +60,13 @@ std::uint64_t machine_fingerprint(const machine::MachineDescriptor& m);
 /// so mutated copies of a registry signature key separately).
 std::uint64_t signature_fingerprint(const core::KernelSignature& sig);
 
+/// signature_fingerprint(sig), read from a table computed once per
+/// process when `sig` is an entry of kernels::all_signatures(). Any
+/// other signature (a serve copy, a fuzzer mutation) is hashed: only
+/// that immutable table is matched by address, since a mutated copy
+/// may reuse a freed one.
+std::uint64_t table_signature_fingerprint(const core::KernelSignature& sig);
+
 /// Fingerprint of a SimConfig.
 std::uint64_t config_fingerprint(const sim::SimConfig& cfg);
 

@@ -265,10 +265,15 @@ SegmentParse load_segment_file(const std::string& path, const PayloadFn& fn,
     out.detail = "cannot open " + path;
     return out;
   }
-  std::vector<char> raw((std::istreambuf_iterator<char>(in)),
-                        std::istreambuf_iterator<char>());
-  std::vector<std::byte> buf(raw.size());
-  if (!raw.empty()) std::memcpy(buf.data(), raw.data(), raw.size());
+  // One read, sized from the file; a file that shrank meanwhile keeps
+  // what was read, and parse_segment judges it.
+  in.seekg(0, std::ios::end);
+  const std::streamoff size = in.tellg();
+  in.seekg(0, std::ios::beg);
+  std::vector<std::byte> buf(size > 0 ? static_cast<std::size_t>(size) : 0);
+  in.read(reinterpret_cast<char*>(buf.data()),
+          static_cast<std::streamsize>(buf.size()));
+  buf.resize(static_cast<std::size_t>(in.gcount()));
   if (injector && !buf.empty()) {
     const resilience::ArmedFault af = injector->arm("persist.read");
     if (af.kind == resilience::FaultKind::BitFlipRead) {

@@ -43,8 +43,9 @@ void RunManifest::add(const std::string& section, const std::string& key,
   // Negate in unsigned space: -INT64_MIN overflows int64_t.
   const auto mag = neg ? ~static_cast<std::uint64_t>(value) + 1
                        : static_cast<std::uint64_t>(value);
-  section_of(section).entries.push_back(
-      Entry{key, (neg ? "-" : "") + json_number(mag)});
+  std::string text = neg ? "-" : "";
+  text += json_number(mag);
+  section_of(section).entries.push_back(Entry{key, std::move(text)});
 }
 
 void RunManifest::add(const std::string& section, const std::string& key,

@@ -110,7 +110,11 @@ std::string Registry::to_json(const MetricsSnapshot& snap) {
     bool bfirst = true;
     for (const auto& [floor, n] : h.buckets) {
       if (!bfirst) out += ", ";
-      out += "[" + json_number(floor) + ", " + json_number(n) + "]";
+      out += "[";
+      out += json_number(floor);
+      out += ", ";
+      out += json_number(n);
+      out += "]";
       bfirst = false;
     }
     out += "]}";

@@ -180,6 +180,25 @@ TEST(SignatureFingerprint, SuiteSignaturesAllDistinct) {
   }
 }
 
+TEST(SignatureFingerprint, KernelTableValuesEqualTheHashedOnes) {
+  // The engine reads a table entry's fingerprint from a table computed
+  // once per process; memo keys and stored segments depend on it being
+  // signature_fingerprint's value.
+  for (const auto& s : kernels::all_signatures()) {
+    EXPECT_EQ(table_signature_fingerprint(s), signature_fingerprint(s))
+        << s.name;
+    // A copy lives outside the table and is hashed.
+    auto copy = s;
+    EXPECT_EQ(table_signature_fingerprint(copy), signature_fingerprint(s))
+        << s.name;
+    copy.iters_per_rep *= 2.0;
+    EXPECT_EQ(table_signature_fingerprint(copy), signature_fingerprint(copy))
+        << s.name;
+    EXPECT_NE(table_signature_fingerprint(copy), signature_fingerprint(s))
+        << s.name;
+  }
+}
+
 TEST(ConfigFingerprint, FieldMutationsChangeIt) {
   sim::SimConfig base;
   const auto base_fp = config_fingerprint(base);

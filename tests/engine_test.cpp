@@ -176,6 +176,34 @@ TEST(SweepEngine, ThrowingPointFailsTheBatchButNotTheEngine) {
   }
 }
 
+TEST(SweepEngine, MutatedCopyOfATableSignatureIsPricedSeparately) {
+  // Same name, one field changed: the copy must key apart from the
+  // table entry it was made from, in the same batch and in the memo.
+  SweepEngine eng;
+  const auto m = machine::sg2042();
+  const auto& entry = kernels::all_signatures()[3];
+  auto copy = entry;
+  copy.iters_per_rep *= 2.0;
+  const std::vector<SweepPoint> points{{&m, &entry, fp32_threads(1)},
+                                       {&m, &copy, fp32_threads(1)},
+                                       {&m, &entry, fp32_threads(8)},
+                                       {&m, &copy, fp32_threads(8)}};
+  const sim::Simulator scalar(m);
+  for (int round = 0; round < 2; ++round) {  // cold, then from the memo
+    const auto got = eng.run_batch(points);
+    ASSERT_EQ(got.size(), points.size());
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      expect_same_breakdown(got[i],
+                            scalar.run(*points[i].signature, points[i].config));
+    }
+    EXPECT_NE(got[0].total_s, got[1].total_s);
+  }
+  const auto c = eng.counters();
+  EXPECT_EQ(c.simulations, 4u);
+  EXPECT_EQ(c.cache_entries, 4u);
+  EXPECT_EQ(c.cache_hits, 4u);
+}
+
 TEST(SweepEngine, CacheOffReplicatesEveryRequest) {
   SweepEngine eng({.use_cache = false});
   const auto m = machine::sg2042();

@@ -435,6 +435,15 @@ TEST(Helpers, KernelTableIsNameSortedInsideEachGroupAndIndexable) {
     }
     EXPECT_GT(count, 0u) << core::to_string(g);
   }
+  // Each group's entries are one contiguous run, the runs in all_groups
+  // order, so a group's signatures are a subspan of the table.
+  std::size_t pos = 0;
+  for (const Group g : core::all_groups) {
+    const std::size_t begin = pos;
+    while (pos < sigs.size() && sigs[pos].group == g) ++pos;
+    EXPECT_GT(pos, begin) << core::to_string(g);
+  }
+  EXPECT_EQ(pos, sigs.size());
   for (std::size_t i = 0; i < sigs.size(); ++i) {
     EXPECT_EQ(kernels::find_signature(sigs[i].name), &sigs[i])
         << sigs[i].name;

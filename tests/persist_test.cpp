@@ -553,6 +553,58 @@ TEST(EnginePersist, KeyAskedTwiceInOneBatchIsStoredQueuedAndFlushedOnce) {
   EXPECT_EQ(entries, 1u);
 }
 
+TEST(EnginePersist, GroupsAreQueuedInFirstAppearanceOrder) {
+  // Repeated and interleaved (machine, signature) pairs: groups are
+  // priced in order of first appearance, each group's points in batch
+  // order, and a repeated key is queued once. The flushed segment shows
+  // the queue's order.
+  const TempDir dir("order");
+  const auto sg = machine::sg2042();
+  const auto rome = machine::amd_rome();
+  const auto& sigs = kernels::all_signatures();
+  const auto& a = sigs[0];
+  auto b = sigs[1];  // a copy, hashed rather than read from the table
+  sim::SimConfig c1;
+  c1.nthreads = 1;
+  sim::SimConfig c2;
+  c2.nthreads = 4;
+  const std::vector<engine::SweepPoint> batch{
+      {&sg, &b, c1},  {&rome, &a, c1}, {&sg, &a, c1}, {&sg, &b, c2},
+      {&rome, &a, c2}, {&sg, &b, c1},  {&sg, &a, c2}};
+  const auto key = [](const engine::SweepPoint& p) {
+    return CacheKey{engine::machine_fingerprint(*p.machine),
+                    engine::signature_fingerprint(*p.signature),
+                    engine::config_fingerprint(p.config)};
+  };
+  // Groups (sg, b), (rome, a), (sg, a); batch[5] repeats batch[0].
+  const std::vector<CacheKey> expected{key(batch[0]), key(batch[3]),
+                                       key(batch[1]), key(batch[4]),
+                                       key(batch[2]), key(batch[6])};
+
+  engine::SweepEngine eng(persistent_options(dir.str(), 64));
+  const auto out = eng.run_batch(batch);
+  ASSERT_EQ(out.size(), batch.size());
+  EXPECT_EQ(eng.counters().simulations, batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const sim::Simulator scalar(*batch[i].machine);
+    EXPECT_EQ(out[i].total_s,
+              scalar.run(*batch[i].signature, batch[i].config).total_s)
+        << i;
+  }
+  ASSERT_TRUE(eng.flush_persistent());
+  std::vector<CacheKey> queued;
+  const auto parse = engine::load_segment_file(
+      dir.file("seg-000001.sgpc"),
+      [&](std::span<const std::byte> payload) {
+        const auto entry = engine::decode_cache_entry(payload);
+        ASSERT_TRUE(entry.has_value());
+        queued.push_back(entry->first);
+      },
+      nullptr, false);
+  EXPECT_EQ(parse.status, SegmentStatus::Ok);
+  EXPECT_EQ(queued, expected);
+}
+
 // ------------------------------------------------- thread safety --
 // Aimed at -DSGP_SANITIZE=thread (the check_tsan target): explicit
 // flushes, batch-end flushes, stats readers and clear_cache() race on
