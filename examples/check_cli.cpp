@@ -34,7 +34,7 @@
 //
 //   8. fuzzes the batched evaluation paths: ragged random batches on
 //      random machines must be bit-identical across per-point
-//      Simulator::run, EvalContext + Simulator::run_batch, and the
+//      Simulator::run, one Simulator::run_batch per kernel, and the
 //      engine's memo-miss and memo-hit batch paths.
 //
 //   ./check_cli [--golden <dir>] [--write-golden <dir>] [--fuzz <n>]
@@ -446,8 +446,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 7c. Batched-path identity fuzzing: scalar run vs EvalContext
-  // run_batch vs the engine's batched memo path, bit-for-bit.
+  // 7c. Batched-path identity fuzzing: scalar run vs run_batch vs the
+  // engine's batched memo path, bit-for-bit.
   if (opt.fuzz_batch_seeds > 0) {
     const auto report =
         check::fuzz_batch_identity(6000, opt.fuzz_batch_seeds, opt.jobs);

@@ -18,7 +18,6 @@
 #include "machine/registry.hpp"
 #include "machine/serialize.hpp"
 #include "obs/json.hpp"
-#include "sim/eval_context.hpp"
 #include "obs/metrics.hpp"
 #include "serve/protocol.hpp"
 
@@ -172,12 +171,7 @@ CheckReport fuzz_invariants(unsigned first_seed, unsigned num_seeds,
     const InvariantChecker checker(m, opt.check);
     CheckReport shard;
 
-    const int n = m.num_cores;
-    std::vector<int> thread_grid{1, std::max(1, n / 2), n};
-    std::sort(thread_grid.begin(), thread_grid.end());
-    thread_grid.erase(
-        std::unique(thread_grid.begin(), thread_grid.end()),
-        thread_grid.end());
+    const auto thread_grid = serial_half_full_threads(m.num_cores);
 
     for (const auto& sig : sigs) {
       for (const auto prec : core::all_precisions) {
@@ -1005,12 +999,6 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
       return cfg;
     };
 
-    // One reused context per kernel: identity must hold when a context
-    // outlives many batches, not just when built fresh.
-    std::vector<sim::EvalContext> contexts;
-    contexts.reserve(sigs.size());
-    for (const auto& sig : sigs) contexts.emplace_back(sim, sig);
-
     // Ragged shapes: the empty batch, the single point, and two larger
     // mixed-kernel grids with seed-dependent sizes.
     const std::size_t shapes[] = {0, 1, 5 + rng() % 28, 48 + rng() % 80};
@@ -1028,8 +1016,8 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
         scalar[p] = sim.run(sigs[which[p]], cfgs[p]);
       }
 
-      // (b) reused EvalContext + Simulator::run_batch, one sub-batch
-      //     per kernel (a context is bound to one signature).
+      // (b) Simulator::run_batch, one sub-batch per kernel (a batch
+      //     prices one signature).
       std::vector<sim::TimeBreakdown> batched(count);
       for (std::size_t s = 0; s < sigs.size(); ++s) {
         std::vector<std::size_t> idx;
@@ -1039,7 +1027,7 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
         std::vector<sim::SimConfig> sub(idx.size());
         std::vector<sim::TimeBreakdown> out(idx.size());
         for (std::size_t k = 0; k < idx.size(); ++k) sub[k] = cfgs[idx[k]];
-        sim.run_batch(contexts[s], sub, out);
+        sim.run_batch(sigs[s], sub, out);
         for (std::size_t k = 0; k < idx.size(); ++k) {
           batched[idx[k]] = out[k];
         }

@@ -102,8 +102,8 @@ CheckReport fuzz_ini_roundtrip(unsigned first_seed, unsigned num_seeds,
 /// Fuzzes the batched evaluation paths against the scalar oracle
 /// (invariant "sim-batch-identity"): per seed, a random machine runs
 /// ragged random batches — empty, single-point and larger mixed-kernel
-/// grids — through (a) per-point Simulator::run, (b) a reused
-/// EvalContext + Simulator::run_batch, and (c) SweepEngine::run_batch
+/// grids — through (a) per-point Simulator::run, (b) one
+/// Simulator::run_batch per kernel, and (c) SweepEngine::run_batch
 /// twice (memo-miss pass, then the memo-hit replay), and demands every
 /// TimeBreakdown field match bit-for-bit across all paths.
 CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,

@@ -20,6 +20,18 @@ namespace sgp::check {
 
 namespace {
 
+/// Relative slack on bounds that are exact in the model; guards
+/// floating-point rounding only.
+constexpr double kRelTol = 1e-6;
+/// Allowed overshoot of the scalar floor (matches the calibration
+/// headroom sim_properties_test grants the paper machines).
+constexpr double kScalarFloorSlack = 0.05;
+/// Iteration/working-set factor for size-monotonicity. Must exceed the
+/// largest bandwidth ratio between two adjacent serving levels (<= ~4x
+/// across modelled descriptors), or a cache-level transition could mask
+/// the extra work.
+constexpr double kSizeScale = 8.0;
+
 std::string render_config(const sim::SimConfig& cfg) {
   std::ostringstream os;
   os << core::to_string(cfg.precision) << " " << core::to_string(cfg.compiler)
@@ -135,7 +147,7 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
   const auto& m = sim_.machine();
   const auto bd = sim_.run(sig, cfg);
   Recorder rec(report, m.name, sig.name, [&] { return render_config(cfg); });
-  const double tol = opt_.rel_tol;
+  const double tol = kRelTol;
 
   rec.observe(kFinitePositive,
               std::isfinite(bd.total_s) && bd.total_s > 0.0 &&
@@ -199,11 +211,11 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
     scalar.vector_mode = core::VectorMode::Scalar;
     const double floor_s = sim_.seconds(sig, scalar);
     rec.observe(kScalarFloor,
-                bd.total_s <= floor_s * (1.0 + opt_.scalar_floor_slack),
+                bd.total_s <= floor_s * (1.0 + kScalarFloorSlack),
                 [&] {
                   return "total=" + num(bd.total_s) + " > scalar total " +
                          num(floor_s) + " * " +
-                         num(1.0 + opt_.scalar_floor_slack);
+                         num(1.0 + kScalarFloorSlack);
                 });
   }
 
@@ -222,12 +234,12 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
 
   {
     core::KernelSignature scaled = sig;
-    scaled.iters_per_rep = sig.iters_per_rep * opt_.size_scale;
-    scaled.working_set_elems = sig.working_set_elems * opt_.size_scale;
+    scaled.iters_per_rep = sig.iters_per_rep * kSizeScale;
+    scaled.working_set_elems = sig.working_set_elems * kSizeScale;
     const auto big = sim_.run(scaled, cfg);
     rec.observe(kSizeMonotonicity, big.total_s >= bd.total_s * (1.0 - tol),
                 [&] {
-                  return num(opt_.size_scale) +
+                  return num(kSizeScale) +
                          "x problem size shrank total from " +
                          num(bd.total_s) + " to " + num(big.total_s);
                 });
@@ -236,12 +248,8 @@ void InvariantChecker::check_point(const core::KernelSignature& sig,
 
 void InvariantChecker::check_thread_monotonicity(
     const core::KernelSignature& sig, const sim::SimConfig& base,
-    std::vector<int> thread_counts, CheckReport& report) const {
-  std::sort(thread_counts.begin(), thread_counts.end());
-  thread_counts.erase(
-      std::unique(thread_counts.begin(), thread_counts.end()),
-      thread_counts.end());
-  const double tol = opt_.rel_tol;
+    const std::vector<int>& thread_counts, CheckReport& report) const {
+  const double tol = kRelTol;
 
   sim::TimeBreakdown prev{};
   int prev_t = 0;
@@ -401,6 +409,13 @@ void InvariantChecker::check_cachesim_consistency(
   }
 }
 
+std::vector<int> serial_half_full_threads(int num_cores) {
+  std::vector<int> grid{1, std::max(1, num_cores / 2), num_cores};
+  std::sort(grid.begin(), grid.end());
+  grid.erase(std::unique(grid.begin(), grid.end()), grid.end());
+  return grid;
+}
+
 CheckReport sharded_reports(
     std::size_t n, int jobs,
     const std::function<CheckReport(std::size_t)>& fn) {
@@ -426,10 +441,7 @@ CheckReport check_machine(const machine::MachineDescriptor& m,
   InvariantChecker checker(m, opt);
 
   const int n = m.num_cores;
-  std::vector<int> thread_grid{1, std::max(1, n / 2), n};
-  std::sort(thread_grid.begin(), thread_grid.end());
-  thread_grid.erase(std::unique(thread_grid.begin(), thread_grid.end()),
-                    thread_grid.end());
+  const std::vector<int> thread_grid = serial_half_full_threads(n);
 
   // Indices [0, shards) are the set shards of the cachesim pass's
   // DRAM-streaming replay, most of the machine's work: dynamic

@@ -8,7 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/eval_context.hpp"
 
 namespace sgp::engine {
 
@@ -176,9 +175,9 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     }
   }
 
-  // Price each group's misses through one EvalContext and one
-  // sim::Simulator::run_batch. A key asked for twice is priced twice
-  // (identical values) but stored and queued for the store once.
+  // Price each group's misses through one sim::Simulator::run_batch.
+  // A key asked for twice is priced twice (identical values) but stored
+  // and queued for the store once.
   std::vector<sim::SimConfig> cfgs;
   std::vector<sim::TimeBreakdown> outs;
   std::uint32_t begin = 0;
@@ -188,11 +187,10 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     begin = miss_end[gi];
     if (run.empty()) continue;
     const Group& g = groups[gi];
-    sim::EvalContext ctx(*g.simulator, *g.signature);
     cfgs.clear();
     for (const std::uint32_t i : run) cfgs.push_back(points[i].config);
     outs.resize(cfgs.size());
-    g.simulator->run_batch(ctx, cfgs, outs);
+    g.simulator->run_batch(*g.signature, cfgs, outs);
     simulations_ += cfgs.size();
     EngineMetrics::get().simulations.add(cfgs.size());
     for (std::size_t k = 0; k < run.size(); ++k) {

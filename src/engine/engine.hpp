@@ -9,9 +9,9 @@
 //   * build each machine's Simulator once per engine, not once per
 //     pipeline;
 //   * price each batch's misses on the calling thread, one
-//     sim::EvalContext and one Simulator::run_batch per (machine,
-//     signature) group, behind the engine's one mutex: concurrent
-//     callers take turns, so a key is never priced by two of them;
+//     Simulator::run_batch per (machine, signature) group, behind the
+//     engine's one mutex: concurrent callers take turns, so a key is
+//     never priced by two of them;
 //   * count everything (requests, hits, Simulator::run executions,
 //     simulators built, batches) for the bench binaries' --perf flag
 //     and the engine tests' simulation pin. Where the time goes is

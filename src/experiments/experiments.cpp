@@ -91,11 +91,6 @@ std::vector<double> kernel_times(const machine::MachineDescriptor& m,
   return out;
 }
 
-std::vector<double> kernel_times(const machine::MachineDescriptor& m,
-                                 const SimConfig& cfg) {
-  return kernel_times(m, cfg, engine::shared_engine());
-}
-
 std::vector<GroupRatios> summarize_by_group(
     std::span<const double> ratios,
     std::span<const core::KernelSignature> sigs) {
@@ -158,10 +153,6 @@ std::vector<RatioSeries> figure1(SweepEngine& eng) {
   return out;
 }
 
-std::vector<RatioSeries> figure1() {
-  return figure1(engine::shared_engine());
-}
-
 ScalingTable scaling_table(Placement placement, SweepEngine& eng) {
   const obs::Span span("phase:scaling_table(" +
                        std::string(machine::to_string(placement)) + ")");
@@ -211,10 +202,6 @@ ScalingTable scaling_table(Placement placement, SweepEngine& eng) {
   return table;
 }
 
-ScalingTable scaling_table(Placement placement) {
-  return scaling_table(placement, engine::shared_engine());
-}
-
 std::vector<RatioSeries> figure2(SweepEngine& eng) {
   const obs::Span span("phase:figure2");
   const auto& sg = pipeline_machine();
@@ -238,10 +225,6 @@ std::vector<RatioSeries> figure2(SweepEngine& eng) {
         scalar, vector));
   }
   return out;
-}
-
-std::vector<RatioSeries> figure2() {
-  return figure2(engine::shared_engine());
 }
 
 std::vector<Fig3Row> figure3(SweepEngine& eng) {
@@ -297,16 +280,8 @@ std::vector<Fig3Row> figure3(SweepEngine& eng) {
   return out;
 }
 
-std::vector<Fig3Row> figure3() {
-  return figure3(engine::shared_engine());
-}
-
 int best_sg2042_threads(Group g, Precision prec, SweepEngine& eng) {
   return best_threads_by_group(prec, eng)[static_cast<std::size_t>(g)];
-}
-
-int best_sg2042_threads(Group g, Precision prec) {
-  return best_sg2042_threads(g, prec, engine::shared_engine());
 }
 
 void reset_best_threads_memo() {}
@@ -350,11 +325,6 @@ std::vector<RatioSeries> x86_comparison(Precision prec, bool multithreaded,
         make_series(x86.name, baseline, kernel_times(x86, c, eng)));
   }
   return out;
-}
-
-std::vector<RatioSeries> x86_comparison(Precision prec,
-                                        bool multithreaded) {
-  return x86_comparison(prec, multithreaded, engine::shared_engine());
 }
 
 }  // namespace sgp::experiments

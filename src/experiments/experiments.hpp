@@ -6,8 +6,8 @@
 // points are memoized in a content-addressed cache, so pipelines sharing
 // points (the x86 baselines, the scaling tables, repeated invocations
 // from tests and bench binaries in one process) stop re-simulating them.
-// The parameterless overloads use the process-wide
-// engine::shared_engine(). Per-kernel values are vectors aligned with
+// Callers pass the engine (usually the process-wide
+// engine::shared_engine()). Per-kernel values are vectors aligned with
 // kernels::all_signatures(); inside a class that is ascending name
 // order, so every per-class sum runs in a fixed order.
 #pragma once
@@ -40,8 +40,6 @@ const machine::MachineDescriptor& pipeline_machine();
 /// Per-kernel simulated times (seconds over all reps) for one machine
 /// under one configuration, aligned with kernels::all_signatures().
 std::vector<double> kernel_times(const machine::MachineDescriptor& m,
-                                 const sim::SimConfig& cfg);
-std::vector<double> kernel_times(const machine::MachineDescriptor& m,
                                  const sim::SimConfig& cfg,
                                  engine::SweepEngine& eng);
 
@@ -67,7 +65,6 @@ struct RatioSeries {
 // ---------------------------------------------------------- Figure 1 --
 /// Single-core RISC-V comparison, baseline VisionFive V2 at FP64.
 /// Series order: V1 FP64, V1 FP32, V2 FP32, SG2042 FP64, SG2042 FP32.
-std::vector<RatioSeries> figure1();
 std::vector<RatioSeries> figure1(engine::SweepEngine& eng);
 
 // -------------------------------------------------------- Tables 1-3 --
@@ -84,14 +81,12 @@ struct ScalingTable {
 
 /// SG2042 thread-scaling at FP32 under a placement policy (the paper's
 /// Tables 1, 2 and 3 for block/cyclic/cluster respectively).
-ScalingTable scaling_table(machine::Placement placement);
 ScalingTable scaling_table(machine::Placement placement,
                            engine::SweepEngine& eng);
 
 // ---------------------------------------------------------- Figure 2 --
 /// Single-core vectorisation on/off on the SG2042, per precision.
 /// Series order: FP32, FP64. Ratios are t_scalar / t_vector.
-std::vector<RatioSeries> figure2();
 std::vector<RatioSeries> figure2(engine::SweepEngine& eng);
 
 // ---------------------------------------------------------- Figure 3 --
@@ -106,15 +101,12 @@ struct Fig3Row {
 };
 
 /// Clang VLA/VLS vs GCC, Polybench kernels, FP32, single C920 core.
-std::vector<Fig3Row> figure3();
 std::vector<Fig3Row> figure3(engine::SweepEngine& eng);
 
 // ------------------------------------------------------- Figures 4-7 --
 /// x86 CPUs vs the SG2042 baseline. `multithreaded` = false gives
 /// Figures 4 (FP64) and 5 (FP32); true gives Figures 6 and 7. Series
 /// order matches Table 4: Rome, Broadwell, Icelake, Sandybridge.
-std::vector<RatioSeries> x86_comparison(core::Precision prec,
-                                        bool multithreaded);
 std::vector<RatioSeries> x86_comparison(core::Precision prec,
                                         bool multithreaded,
                                         engine::SweepEngine& eng);
@@ -123,7 +115,6 @@ std::vector<RatioSeries> x86_comparison(core::Precision prec,
 /// 32 beats 64 for some classes); candidates {32, 64}, cluster placement.
 /// Prices the whole suite's candidate grid; a repeated ask is served by
 /// the engine's memo.
-int best_sg2042_threads(core::Group g, core::Precision prec);
 int best_sg2042_threads(core::Group g, core::Precision prec,
                         engine::SweepEngine& eng);
 

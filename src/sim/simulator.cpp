@@ -6,10 +6,79 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/eval_context.hpp"
 #include "sim/pattern.hpp"
 
 namespace sgp::sim {
+
+namespace {
+
+/// Per-(machine, signature) state for one pricing call: the signature
+/// checks, the config-independent byte and pattern constants, and a
+/// lazy memo of the twelve (precision, compiler, vector mode) codegen
+/// plans and core costs. A grid slice that sweeps threads/placement
+/// hits the same combo slot for every point.
+class SignatureContext {
+  static constexpr std::size_t kPrecisions = 2;  ///< core::all_precisions
+  static constexpr std::size_t kCompilers = 2;   ///< Gcc, Clang
+  static constexpr std::size_t kModes = 3;       ///< Scalar, VLS, VLA
+
+ public:
+  struct Combo {
+    bool ready = false;
+    compiler::CodegenPlan plan;
+    CoreCost cost;
+  };
+
+  SignatureContext(const machine::MachineDescriptor& m,
+                   const CoreModel& core, const core::KernelSignature& sig)
+      : m_(m), core_(core), sig_(sig) {
+    // Same checks (and exception text) for run() and run_batch().
+    if (sig.iters_per_rep <= 0.0 || sig.reps <= 0.0 ||
+        sig.working_set_elems <= 0.0) {
+      throw std::invalid_argument("Simulator::run: malformed signature for " +
+                                  sig.name);
+    }
+    if (sig.seq_fraction < 0.0 || sig.seq_fraction > 1.0) {
+      throw std::invalid_argument("Simulator::run: bad seq_fraction for " +
+                                  sig.name);
+    }
+    pattern_bw_eff = pattern_bandwidth_efficiency(sig.pattern);
+    for (const auto prec : core::all_precisions) {
+      const auto i = static_cast<std::size_t>(prec);
+      ws_bytes[i] = sig.working_set_bytes(prec);
+      streamed_bytes_per_iter[i] = sig.streamed_bytes_per_iter(prec);
+    }
+  }
+
+  const Combo& combo(core::Precision prec, core::CompilerId comp,
+                     core::VectorMode mode) {
+    const std::size_t index =
+        (static_cast<std::size_t>(prec) * kCompilers +
+         static_cast<std::size_t>(comp)) *
+            kModes +
+        static_cast<std::size_t>(mode);
+    Combo& c = combos_[index];
+    if (!c.ready) {
+      c.plan = compiler::plan(sig_, prec, comp, mode, m_);
+      c.cost = core_.cycles_per_iteration(sig_, c.plan, prec);
+      c.ready = true;
+    }
+    return c;
+  }
+
+  double pattern_bw_eff = 1.0;
+  /// Signature byte volumes per precision (indexed by Precision).
+  std::array<double, kPrecisions> ws_bytes{};
+  std::array<double, kPrecisions> streamed_bytes_per_iter{};
+
+ private:
+  const machine::MachineDescriptor& m_;
+  const CoreModel& core_;
+  const core::KernelSignature& sig_;
+  std::array<Combo, kPrecisions * kCompilers * kModes> combos_{};
+};
+
+}  // namespace
 
 Simulator::Simulator(machine::MachineDescriptor m)
     : m_(std::move(m)), cache_(m_), memory_(m_), core_(m_), sync_(m_) {
@@ -54,14 +123,13 @@ TimeBreakdown Simulator::run(const core::KernelSignature& sig,
   const obs::Span span("Simulator::run");
   const auto obs_t0 = std::chrono::steady_clock::now();
 
-  // Thread range first, then signature validation (inside the context
-  // constructor), preserving the historical exception precedence.
+  // Thread range first, then signature validation, preserving the
+  // historical exception precedence.
   if (cfg.nthreads < 1 || cfg.nthreads > m_.num_cores) {
     throw std::invalid_argument("Simulator::run: nthreads out of range");
   }
-  EvalContext ctx(*this, sig);
   TimeBreakdown out;
-  price(ctx, std::span<const SimConfig>(&cfg, 1),
+  price(sig, std::span<const SimConfig>(&cfg, 1),
         std::span<TimeBreakdown>(&out, 1));
 
   runs.add();
@@ -72,93 +140,53 @@ TimeBreakdown Simulator::run(const core::KernelSignature& sig,
   return out;
 }
 
-void Simulator::run_batch(EvalContext& ctx,
+void Simulator::run_batch(const core::KernelSignature& sig,
                           std::span<const SimConfig> cfgs,
                           std::span<TimeBreakdown> out) const {
   static obs::Counter& batches =
       obs::registry().counter("sim.batch.batches");
   static obs::Counter& points =
       obs::registry().counter("sim.batch.points");
-  if (&ctx.simulator() != this) {
-    throw std::invalid_argument(
-        "Simulator::run_batch: context was built for a different simulator");
-  }
   if (cfgs.size() != out.size()) {
     throw std::invalid_argument(
         "Simulator::run_batch: cfgs/out length mismatch");
   }
   const obs::Span span("Simulator::run_batch");
-  price(ctx, cfgs, out);
+  price(sig, cfgs, out);
   batches.add();
   points.add(cfgs.size());
 }
 
-void Simulator::price(EvalContext& ctx, std::span<const SimConfig> cfgs,
+void Simulator::price(const core::KernelSignature& sig,
+                      std::span<const SimConfig> cfgs,
                       std::span<TimeBreakdown> out) const {
-  const std::size_t n = cfgs.size();
-  if (n == 0) return;
-  const core::KernelSignature& sig = *ctx.sig_;
-
-  auto& iters_crit = ctx.iters_crit_;
-  auto& compute_per_rep = ctx.compute_per_rep_;
-  auto& memory_per_rep = ctx.memory_per_rep_;
-  auto& sync_per_rep = ctx.sync_per_rep_;
-  auto& atomic_per_rep = ctx.atomic_per_rep_;
-  auto& point_combo = ctx.point_combo_;
-  auto& point_stats = ctx.point_stats_;
-  iters_crit.resize(n);
-  compute_per_rep.resize(n);
-  memory_per_rep.resize(n);
-  sync_per_rep.resize(n);
-  atomic_per_rep.resize(n);
-  point_combo.resize(n);
-  point_stats.resize(n);
-
+  SignatureContext ctx(m_, core_, sig);
   const double clock_hz = m_.core.clock_ghz * 1e9;
-
-  // Resolve pass: validate each config, bind its memoized codegen/core
-  // combo and placement-table row, and price the compute term.
-  for (std::size_t i = 0; i < n; ++i) {
+  const double reps = sig.reps;
+  for (std::size_t i = 0; i < cfgs.size(); ++i) {
     const SimConfig& cfg = cfgs[i];
     if (cfg.nthreads < 1 || cfg.nthreads > m_.num_cores) {
       throw std::invalid_argument("Simulator::run: nthreads out of range");
     }
-    const EvalContext::Combo& cb =
-        ctx.combo(cfg.precision, cfg.compiler, cfg.vector_mode);
-    point_combo[i] = &cb;
-    point_stats[i] = &placement_stats(cfg.placement, cfg.nthreads);
+    const auto& cb = ctx.combo(cfg.precision, cfg.compiler, cfg.vector_mode);
+    const machine::PlacementStats& stats =
+        placement_stats(cfg.placement, cfg.nthreads);
+    const auto prec = static_cast<std::size_t>(cfg.precision);
 
-    // Critical-path iterations per thread (Amdahl with seq_fraction).
+    // Compute: critical-path iterations per thread (Amdahl with
+    // seq_fraction) at the combo's per-iteration core cost.
     const double t = cfg.nthreads;
-    const double ic =
+    const double iters_crit =
         sig.iters_per_rep * ((1.0 - sig.seq_fraction) / t + sig.seq_fraction);
-    iters_crit[i] = ic;
-    compute_per_rep[i] = ic * cb.cost.cycles_per_iter / clock_hz;
+    const double compute = iters_crit * cb.cost.cycles_per_iter / clock_hz;
 
-    out[i].vector_path = cb.plan.vector_path;
-    out[i].note = cb.plan.note;
-    out[i].note_compiler = cfg.compiler;
-    out[i].note_mode = cfg.vector_mode;
-    out[i].note_rollback = cb.plan.needs_rollback;
-  }
-
-  // Memory pass: which level serves the streamed traffic, and how fast.
-  for (std::size_t i = 0; i < n; ++i) {
-    const SimConfig& cfg = cfgs[i];
-    const machine::PlacementStats& stats = *point_stats[i];
-    const compiler::CodegenPlan& plan = point_combo[i]->plan;
-    const double ws =
-        ctx.ws_bytes_[static_cast<std::size_t>(cfg.precision)];
-    const MemLevel serving = cache_.serving_level(ws, stats, cfg.nthreads);
-    out[i].serving = serving;
-
-    double mem = 0.0;
+    // Memory: which level serves the streamed traffic, and how fast.
+    const MemLevel serving =
+        cache_.serving_level(ctx.ws_bytes[prec], stats, cfg.nthreads);
+    double memory = 0.0;
     if (serving != MemLevel::L1) {
-      const double eff = ctx.pattern_bw_eff_;
       const double bytes_per_thread =
-          ctx.streamed_bytes_per_iter_[static_cast<std::size_t>(
-              cfg.precision)] *
-          iters_crit[i] / eff;
+          ctx.streamed_bytes_per_iter[prec] * iters_crit / ctx.pattern_bw_eff;
       double bw = 0.0;
       bool shared_level = false;
       if (serving == MemLevel::DRAM) {
@@ -175,23 +203,17 @@ void Simulator::price(EvalContext& ctx, std::span<const SimConfig> cfgs,
       // Scalar code exposes less memory-level parallelism than vector
       // code, so it sustains only a fraction of the streaming bandwidth
       // out of the shared levels.
-      if (shared_level && !plan.vector_path) {
+      if (shared_level && !cb.plan.vector_path) {
         bw *= m_.core.scalar_stream_derate;
       }
-      bw *= plan.memory_efficiency;
-      mem = bytes_per_thread / (bw * 1e9);
+      bw *= cb.plan.memory_efficiency;
+      memory = bytes_per_thread / (bw * 1e9);
     }
-    memory_per_rep[i] = mem;
-  }
 
-  // Sync/atomic pass. Contended atomics serialise globally: every
-  // atomic op costs a coherence round trip once more than one thread
-  // updates the location.
-  for (std::size_t i = 0; i < n; ++i) {
-    const SimConfig& cfg = cfgs[i];
-    const machine::PlacementStats& stats = *point_stats[i];
-    sync_per_rep[i] = sync_.seconds_per_rep(sig, stats, cfg.nthreads);
-
+    // Sync and atomics. Contended atomics serialise globally: every
+    // atomic op costs a coherence round trip once more than one thread
+    // updates the location.
+    const double sync = sync_.seconds_per_rep(sig, stats, cfg.nthreads);
     double atomic = 0.0;
     if (sig.atomic) {
       const double ops = sig.iters_per_rep;  // one atomic per iteration
@@ -204,20 +226,19 @@ void Simulator::price(EvalContext& ctx, std::span<const SimConfig> cfgs,
         atomic = ops * m_.atomic_rtt_ns * 1e-9 * span_mult;
       }
     }
-    atomic_per_rep[i] = atomic;
-  }
 
-  // Combine pass: pure SoA arithmetic over the term columns.
-  const double reps = sig.reps;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double per_rep =
-        std::max(compute_per_rep[i], memory_per_rep[i]) + sync_per_rep[i] +
-        atomic_per_rep[i];
-    out[i].compute_s = compute_per_rep[i] * reps;
-    out[i].memory_s = memory_per_rep[i] * reps;
-    out[i].sync_s = sync_per_rep[i] * reps;
-    out[i].atomic_s = atomic_per_rep[i] * reps;
-    out[i].total_s = per_rep * reps;
+    TimeBreakdown& o = out[i];
+    o.compute_s = compute * reps;
+    o.memory_s = memory * reps;
+    o.sync_s = sync * reps;
+    o.atomic_s = atomic * reps;
+    o.total_s = (std::max(compute, memory) + sync + atomic) * reps;
+    o.serving = serving;
+    o.vector_path = cb.plan.vector_path;
+    o.note = cb.plan.note;
+    o.note_compiler = cfg.compiler;
+    o.note_mode = cfg.vector_mode;
+    o.note_rollback = cb.plan.needs_rollback;
   }
 }
 

@@ -1,19 +1,17 @@
 // Facade: estimates the wall time of a full kernel run (all reps) on a
 // machine descriptor under a SimConfig.
 //
-// Two entry points share one pricing kernel, so their outputs are
+// Two entry points share one pricing loop, so their outputs are
 // bit-identical:
-//  * run()        — one (signature, config) point; builds a throwaway
-//                   EvalContext internally.
-//  * run_batch()  — a whole grid slice against a caller-held
-//                   EvalContext (see sim/eval_context.hpp): codegen
-//                   plans, core costs and pattern/byte constants are
-//                   resolved once per (machine, signature) and the
-//                   inner loops run over SoA scratch columns with zero
-//                   per-point allocation.
-// Placement-occupancy statistics for every (placement, nthreads) pair
-// are precomputed at construction in O(num_cores) per placement, so
-// neither path walks the topology per point.
+//  * run()        — one (signature, config) point;
+//  * run_batch()  — a grid slice of configs for one signature.
+// Each call resolves the signature's checks and byte/pattern constants
+// once and memoizes the (precision, compiler, vector mode) codegen
+// plans and core costs on first use, then prices every point in one
+// pass with no heap allocation. Placement-occupancy statistics for
+// every (placement, nthreads) pair are precomputed at construction in
+// O(num_cores) per placement, so neither path walks the topology per
+// point.
 #pragma once
 
 #include <array>
@@ -32,8 +30,6 @@
 #include "sim/sync_model.hpp"
 
 namespace sgp::sim {
-
-class EvalContext;
 
 /// Where the time went, over the whole run (reps included). Plain data
 /// with no heap state: the code-path note is an enum plus the fields
@@ -71,13 +67,12 @@ class Simulator {
   TimeBreakdown run(const core::KernelSignature& sig,
                     const SimConfig& cfg) const;
 
-  /// Prices a grid slice: out[i] = run(ctx.signature(), cfgs[i]), bit
-  /// for bit, with the per-point derivations amortized through `ctx`
-  /// (which must have been built against this simulator). Throws
-  /// std::invalid_argument on a foreign context, mismatched span
-  /// lengths, or any invalid config; the exception contract is
+  /// Prices a grid slice: out[i] = run(sig, cfgs[i]), bit for bit.
+  /// Throws std::invalid_argument on a malformed signature, mismatched
+  /// span lengths, or any invalid config; the exception contract is
   /// per-point (points before the offending one are already written).
-  void run_batch(EvalContext& ctx, std::span<const SimConfig> cfgs,
+  void run_batch(const core::KernelSignature& sig,
+                 std::span<const SimConfig> cfgs,
                  std::span<TimeBreakdown> out) const;
 
   /// Shorthand for run(...).total_s.
@@ -97,10 +92,9 @@ class Simulator {
   }
 
  private:
-  friend class EvalContext;
-
-  /// The shared pricing kernel behind run() and run_batch().
-  void price(EvalContext& ctx, std::span<const SimConfig> cfgs,
+  /// The shared pricing loop behind run() and run_batch().
+  void price(const core::KernelSignature& sig,
+             std::span<const SimConfig> cfgs,
              std::span<TimeBreakdown> out) const;
 
   machine::MachineDescriptor m_;

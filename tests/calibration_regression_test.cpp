@@ -4,6 +4,7 @@
 // constant changes, these tests say *which* headline moved.
 #include <gtest/gtest.h>
 
+#include "engine/engine.hpp"
 #include "experiments/experiments.hpp"
 
 namespace sgp::experiments {
@@ -21,7 +22,7 @@ const GroupRatios& group_of(const RatioSeries& s, Group g) {
 }
 
 TEST(CalibrationPins, Figure1Sg2042Averages) {
-  const auto series = figure1();
+  const auto series = figure1(engine::shared_engine());
   // FP64 class averages (encoded) near 2.7..3.3; FP32 near 6.0..16.2.
   for (const auto g : core::all_groups) {
     EXPECT_NEAR(group_of(series[3], g).mean, 3.0, 0.6)
@@ -34,8 +35,9 @@ TEST(CalibrationPins, Figure1Sg2042Averages) {
 TEST(CalibrationPins, StreamScalingRow) {
   // The row that anchors the whole memory model (paper: 0.97, 4.31,
   // 0.82, 15.18, ~1.6).
-  const auto block = scaling_table(Placement::Block);
-  const auto cluster = scaling_table(Placement::ClusterCyclic);
+  const auto block = scaling_table(Placement::Block, engine::shared_engine());
+  const auto cluster = scaling_table(Placement::ClusterCyclic,
+                                     engine::shared_engine());
   const auto& bs = block.cells.at(Group::Stream);
   const auto& cs = cluster.cells.at(Group::Stream);
   EXPECT_NEAR(bs[1].speedup, 1.0, 0.3);    // block-4
@@ -46,13 +48,14 @@ TEST(CalibrationPins, StreamScalingRow) {
 }
 
 TEST(CalibrationPins, Figure2StreamVectorBenefit) {
-  const auto series = figure2();
+  const auto series = figure2(engine::shared_engine());
   EXPECT_NEAR(group_of(series[0], Group::Stream).mean, 1.0, 0.4);
   EXPECT_NEAR(group_of(series[1], Group::Stream).mean, 0.0, 0.05);
 }
 
 TEST(CalibrationPins, X86SingleCoreHeadlines) {
-  const auto fp64 = x86_comparison(Precision::FP64, false);
+  const auto fp64 = x86_comparison(Precision::FP64, false,
+                                   engine::shared_engine());
   // Whole-suite average encoded ratios per CPU (paper: Rome 4x,
   // Broadwell 4x, Icelake 5x, Sandybridge 1.2x).
   auto avg = [](const RatioSeries& s) {
@@ -67,7 +70,7 @@ TEST(CalibrationPins, X86SingleCoreHeadlines) {
 }
 
 TEST(CalibrationPins, Figure3Anchors) {
-  const auto rows = figure3();
+  const auto rows = figure3(engine::shared_engine());
   for (const auto& r : rows) {
     if (r.kernel == "GEMM") {
       EXPECT_NEAR(r.clang_vls, -1.0, 0.3);

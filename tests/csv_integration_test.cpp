@@ -51,7 +51,7 @@ class CsvIntegration : public ::testing::Test {
 };
 
 TEST_F(CsvIntegration, SeriesCsvHasAllClassesAndSeries) {
-  const auto series = experiments::figure1();
+  const auto series = experiments::figure1(engine::shared_engine());
   const auto path = (dir_ / "fig1.csv").string();
   write_series_csv(path, series);
   // 5 series x 6 classes.
@@ -60,7 +60,8 @@ TEST_F(CsvIntegration, SeriesCsvHasAllClassesAndSeries) {
 
 TEST_F(CsvIntegration, ScalingCsvHasAllCells) {
   const auto table =
-      experiments::scaling_table(machine::Placement::ClusterCyclic);
+      experiments::scaling_table(machine::Placement::ClusterCyclic,
+                                 engine::shared_engine());
   const auto path = (dir_ / "tab3.csv").string();
   write_scaling_csv(path, table);
   // 6 thread counts x 6 classes.

@@ -77,7 +77,7 @@ TEST(SweepEngine, LargeGroupIsBitIdenticalToScalarRun) {
   const auto m = machine::sg2042();
   const auto sig = kernels::all_signatures().front();
   // 64 thread counts x 3 placements x 2 precisions: one (machine,
-  // signature) group of 384 misses, priced through one EvalContext.
+  // signature) group of 384 misses, priced by one Simulator::run_batch.
   std::vector<sim::SimConfig> cfgs;
   for (const auto prec : {core::Precision::FP32, core::Precision::FP64}) {
     for (const auto place :

@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "engine/engine.hpp"
 #include "experiments/experiments.hpp"
 #include "kernels/register_all.hpp"
 
@@ -27,7 +28,7 @@ const GroupRatios& group_of(const RatioSeries& s, Group g) {
 class Figure1Test : public ::testing::Test {
  protected:
   static const std::vector<RatioSeries>& series() {
-    static const auto s = figure1();
+    static const auto s = figure1(engine::shared_engine());
     return s;
   }
 };
@@ -94,15 +95,18 @@ TEST_F(Figure1Test, Fp64GainsInThePapersBand) {
 class ScalingTest : public ::testing::Test {
  protected:
   static const ScalingTable& block() {
-    static const auto t = scaling_table(Placement::Block);
+    static const auto t =
+        scaling_table(Placement::Block, engine::shared_engine());
     return t;
   }
   static const ScalingTable& cyclic() {
-    static const auto t = scaling_table(Placement::CyclicNuma);
+    static const auto t = scaling_table(Placement::CyclicNuma,
+                                        engine::shared_engine());
     return t;
   }
   static const ScalingTable& cluster() {
-    static const auto t = scaling_table(Placement::ClusterCyclic);
+    static const auto t = scaling_table(Placement::ClusterCyclic,
+                                        engine::shared_engine());
     return t;
   }
   // Thread counts are {2,4,8,16,32,64}: index of a count.
@@ -199,7 +203,7 @@ TEST_F(ScalingTest, SixtyFourThreadsIdenticalAcrossPlacements) {
 class Figure2Test : public ::testing::Test {
  protected:
   static const std::vector<RatioSeries>& series() {
-    static const auto s = figure2();
+    static const auto s = figure2(engine::shared_engine());
     return s;
   }
 };
@@ -251,7 +255,7 @@ TEST_F(Figure2Test, SomeFp64KernelsRunSlightlySlowerVectorised) {
 class Figure3Test : public ::testing::Test {
  protected:
   static const std::vector<Fig3Row>& rows() {
-    static const auto r = figure3();
+    static const auto r = figure3(engine::shared_engine());
     return r;
   }
   static const Fig3Row& row(const std::string& k) {
@@ -312,7 +316,10 @@ class X86Test : public ::testing::Test {
     auto key = std::make_pair(static_cast<int>(p), multi);
     auto it = cache.find(key);
     if (it == cache.end()) {
-      it = cache.emplace(key, x86_comparison(p, multi)).first;
+      it = cache
+               .emplace(key,
+                        x86_comparison(p, multi, engine::shared_engine()))
+               .first;
     }
     return it->second;
   }
@@ -402,7 +409,7 @@ TEST_F(X86Test, BigX86StillWinsMultithreaded) {
 TEST_F(X86Test, BestSg2042ThreadsIsThirtyTwoOrSixtyFour) {
   for (const auto g : core::all_groups) {
     for (const auto p : {Precision::FP32, Precision::FP64}) {
-      const int n = best_sg2042_threads(g, p);
+      const int n = best_sg2042_threads(g, p, engine::shared_engine());
       EXPECT_TRUE(n == 32 || n == 64)
           << core::to_string(g) << " " << core::to_string(p) << ": " << n;
     }
@@ -410,7 +417,8 @@ TEST_F(X86Test, BestSg2042ThreadsIsThirtyTwoOrSixtyFour) {
   // The paper found 32 more performant than 64 for some classes.
   int any32 = 0;
   for (const auto g : core::all_groups) {
-    if (best_sg2042_threads(g, Precision::FP32) == 32) ++any32;
+    if (best_sg2042_threads(g, Precision::FP32,
+                            engine::shared_engine()) == 32) ++any32;
   }
   EXPECT_GT(any32, 0);
 }

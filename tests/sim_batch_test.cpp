@@ -1,9 +1,10 @@
-// Contract tests for the batched evaluation path: EvalContext +
-// Simulator::run_batch must be bit-identical to per-point
-// Simulator::run, the structured note fields must render the exact
-// historical strings, the engine's batched memo path must survive
-// concurrent run_grid callers, and the sgp-serve note output is pinned
-// against a golden captured before notes became structured.
+// Contract tests for the batched evaluation path: Simulator::run_batch
+// must be bit-identical to per-point Simulator::run (also for the
+// points written before a throwing one), the structured note fields
+// must render the exact historical strings, the engine's batched memo
+// path must survive concurrent run_grid callers, and the sgp-serve note
+// output is pinned against a golden captured before notes became
+// structured.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -19,7 +20,6 @@
 #include "machine/descriptor.hpp"
 #include "machine/placement.hpp"
 #include "serve/server.hpp"
-#include "sim/eval_context.hpp"
 #include "sim/simulator.hpp"
 
 namespace sgp {
@@ -81,9 +81,8 @@ TEST(SimBatch, BatchMatchesScalarBitForBitAcrossTheGrid) {
   for (const char* name :
        {"TRIAD", "DAXPY", "GEMM", "DOT", "FIR", "SORT", "JACOBI_2D"}) {
     const auto& sig = *kernels::find_signature(name);
-    sim::EvalContext ctx(sim, sig);
     std::vector<sim::TimeBreakdown> batch(grid.size());
-    sim.run_batch(ctx, grid, batch);
+    sim.run_batch(sig, grid, batch);
     for (std::size_t i = 0; i < grid.size(); ++i) {
       expect_identical(sim.run(sig, grid[i]), batch[i],
                        std::string(name) + " point " + std::to_string(i));
@@ -91,75 +90,55 @@ TEST(SimBatch, BatchMatchesScalarBitForBitAcrossTheGrid) {
   }
 }
 
-TEST(SimBatch, ContextReuseAcrossBatchesStaysIdentical) {
-  const sim::Simulator sim(machine::sg2042());
-  const auto& sig = *kernels::find_signature("TRIAD");
-  sim::EvalContext ctx(sim, sig);
-  const auto grid = full_grid(sim.machine());
-  // Same context, three batches over different slices (including the
-  // same points again) — precomputed state must not drift.
-  for (int pass = 0; pass < 3; ++pass) {
-    const std::size_t n = grid.size() / (pass + 1);
-    std::vector<sim::SimConfig> cfgs(grid.begin(),
-                                     grid.begin() + static_cast<long>(n));
-    std::vector<sim::TimeBreakdown> out(n);
-    sim.run_batch(ctx, cfgs, out);
-    for (std::size_t i = 0; i < n; ++i) {
-      expect_identical(sim.run(sig, cfgs[i]), out[i],
-                       "pass " + std::to_string(pass));
-    }
-  }
-}
-
 TEST(SimBatch, EmptyAndSinglePointBatches) {
   const sim::Simulator sim(machine::sg2042());
   const auto& sig = *kernels::find_signature("TRIAD");
-  sim::EvalContext ctx(sim, sig);
 
   std::vector<sim::SimConfig> none;
   std::vector<sim::TimeBreakdown> none_out;
-  sim.run_batch(ctx, none, none_out);  // must not throw
+  sim.run_batch(sig, none, none_out);  // must not throw
 
   sim::SimConfig cfg;
   cfg.nthreads = 4;
   std::vector<sim::TimeBreakdown> one(1);
-  sim.run_batch(ctx, std::span<const sim::SimConfig>(&cfg, 1), one);
+  sim.run_batch(sig, std::span<const sim::SimConfig>(&cfg, 1), one);
   expect_identical(sim.run(sig, cfg), one[0], "single point");
 }
 
 TEST(SimBatch, MismatchedSpansThrow) {
   const sim::Simulator sim(machine::sg2042());
   const auto& sig = *kernels::find_signature("TRIAD");
-  sim::EvalContext ctx(sim, sig);
   std::vector<sim::SimConfig> cfgs(2);
   std::vector<sim::TimeBreakdown> out(3);
-  EXPECT_THROW(sim.run_batch(ctx, cfgs, out), std::invalid_argument);
-}
-
-TEST(SimBatch, ForeignContextIsRejected) {
-  const sim::Simulator sg(machine::sg2042());
-  const sim::Simulator rome(machine::amd_rome());
-  const auto& sig = *kernels::find_signature("TRIAD");
-  sim::EvalContext ctx(sg, sig);
-  std::vector<sim::SimConfig> cfgs(1);
-  std::vector<sim::TimeBreakdown> out(1);
-  EXPECT_THROW(rome.run_batch(ctx, cfgs, out), std::invalid_argument);
+  EXPECT_THROW(sim.run_batch(sig, cfgs, out), std::invalid_argument);
 }
 
 TEST(SimBatch, InvalidPointsThrowLikeTheScalarPath) {
   const sim::Simulator sim(machine::sg2042());
   const auto& sig = *kernels::find_signature("TRIAD");
-  sim::EvalContext ctx(sim, sig);
   std::vector<sim::SimConfig> cfgs(1);
   cfgs[0].nthreads = sim.machine().num_cores + 1;
   std::vector<sim::TimeBreakdown> out(1);
-  EXPECT_THROW(sim.run_batch(ctx, cfgs, out), std::invalid_argument);
+  EXPECT_THROW(sim.run_batch(sig, cfgs, out), std::invalid_argument);
   // GCC cannot emit VLA: a hard error through either path.
   cfgs[0] = sim::SimConfig{};
   cfgs[0].compiler = core::CompilerId::Gcc;
   cfgs[0].vector_mode = core::VectorMode::VLA;
-  EXPECT_THROW(sim.run_batch(ctx, cfgs, out), std::invalid_argument);
+  EXPECT_THROW(sim.run_batch(sig, cfgs, out), std::invalid_argument);
   EXPECT_THROW((void)sim.run(sig, cfgs[0]), std::invalid_argument);
+}
+
+TEST(SimBatch, PointsBeforeAThrowingPointAreWritten) {
+  const sim::Simulator sim(machine::sg2042());
+  const auto& sig = *kernels::find_signature("TRIAD");
+  std::vector<sim::SimConfig> cfgs(3);
+  cfgs[0].nthreads = 1;
+  cfgs[1].nthreads = 4;
+  cfgs[2].nthreads = 1000;  // out of range: the batch throws here
+  std::vector<sim::TimeBreakdown> out(3);
+  EXPECT_THROW(sim.run_batch(sig, cfgs, out), std::invalid_argument);
+  expect_identical(sim.run(sig, cfgs[0]), out[0], "point 0");
+  expect_identical(sim.run(sig, cfgs[1]), out[1], "point 1");
 }
 
 // ------------------------------------------------ note rendering --
