@@ -296,11 +296,23 @@ int main(int argc, char** argv) {
   // Regeneration mode: render every pipeline on a private engine and
   // pin the result. No checks run.
   if (opt.write_golden_dir) {
+    std::error_code ec;
+    if (!std::filesystem::is_directory(*opt.write_golden_dir, ec)) {
+      std::cerr << "check_cli: --write-golden: not a directory: "
+                << *opt.write_golden_dir << "\n";
+      return 64;
+    }
     engine::SweepEngine eng;
-    for (const auto& a : check::run_all_artifacts(eng)) {
-      const std::string path = *opt.write_golden_dir + "/" + a.name + ".csv";
-      a.csv.write(path);
-      std::cout << "wrote " << path << "\n";
+    try {
+      for (const auto& a : check::run_all_artifacts(eng)) {
+        const std::string path =
+            *opt.write_golden_dir + "/" + a.name + ".csv";
+        a.csv.write(path);
+        std::cout << "wrote " << path << "\n";
+      }
+    } catch (const std::exception& e) {
+      std::cerr << "check_cli: --write-golden: " << e.what() << "\n";
+      return 1;
     }
     return 0;
   }

@@ -8,9 +8,9 @@
 
 #include "experiments/experiments.hpp"
 #include "kernels/register_all.hpp"
-#include "native/suite_runner.hpp"
 #include "report/table.hpp"
 #include "sim/simulator.hpp"
+#include "threading/pool.hpp"
 
 int main(int argc, char** argv) {
   using namespace sgp;
@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   rp.num_threads = 2;
 
   const auto registry = kernels::make_registry();
-  native::SuiteRunner runner(registry, rp);
+  threading::ThreadPool pool(rp.num_threads);
 
   std::cout << "== Native execution (this machine, " << rp.num_threads
             << " threads, size factor " << rp.size_factor << ") ==\n";
@@ -30,12 +30,14 @@ int main(int argc, char** argv) {
   for (const char* name : {"TRIAD", "DAXPY", "GEMM", "FIR", "JACOBI_2D"}) {
     for (const auto prec :
          {core::Precision::FP32, core::Precision::FP64}) {
-      const auto rec = runner.run_one(name, prec);
+      const auto kernel = registry.create(name);
+      const auto res = kernel->run_native(prec, rp, pool);
       native_table.add_row(
-          {rec.name, std::string(core::to_string(rec.group)),
-           std::string(core::to_string(prec)), std::to_string(rec.reps),
-           report::Table::num(rec.seconds_per_rep() * 1e3, 3),
-           report::Table::num(static_cast<double>(rec.checksum), 4)});
+          {name, std::string(core::to_string(kernel->group())),
+           std::string(core::to_string(prec)), std::to_string(res.reps),
+           report::Table::num(
+               res.seconds / static_cast<double>(res.reps) * 1e3, 3),
+           report::Table::num(static_cast<double>(res.checksum), 4)});
     }
   }
   std::cout << native_table.render() << "\n";

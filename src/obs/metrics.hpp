@@ -1,5 +1,5 @@
 // Process-wide metrics registry: the single place every subsystem
-// (simulator, sweep engine, memo cache, thread pool, suite runner)
+// (simulator, sweep engine, memo cache, thread pool)
 // publishes its counts, so one snapshot describes a whole run.
 //
 // Design rules:

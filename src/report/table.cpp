@@ -1,7 +1,6 @@
 #include "report/table.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <stdexcept>
 
@@ -25,12 +24,6 @@ std::string Table::num(double v, int decimals) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
   return buf;
-}
-
-std::string Table::num_or(double v, int decimals, bool ok,
-                          const std::string& fallback) {
-  if (!ok || !std::isfinite(v)) return fallback;
-  return num(v, decimals);
 }
 
 std::string Table::render() const {

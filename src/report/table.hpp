@@ -21,11 +21,6 @@ class Table {
   /// Fixed-precision double formatting helper ("%.2f"-style).
   static std::string num(double v, int decimals = 2);
 
-  /// Like num(), but renders `fallback` when the value is non-finite or
-  /// `ok` is false — so failed suite rows show "-" instead of garbage.
-  static std::string num_or(double v, int decimals, bool ok,
-                            const std::string& fallback = "-");
-
  private:
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;

@@ -47,24 +47,20 @@ int parse_triggers(const std::string& text) {
 }  // namespace
 
 void FaultPlan::add(FaultSpec spec) {
-  if (spec.kernel.empty()) {
-    throw std::invalid_argument("FaultPlan: empty kernel name");
+  if (spec.site.empty()) {
+    throw std::invalid_argument("FaultPlan: empty site name");
   }
   if (spec.kind == FaultKind::None) {
-    throw std::invalid_argument("FaultPlan: spec for '" + spec.kernel +
+    throw std::invalid_argument("FaultPlan: spec for '" + spec.site +
                                 "' has no fault kind");
-  }
-  if (spec.kind == FaultKind::Delay && spec.delay_ms <= 0.0) {
-    throw std::invalid_argument("FaultPlan: delay for '" + spec.kernel +
-                                "' must be > 0 ms");
   }
   if (spec.probability <= 0.0 || spec.probability > 1.0) {
     throw std::invalid_argument("FaultPlan: probability for '" +
-                                spec.kernel + "' must be in (0, 1]");
+                                spec.site + "' must be in (0, 1]");
   }
   if (spec.max_triggers == 0 || spec.max_triggers < -1) {
     throw std::invalid_argument("FaultPlan: max_triggers for '" +
-                                spec.kernel + "' must be -1 or >= 1");
+                                spec.site + "' must be -1 or >= 1");
   }
   specs_.push_back(std::move(spec));
 }
@@ -75,11 +71,11 @@ FaultPlan FaultPlan::parse(std::string_view text) {
     if (entry.empty()) continue;
     const auto fields = split(entry, ':');
     if (fields.size() < 2) {
-      throw std::invalid_argument("FaultPlan: expected 'kernel:kind', got '" +
+      throw std::invalid_argument("FaultPlan: expected 'site:kind', got '" +
                                   entry + "'");
     }
     FaultSpec spec;
-    spec.kernel = fields[0];
+    spec.site = fields[0];
 
     // The kind token may carry an '@probability' suffix.
     std::string kind = fields[1];
@@ -89,12 +85,7 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       kind = kind.substr(0, at);
     }
 
-    std::size_t next_field = 2;
-    if (kind == "throw") {
-      spec.kind = FaultKind::Throw;
-    } else if (kind == "nan") {
-      spec.kind = FaultKind::CorruptChecksum;
-    } else if (kind == "torn") {
+    if (kind == "torn") {
       spec.kind = FaultKind::TornWrite;
     } else if (kind == "enospc") {
       spec.kind = FaultKind::NoSpace;
@@ -102,27 +93,16 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       spec.kind = FaultKind::BitFlipRead;
     } else if (kind == "renamefail") {
       spec.kind = FaultKind::RenameFail;
-    } else if (kind == "delay") {
-      spec.kind = FaultKind::Delay;
-      if (fields.size() < 3) {
-        throw std::invalid_argument(
-            "FaultPlan: delay needs milliseconds, e.g. '" + spec.kernel +
-            ":delay:250'");
-      }
-      spec.delay_ms = parse_number(fields[2], "delay");
-      next_field = 3;
     } else {
       throw std::invalid_argument(
           "FaultPlan: unknown fault kind '" + kind +
-          "' (throw | nan | delay | torn | enospc | bitflip | renamefail)");
+          "' (torn | enospc | bitflip | renamefail)");
     }
-    if (fields.size() > next_field + 1) {
+    if (fields.size() > 3) {
       throw std::invalid_argument("FaultPlan: trailing fields in '" + entry +
                                   "'");
     }
-    if (fields.size() == next_field + 1) {
-      spec.max_triggers = parse_triggers(fields[next_field]);
-    }
+    if (fields.size() == 3) spec.max_triggers = parse_triggers(fields[2]);
     plan.add(std::move(spec));
   }
   return plan;
@@ -136,18 +116,18 @@ FaultInjector::FaultInjector(FaultPlan plan, std::uint64_t seed) {
     State st;
     st.spec = spec;
     st.remaining = spec.max_triggers;
-    // Per-kernel stream: the same plan + seed always faults the same
-    // attempts regardless of suite order or other kernels' draws.
+    // Per-site stream: the same plan + seed always faults the same
+    // operations regardless of other sites' draws.
     st.rng.seed(folded ^ static_cast<unsigned>(
-                             std::hash<std::string>{}(spec.kernel)));
+                             std::hash<std::string>{}(spec.site)));
     states_.push_back(std::move(st));
   }
 }
 
-ArmedFault FaultInjector::arm(std::string_view kernel) {
+ArmedFault FaultInjector::arm(std::string_view site) {
   std::lock_guard<std::mutex> lk(mu_);
   for (auto& st : states_) {
-    if (st.spec.kernel != kernel && st.spec.kernel != "*") continue;
+    if (st.spec.site != site && st.spec.site != "*") continue;
     if (st.remaining == 0) continue;
     if (st.spec.probability < 1.0) {
       std::bernoulli_distribution fire(st.spec.probability);
@@ -162,16 +142,16 @@ ArmedFault FaultInjector::arm(std::string_view kernel) {
       // given (plan, seed) regardless of how other specs drew.
       entropy = (static_cast<std::uint64_t>(st.rng()) << 32) | st.rng();
     }
-    return ArmedFault{st.spec.kind, st.spec.delay_ms, entropy};
+    return ArmedFault{st.spec.kind, entropy};
   }
   return ArmedFault{};
 }
 
-int FaultInjector::armed_count(std::string_view kernel) const {
+int FaultInjector::armed_count(std::string_view site) const {
   std::lock_guard<std::mutex> lk(mu_);
   int n = 0;
   for (const auto& st : states_) {
-    if (st.spec.kernel == kernel || st.spec.kernel == "*") n += st.armed;
+    if (st.spec.site == site || st.spec.site == "*") n += st.armed;
   }
   return n;
 }

@@ -1,12 +1,15 @@
-// Bounded retry with exponential backoff for transient kernel faults.
+// Bounded retry with exponential backoff for transient I/O faults (the
+// persistent store retries a failed segment flush under this policy).
 #pragma once
 
 #include <cstdint>
+#include <stdexcept>
 
 namespace sgp::resilience {
 
-/// Governs how many times a failing kernel is re-attempted and how long
-/// the runner pauses between attempts. max_attempts == 1 disables retry.
+/// Governs how many times a failing operation is re-attempted and how
+/// long the caller pauses between attempts. max_attempts == 1 disables
+/// retry.
 struct RetryPolicy {
   int max_attempts = 1;             ///< total attempts (first + retries)
   double backoff_initial_ms = 10.0; ///< pause before the first retry
@@ -48,10 +51,19 @@ struct RetryPolicy {
     return d;
   }
 
-  bool enabled() const { return max_attempts > 1; }
-
   /// Throws std::invalid_argument on nonsensical parameters.
-  void validate() const;
+  void validate() const {
+    if (max_attempts < 1) {
+      throw std::invalid_argument("RetryPolicy: max_attempts must be >= 1");
+    }
+    if (backoff_initial_ms < 0.0 || backoff_max_ms < 0.0 ||
+        backoff_multiplier < 1.0) {
+      throw std::invalid_argument("RetryPolicy: bad backoff parameters");
+    }
+    if (jitter < 0.0 || jitter >= 1.0) {
+      throw std::invalid_argument("RetryPolicy: jitter must be in [0, 1)");
+    }
+  }
 };
 
 }  // namespace sgp::resilience

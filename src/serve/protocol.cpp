@@ -71,7 +71,7 @@ std::string field_str(const obs::JsonValue& v, std::string_view name,
 /// Strict unsigned-integer field: a JSON number whose *raw token*
 /// round-trips through the shared obs::parse_u64 parser — "-1", "4.0"
 /// and "1e3" are all rejected, and values above 2^53 keep full
-/// precision (the same parser suite_cli's --inject-seed now uses).
+/// precision (the same parser check_cli's count flags use).
 std::uint64_t field_u64(const obs::JsonValue& v, std::string_view name,
                         std::uint64_t max_value) {
   std::optional<std::uint64_t> parsed;

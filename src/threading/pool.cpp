@@ -13,7 +13,7 @@ namespace sgp::threading {
 namespace {
 
 /// Process-wide pool metrics, aggregated over every ThreadPool
-/// instance (the engine's, the suite runner's, transient test pools).
+/// instance (the engine's, native runs', transient test pools).
 struct PoolMetrics {
   obs::Counter& dispatches =
       obs::registry().counter("pool.dispatches");

@@ -9,7 +9,7 @@
 #include "core/registry.hpp"
 #include "kernels/register_all.hpp"
 #include "kernels/vector_facts.hpp"
-#include "native/suite_runner.hpp"
+#include "threading/pool.hpp"
 
 namespace sgp::kernels {
 namespace {
@@ -89,20 +89,22 @@ using CorrectnessCase = std::tuple<std::string, Precision>;
 class KernelCorrectness
     : public ::testing::TestWithParam<CorrectnessCase> {
  protected:
-  static core::RunParams small_params(int threads) {
+  /// One fresh kernel, one rep at a small size, under `exec`.
+  static core::KernelBase::NativeResult run(const std::string& name,
+                                            Precision p,
+                                            core::Executor& exec) {
     core::RunParams rp;
     rp.size_factor = 0.004;  // keep native runs quick
     rp.rep_factor = 1e-9;    // one rep
-    rp.num_threads = threads;
-    return rp;
+    return registry().create(name)->run_native(p, rp, exec);
   }
 };
 
 TEST_P(KernelCorrectness, ChecksumIsFiniteAndDeterministic) {
   const auto [name, prec] = GetParam();
-  native::SuiteRunner runner(registry(), small_params(1));
-  const auto r1 = runner.run_one(name, prec);
-  const auto r2 = runner.run_one(name, prec);
+  core::SerialExecutor exec;
+  const auto r1 = run(name, prec, exec);
+  const auto r2 = run(name, prec, exec);
   EXPECT_TRUE(std::isfinite(static_cast<double>(r1.checksum))) << name;
   EXPECT_NE(r1.checksum, 0.0L) << name << ": checksum should be nonzero";
   EXPECT_EQ(r1.checksum, r2.checksum) << name << ": not deterministic";
@@ -111,10 +113,10 @@ TEST_P(KernelCorrectness, ChecksumIsFiniteAndDeterministic) {
 
 TEST_P(KernelCorrectness, ThreadedMatchesSerial) {
   const auto [name, prec] = GetParam();
-  native::SuiteRunner serial(registry(), small_params(1));
-  native::SuiteRunner threaded(registry(), small_params(4));
-  const auto rs = serial.run_one(name, prec);
-  const auto rt = threaded.run_one(name, prec);
+  core::SerialExecutor serial;
+  threading::ThreadPool pool(4);
+  const auto rs = run(name, prec, serial);
+  const auto rt = run(name, prec, pool);
   const double a = static_cast<double>(rs.checksum);
   const double b = static_cast<double>(rt.checksum);
   // Chunked reductions and relaxed atomics reorder float sums; allow a

@@ -1,67 +1,85 @@
-// Tests for the native execution backend (SuiteRunner).
+// Tests for native execution through the registry: the direct
+// `registry.create(name)->run_native(p, rp, exec)` call that suite_cli
+// and quickstart make, serial and on the thread pool.
 #include <gtest/gtest.h>
 
-#include "kernels/register_all.hpp"
-#include "native/suite_runner.hpp"
+#include <cmath>
+#include <stdexcept>
+#include <string>
 
-namespace sgp::native {
+#include "kernels/register_all.hpp"
+#include "threading/pool.hpp"
+
+namespace sgp {
 namespace {
 
-core::RunParams tiny(int threads = 1) {
+core::RunParams tiny() {
   core::RunParams rp;
   rp.size_factor = 0.002;
   rp.rep_factor = 1e-9;
-  rp.num_threads = threads;
   return rp;
 }
 
-TEST(SuiteRunner, UnknownKernelThrows) {
-  const auto reg = kernels::make_registry();
-  SuiteRunner runner(reg, tiny());
-  EXPECT_THROW((void)runner.run_one("NOPE", core::Precision::FP64),
-               std::out_of_range);
+core::KernelBase::NativeResult run(const core::Registry& reg,
+                                   const std::string& name,
+                                   core::Precision p, core::Executor& exec) {
+  return reg.create(name)->run_native(p, tiny(), exec);
 }
 
-TEST(SuiteRunner, RunOnePopulatesRecord) {
+TEST(NativeRun, UnknownKernelSuggestsClosestName) {
   const auto reg = kernels::make_registry();
-  SuiteRunner runner(reg, tiny());
-  const auto rec = runner.run_one("DAXPY", core::Precision::FP32);
-  EXPECT_EQ(rec.name, "DAXPY");
-  EXPECT_EQ(rec.group, core::Group::Basic);
-  EXPECT_EQ(rec.precision, core::Precision::FP32);
-  EXPECT_EQ(rec.reps, 1u);
-  EXPECT_EQ(rec.threads, 1);
-  EXPECT_GE(rec.seconds, 0.0);
-  EXPECT_GE(rec.seconds_per_rep(), 0.0);
+  try {
+    (void)reg.create("DAXPZ");
+    FAIL() << "expected std::out_of_range";
+  } catch (const std::out_of_range& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("DAXPZ"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("did you mean 'DAXPY'"), std::string::npos) << msg;
+  }
 }
 
-TEST(SuiteRunner, RunGroupReturnsWholeGroup) {
+TEST(NativeRun, OneRunReportsRepsTimeAndChecksum) {
   const auto reg = kernels::make_registry();
-  SuiteRunner runner(reg, tiny());
-  const auto recs =
-      runner.run_group(core::Group::Stream, core::Precision::FP64);
-  ASSERT_EQ(recs.size(), 5u);
-  for (const auto& r : recs) EXPECT_EQ(r.group, core::Group::Stream);
+  core::SerialExecutor exec;
+  const auto res = run(reg, "DAXPY", core::Precision::FP32, exec);
+  EXPECT_EQ(res.reps, 1u);
+  EXPECT_GE(res.seconds, 0.0);
+  EXPECT_TRUE(std::isfinite(static_cast<double>(res.checksum)));
 }
 
-TEST(SuiteRunner, RunAllCoversSuite) {
+TEST(NativeRun, GroupRunCoversWholeGroup) {
   const auto reg = kernels::make_registry();
-  SuiteRunner runner(reg, tiny());
-  const auto recs = runner.run_all(core::Precision::FP32);
-  EXPECT_EQ(recs.size(), 64u);
+  core::SerialExecutor exec;
+  const auto names = reg.names(core::Group::Stream);
+  ASSERT_EQ(names.size(), 5u);
+  for (const auto& name : names) {
+    EXPECT_EQ(reg.create(name)->group(), core::Group::Stream) << name;
+    const auto res = run(reg, name, core::Precision::FP64, exec);
+    EXPECT_TRUE(std::isfinite(static_cast<double>(res.checksum))) << name;
+  }
 }
 
-TEST(SuiteRunner, ThreadedRunnerAgreesWithSerial) {
+TEST(NativeRun, WholeSuiteRuns) {
   const auto reg = kernels::make_registry();
-  SuiteRunner serial(reg, tiny(1));
-  SuiteRunner threaded(reg, tiny(3));
-  const auto a = serial.run_one("TRIAD", core::Precision::FP64);
-  const auto b = threaded.run_one("TRIAD", core::Precision::FP64);
+  core::SerialExecutor exec;
+  const auto names = reg.names();
+  ASSERT_EQ(names.size(), 64u);
+  for (const auto& name : names) {
+    const auto res = run(reg, name, core::Precision::FP32, exec);
+    EXPECT_EQ(res.reps, 1u) << name;
+  }
+}
+
+TEST(NativeRun, ThreadPoolAgreesWithSerial) {
+  const auto reg = kernels::make_registry();
+  core::SerialExecutor serial;
+  threading::ThreadPool pool(3);
+  const auto a = run(reg, "TRIAD", core::Precision::FP64, serial);
+  const auto b = run(reg, "TRIAD", core::Precision::FP64, pool);
   EXPECT_NEAR(static_cast<double>(a.checksum),
               static_cast<double>(b.checksum),
               1e-6 * std::abs(static_cast<double>(a.checksum)));
-  EXPECT_EQ(b.threads, 3);
 }
 
 }  // namespace
-}  // namespace sgp::native
+}  // namespace sgp

@@ -1,12 +1,15 @@
 // Tests for the crash-safe persistence layer (engine/persist.hpp) and
 // the engine's checkpoint/resume path: segment format round-trips,
-// corruption detection/quarantine, I/O fault injection, cold-vs-warm
+// corruption detection/quarantine, the I/O fault-plan grammar and
+// injector, the flush retry policy, I/O fault injection, cold-vs-warm
 // engine identity — including a simulated kill mid-flush — and a
 // thread-safety hammer for concurrent flushes (run under
 // -DSGP_SANITIZE=thread via the check_tsan target).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdio>
 #include <cstring>
@@ -27,6 +30,7 @@
 #include "machine/descriptor.hpp"
 #include "obs/metrics.hpp"
 #include "resilience/fault_injector.hpp"
+#include "resilience/retry.hpp"
 
 namespace {
 
@@ -277,6 +281,147 @@ TEST(SegmentFile, DetectedWriteFaultsFailTheWrite) {
     EXPECT_FALSE(fs::exists(path)) << spec;
     EXPECT_FALSE(fs::exists(path + ".tmp")) << spec;  // no debris
   }
+}
+
+// ------------------------------------------ fault plans and retries --
+
+using resilience::FaultInjector;
+using resilience::FaultKind;
+using resilience::FaultPlan;
+using resilience::RetryPolicy;
+
+TEST(FaultPlan, ParsesSitesKindsBudgetsAndProbability) {
+  const auto plan = FaultPlan::parse(
+      "persist.write:torn,persist.read:bitflip:1,"
+      "persist.rename:renamefail@0.5,persist.write:enospc@0.25:2");
+  ASSERT_EQ(plan.specs().size(), 4u);
+  EXPECT_EQ(plan.specs()[0].site, "persist.write");
+  EXPECT_EQ(plan.specs()[0].kind, FaultKind::TornWrite);
+  EXPECT_EQ(plan.specs()[0].max_triggers, -1);
+  EXPECT_DOUBLE_EQ(plan.specs()[0].probability, 1.0);
+  EXPECT_EQ(plan.specs()[1].kind, FaultKind::BitFlipRead);
+  EXPECT_EQ(plan.specs()[1].max_triggers, 1);
+  EXPECT_EQ(plan.specs()[2].kind, FaultKind::RenameFail);
+  EXPECT_DOUBLE_EQ(plan.specs()[2].probability, 0.5);
+  EXPECT_EQ(plan.specs()[3].kind, FaultKind::NoSpace);
+  EXPECT_DOUBLE_EQ(plan.specs()[3].probability, 0.25);
+  EXPECT_EQ(plan.specs()[3].max_triggers, 2);
+}
+
+TEST(FaultPlan, RejectsMalformedSpecs) {
+  for (const char* bad :
+       {"persist.write", "persist.write:explode", "persist.write:throw",
+        "persist.write:delay:5", "persist.write:torn:0", ":torn",
+        "persist.write:torn@1.5", "persist.write:torn@0",
+        "persist.write:torn:1:2", "persist.write:torn:x"}) {
+    EXPECT_THROW((void)FaultPlan::parse(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(FaultInjector, ConsumesTriggerBudget) {
+  FaultInjector inj(FaultPlan::parse("persist.write:enospc:2"));
+  EXPECT_EQ(inj.arm("persist.write").kind, FaultKind::NoSpace);
+  EXPECT_EQ(inj.arm("persist.write").kind, FaultKind::NoSpace);
+  EXPECT_EQ(inj.arm("persist.write").kind, FaultKind::None);
+  EXPECT_EQ(inj.arm("persist.read").kind, FaultKind::None);
+  EXPECT_EQ(inj.armed_count("persist.write"), 2);
+}
+
+TEST(FaultInjector, WildcardMatchesEverySite) {
+  FaultInjector inj(FaultPlan::parse("*:bitflip"));
+  EXPECT_EQ(inj.arm("persist.read").kind, FaultKind::BitFlipRead);
+  EXPECT_EQ(inj.arm("persist.write").kind, FaultKind::BitFlipRead);
+  EXPECT_EQ(inj.arm("persist.rename").kind, FaultKind::BitFlipRead);
+}
+
+TEST(FaultInjector, ProbabilisticFaultsAreSeedDeterministic) {
+  auto draws = [](std::uint64_t seed) {
+    FaultInjector inj(FaultPlan::parse("persist.write:enospc@0.5"), seed);
+    std::string out;
+    for (int i = 0; i < 32; ++i) {
+      out += inj.arm("persist.write").kind == FaultKind::NoSpace ? '1' : '0';
+    }
+    return out;
+  };
+  EXPECT_EQ(draws(1), draws(1));  // reproducible
+  EXPECT_NE(draws(1), std::string(32, '1'));  // actually probabilistic
+  EXPECT_NE(draws(1), std::string(32, '0'));
+}
+
+TEST(RetryPolicy, BackoffGrowsExponentiallyAndCaps) {
+  RetryPolicy r;
+  r.max_attempts = 5;
+  r.backoff_initial_ms = 10.0;
+  r.backoff_multiplier = 2.0;
+  r.backoff_max_ms = 35.0;
+  EXPECT_DOUBLE_EQ(r.backoff_ms(1), 10.0);
+  EXPECT_DOUBLE_EQ(r.backoff_ms(2), 20.0);
+  EXPECT_DOUBLE_EQ(r.backoff_ms(3), 35.0);  // capped from 40
+  EXPECT_DOUBLE_EQ(r.backoff_ms(0), 0.0);
+  RetryPolicy off;  // max_attempts == 1: never pauses
+  EXPECT_DOUBLE_EQ(off.backoff_ms(1), 0.0);
+}
+
+TEST(RetryPolicy, ValidateRejectsNonsense) {
+  RetryPolicy r;
+  r.max_attempts = 0;
+  EXPECT_THROW(r.validate(), std::invalid_argument);
+  r = RetryPolicy{};
+  r.backoff_multiplier = 0.5;
+  EXPECT_THROW(r.validate(), std::invalid_argument);
+  r = RetryPolicy{};
+  r.backoff_initial_ms = -1.0;
+  EXPECT_THROW(r.validate(), std::invalid_argument);
+  r = RetryPolicy{};
+  r.jitter = -0.1;
+  EXPECT_THROW(r.validate(), std::invalid_argument);
+  r = RetryPolicy{};
+  r.jitter = 1.0;  // the factor could hit 2x-and-beyond; refuse
+  EXPECT_THROW(r.validate(), std::invalid_argument);
+}
+
+TEST(RetryPolicy, JitterIsSeedDeterministicAndBounded) {
+  RetryPolicy r;
+  r.max_attempts = 6;
+  r.backoff_initial_ms = 10.0;
+  r.backoff_multiplier = 2.0;
+  r.backoff_max_ms = 1000.0;
+  r.jitter = 0.5;
+
+  bool any_jittered = false;
+  for (int k = 1; k <= 5; ++k) {
+    const double exact = std::min(10.0 * std::pow(2.0, k - 1), 1000.0);
+    const double d = r.backoff_ms(k);
+    // Deterministic: same policy + seed + retry index => same delay.
+    EXPECT_DOUBLE_EQ(d, RetryPolicy{r}.backoff_ms(k));
+    // Bounded: within +-jitter of the exponential schedule and the cap.
+    EXPECT_GE(d, exact * (1.0 - r.jitter));
+    EXPECT_LT(d, exact * (1.0 + r.jitter));
+    EXPECT_LE(d, r.backoff_max_ms);
+    if (d != exact) any_jittered = true;
+  }
+  EXPECT_TRUE(any_jittered);  // jitter actually perturbs the schedule
+
+  // A different seed spreads differently (the fleet-desync property).
+  RetryPolicy other = r;
+  other.jitter_seed = r.jitter_seed + 1;
+  bool any_differs = false;
+  for (int k = 1; k <= 5; ++k) {
+    if (other.backoff_ms(k) != r.backoff_ms(k)) any_differs = true;
+  }
+  EXPECT_TRUE(any_differs);
+}
+
+TEST(RetryPolicy, ZeroJitterKeepsTheExactSchedule) {
+  RetryPolicy r;
+  r.max_attempts = 4;
+  r.backoff_initial_ms = 10.0;
+  r.backoff_multiplier = 2.0;
+  r.backoff_max_ms = 35.0;
+  r.jitter = 0.0;  // the default: byte-compatible with the old policy
+  EXPECT_DOUBLE_EQ(r.backoff_ms(1), 10.0);
+  EXPECT_DOUBLE_EQ(r.backoff_ms(2), 20.0);
+  EXPECT_DOUBLE_EQ(r.backoff_ms(3), 35.0);
 }
 
 // -------------------------------------------------------- the store --
