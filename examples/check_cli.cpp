@@ -10,20 +10,17 @@
 //      artifacts;
 //   5. diffs the cached artifacts against the pinned goldens under
 //      tests/golden/ with per-column tolerances, reporting the first
-//      divergent cell.
+//      divergent cell;
+//   6. fuzzes the sgp-serve request parser and the machine INI
+//      round-trip;
+//   7. fuzzes the batched evaluation paths: ragged random batches on
+//      random machines must be bit-identical across per-point
+//      Simulator::run, one Simulator::run_batch per kernel, and the
+//      engine's memo-miss and memo-hit batch paths.
 //
 // --jobs shards the invariant grid and the fuzzers over a thread pool;
 // reports are merged in deterministic order, so serial and parallel
 // runs stay byte-identical.
-//
-//   6. fuzzes the durable-segment parser (truncated, bit-flipped,
-//      version-bumped, magic-corrupted, garbage-tailed files): the
-//      loader must never crash, never deliver data from a bad segment,
-//      and quarantine deterministically;
-//   7. with --persist, replays the pipeline artifacts through a
-//      persistent engine and a second cold engine resuming from the
-//      same store (optionally under --inject-io faults) and requires
-//      byte-identical CSVs with zero re-simulations on the clean path.
 //
 // Machines come from machine::shared_registry(): --machine-dir loads
 // INI packs next to the built-ins, --machine restricts the
@@ -32,18 +29,11 @@
 // every pack in a directory (parse + validate() + the roofline
 // invariants with the scalar floor off) — the machine-pack CI gate.
 //
-//   8. fuzzes the batched evaluation paths: ragged random batches on
-//      random machines must be bit-identical across per-point
-//      Simulator::run, one Simulator::run_batch per kernel, and the
-//      engine's memo-miss and memo-hit batch paths.
-//
 //   ./check_cli [--golden <dir>] [--write-golden <dir>] [--fuzz <n>]
-//               [--fuzz-cachesim <n>] [--fuzz-segments <n>]
-//               [--fuzz-requests <n>] [--fuzz-ini <n>]
-//               [--fuzz-batch <n>]
+//               [--fuzz-cachesim <n>] [--fuzz-requests <n>]
+//               [--fuzz-ini <n>] [--fuzz-batch <n>]
 //               [--machine <name>] [--machine-dir <dir>]
-//               [--lint-machines <dir>]
-//               [--persist <dir>] [--inject-io <plan>] [--jobs <n>]
+//               [--lint-machines <dir>] [--jobs <n>]
 //               [--skip-invariants]
 //
 // Exit codes: 0 = all checks pass, 1 = violations or divergences,
@@ -70,7 +60,6 @@
 #include "machine/serialize.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
-#include "resilience/fault_injector.hpp"
 
 namespace {
 
@@ -79,15 +68,12 @@ struct Options {
   std::optional<std::string> write_golden_dir;
   unsigned fuzz_seeds = 0;
   unsigned fuzz_cachesim_seeds = 4;
-  unsigned fuzz_segment_seeds = 4;
   unsigned fuzz_request_seeds = 16;
   unsigned fuzz_ini_seeds = 16;
   unsigned fuzz_batch_seeds = 8;
   std::vector<std::string> machines;      ///< invariant/cachesim set
   std::vector<std::string> machine_dirs;  ///< INI packs to register
   std::optional<std::string> lint_dir;    ///< standalone pack linter
-  std::optional<std::string> persist_dir;
-  std::optional<sgp::resilience::FaultPlan> io_fault_plan;
   int jobs = 0;  ///< check/fuzz workers; 0 = one per hw thread
   bool skip_invariants = false;
 };
@@ -96,12 +82,10 @@ struct Options {
   std::cerr << argv0 << ": " << what << "\n"
             << "usage: " << argv0
             << " [--golden <dir>] [--write-golden <dir>] [--fuzz <n>]"
-               " [--fuzz-cachesim <n>] [--fuzz-segments <n>]"
-               " [--fuzz-requests <n>] [--fuzz-ini <n>]"
-               " [--fuzz-batch <n>]"
+               " [--fuzz-cachesim <n>] [--fuzz-requests <n>]"
+               " [--fuzz-ini <n>] [--fuzz-batch <n>]"
                " [--machine <name>] [--machine-dir <dir>]"
-               " [--lint-machines <dir>]"
-               " [--persist <dir>] [--inject-io <plan>] [--jobs <n>]"
+               " [--lint-machines <dir>] [--jobs <n>]"
                " [--skip-invariants]\n";
   std::exit(64);
 }
@@ -136,8 +120,6 @@ Options parse_args(int argc, char** argv) {
       opt.fuzz_seeds = seeds();
     } else if (arg == "--fuzz-cachesim") {
       opt.fuzz_cachesim_seeds = seeds();
-    } else if (arg == "--fuzz-segments") {
-      opt.fuzz_segment_seeds = seeds();
     } else if (arg == "--fuzz-requests") {
       opt.fuzz_request_seeds = seeds();
     } else if (arg == "--fuzz-ini") {
@@ -150,14 +132,6 @@ Options parse_args(int argc, char** argv) {
       opt.machine_dirs.push_back(value());
     } else if (arg == "--lint-machines") {
       opt.lint_dir = value();
-    } else if (arg == "--persist") {
-      opt.persist_dir = value();
-    } else if (arg == "--inject-io") {
-      try {
-        opt.io_fault_plan = sgp::resilience::FaultPlan::parse(value());
-      } catch (const std::exception& e) {
-        usage_error(argv[0], e.what());
-      }
     } else if (arg == "--jobs") {
       opt.jobs = static_cast<int>(count(std::numeric_limits<int>::max()));
     } else if (arg == "--skip-invariants") {
@@ -413,26 +387,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 6. Durable-segment parser robustness fuzzing.
-  if (opt.fuzz_segment_seeds > 0) {
-    const std::string dir =
-        opt.persist_dir ? *opt.persist_dir + "/fuzz" : "check_segment_fuzz";
-    const auto report =
-        check::fuzz_segments(3000, opt.fuzz_segment_seeds, dir, opt.jobs);
-    std::cout << "segment fuzz over " << opt.fuzz_segment_seeds
-              << " seeds: " << report.points << " points, "
-              << report.violations.size() << " violations\n";
-    if (!report.ok()) {
-      failed = true;
-      print_violations(report);
-    }
-    if (!opt.persist_dir) {
-      std::error_code ec;
-      std::filesystem::remove_all(dir, ec);
-    }
-  }
-
-  // 7. sgp-serve request parser robustness fuzzing.
+  // 6. sgp-serve request parser robustness fuzzing.
   if (opt.fuzz_request_seeds > 0) {
     const auto report =
         check::fuzz_requests(4000, opt.fuzz_request_seeds, opt.jobs);
@@ -445,7 +400,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 7b. Machine INI serializer/parser + registry round-trip fuzzing.
+  // 6b. Machine INI serializer/parser + registry round-trip fuzzing.
   if (opt.fuzz_ini_seeds > 0) {
     const auto report =
         check::fuzz_ini_roundtrip(5000, opt.fuzz_ini_seeds, opt.jobs);
@@ -458,7 +413,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 7c. Batched-path identity fuzzing: scalar run vs run_batch vs the
+  // 7. Batched-path identity fuzzing: scalar run vs run_batch vs the
   // engine's batched memo path, bit-for-bit.
   if (opt.fuzz_batch_seeds > 0) {
     const auto report =
@@ -470,59 +425,6 @@ int main(int argc, char** argv) {
       failed = true;
       print_violations(report);
     }
-  }
-
-  // 8. Checkpoint/resume identity: a persistent engine renders every
-  // pipeline and flushes its memo cache; a second cold engine resumes
-  // from the same store (under --inject-io faults if given) and must
-  // reproduce the CSVs byte-for-byte. Without injected faults the
-  // resumed run must not re-simulate anything.
-  if (opt.persist_dir) {
-    const std::string store_dir = *opt.persist_dir + "/store";
-    std::filesystem::remove_all(store_dir);
-    std::optional<resilience::FaultInjector> io_injector;
-    if (opt.io_fault_plan) io_injector.emplace(*opt.io_fault_plan, 77u);
-
-    engine::EnginePersistence persistence;
-    persistence.store.dir = store_dir;
-    persistence.store.injector = io_injector ? &*io_injector : nullptr;
-
-    engine::EngineOptions warm_opt{1, true, persistence};
-    std::vector<check::Artifact> cold_artifacts, warm_artifacts;
-    std::uint64_t warm_sims = 0, resumed = 0;
-    {
-      engine::SweepEngine cold(warm_opt);
-      cold_artifacts = check::run_all_artifacts(cold);
-    }  // destructor flushes the final segment
-    {
-      engine::SweepEngine resume(warm_opt);
-      warm_artifacts = check::run_all_artifacts(resume);
-      const auto c = resume.counters();
-      warm_sims = c.simulations;
-      resumed = c.persist.cache.resumed_points;
-    }
-
-    std::size_t divergences = 0;
-    for (std::size_t i = 0; i < cold_artifacts.size(); ++i) {
-      if (cold_artifacts[i].csv.text() != warm_artifacts[i].csv.text()) {
-        ++divergences;
-        failed = true;
-        std::cout << "DIVERGENCE " << cold_artifacts[i].name
-                  << ": resumed engine output differs from cold run\n";
-      }
-    }
-    // Injected faults may legitimately force re-simulation (a torn
-    // segment is quarantined and its points recomputed); without them
-    // a resumed run must be pure replay.
-    if (!opt.io_fault_plan && warm_sims != 0) {
-      failed = true;
-      std::cout << "DIVERGENCE persist-resume: " << warm_sims
-                << " re-simulations on a clean resume (expected 0)\n";
-    }
-    std::cout << "persist resume: " << cold_artifacts.size()
-              << " artifacts compared, " << divergences << " divergences, "
-              << resumed << " points resumed, " << warm_sims
-              << " re-simulations\n";
   }
 
   // Per-check metrics summary from the obs registry.

@@ -6,8 +6,6 @@
 //   sgp_serve --socket /tmp/s.sock # AF_UNIX stream socket daemon
 //   sgp_serve --input reqs.jsonl   # pipe mode reading from a file
 //
-// With --persist <dir> the memo cache is durable: a restarted server
-// answers repeated requests from disk without re-running the simulator.
 // docs/SERVICE.md documents the wire protocol.
 //
 // Exit codes: 0 clean, 2 fatal (socket/file errors), 64 usage error.
@@ -30,8 +28,7 @@ Transport (pick one; default is stdin/stdout pipe mode):
   --socket <path>      serve an AF_UNIX stream socket at <path>
   --input <file>       pipe mode, reading request lines from <file>
 
-Engine:
-  --persist <dir>      durable memo cache directory (warm restarts)
+Machines:
   --machine-dir <dir>  register every *.ini machine pack in <dir> into
                        the machine registry before serving; requests can
                        then name those machines (repeatable; see
@@ -83,8 +80,6 @@ Options parse_args(int argc, char** argv) {
       opt.socket_path = next_value(i, "--socket");
     } else if (arg == "--input") {
       opt.input_path = next_value(i, "--input");
-    } else if (arg == "--persist") {
-      opt.server.persist_dir = next_value(i, "--persist");
     } else if (arg == "--max-queue") {
       const std::uint64_t v = next_u64(i, "--max-queue");
       if (v == 0) usage_error("--max-queue must be positive");

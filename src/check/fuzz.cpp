@@ -4,15 +4,12 @@
 #include <array>
 #include <cstddef>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <random>
 #include <sstream>
 #include <stdexcept>
 
 #include "cachesim/replay.hpp"
 #include "engine/engine.hpp"
-#include "engine/persist.hpp"
 #include "kernels/register_all.hpp"
 #include "machine/placement.hpp"
 #include "machine/registry.hpp"
@@ -391,188 +388,7 @@ CheckReport fuzz_cachesim(unsigned first_seed, unsigned num_seeds,
   });
 }
 
-// ------------------------------------------------- segment fuzzing --
-
-namespace {
-
-namespace fs = std::filesystem;
-
-/// One seeded, random-but-valid segment: encoded cache entries with
-/// random fingerprints, breakdowns and structured note fields across
-/// their whole valid range.
-std::vector<std::vector<std::byte>> random_payloads(std::mt19937_64& rng) {
-  const std::size_t n = rng() % 6;  // 0..5 entries; 0 = empty segment
-  std::vector<std::vector<std::byte>> payloads;
-  payloads.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    engine::CacheKey key{rng(), rng(), rng()};
-    sim::TimeBreakdown tb;
-    auto real = [&rng] {
-      return static_cast<double>(rng() % 1'000'000) * 1e-6;
-    };
-    tb.compute_s = real();
-    tb.memory_s = real();
-    tb.sync_s = real();
-    tb.atomic_s = real();
-    tb.total_s = tb.compute_s + tb.memory_s + tb.sync_s + tb.atomic_s;
-    tb.serving = static_cast<sim::MemLevel>(rng() % 4);
-    tb.vector_path = (rng() % 2) != 0;
-    tb.note = static_cast<compiler::NoteKind>(rng() % 6);
-    tb.note_compiler = static_cast<core::CompilerId>(rng() % 2);
-    tb.note_mode = static_cast<core::VectorMode>(rng() % 3);
-    tb.note_rollback = (rng() % 2) != 0;
-    payloads.push_back(engine::encode_cache_entry(key, tb));
-  }
-  return payloads;
-}
-
-/// One named, seeded corruption of a fuzz input. The fuzzers pick an
-/// entry with `rng() % table.size()`, so a table's order is part of
-/// the seed-to-mutation mapping.
-template <typename Buffer>
-struct Mutation {
-  const char* name;
-  void (*apply)(Buffer&, std::mt19937_64&);
-  bool must_fail = true;           ///< a guaranteed rejection
-  bool expects_too_large = false;  ///< rejected as ErrorCode::TooLarge
-};
-
-/// Drops a random non-zero tail (a torn write or a crash).
-template <typename Buffer>
-void truncate(Buffer& b, std::mt19937_64& rng) {
-  b.resize(rng() % b.size());  // strictly shorter
-}
-
-using Bytes = std::vector<std::byte>;
-
-const std::array<Mutation<Bytes>, 5> kSegmentMutations{{
-    {"truncate", truncate<Bytes>},
-    {"bitflip",
-     [](Bytes& bytes, std::mt19937_64& rng) {
-       const std::uint64_t bit = rng() % (bytes.size() * 8);
-       bytes[bit / 8] ^= static_cast<std::byte>(1u << (bit % 8));
-     }},
-    {"version-bump",
-     [](Bytes& bytes, std::mt19937_64& rng) {
-       // Version field is bytes [8, 12); force a value != kSegmentVersion.
-       const std::uint32_t v = engine::kSegmentVersion + 1 +
-                               static_cast<std::uint32_t>(rng() % 7);
-       for (int i = 0; i < 4; ++i) {
-         bytes[8 + static_cast<std::size_t>(i)] =
-             static_cast<std::byte>((v >> (8 * i)) & 0xff);
-       }
-     }},
-    {"bad-magic",
-     [](Bytes& bytes, std::mt19937_64& rng) {
-       bytes[rng() % 8] ^= static_cast<std::byte>(0x80 | (rng() % 0x7f + 1));
-     }},
-    {"trailing-garbage",
-     [](Bytes& bytes, std::mt19937_64& rng) {
-       const std::size_t extra = 1 + rng() % 32;
-       for (std::size_t i = 0; i < extra; ++i) {
-         bytes.push_back(static_cast<std::byte>(rng() % 256));
-       }
-     }},
-}};
-
-}  // namespace
-
-CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
-                          const std::string& dir, int jobs) {
-  fs::create_directories(dir);
-  return sharded_reports(num_seeds, jobs, [&](std::size_t i) {
-    const unsigned seed = first_seed + static_cast<unsigned>(i);
-    CheckReport shard;
-    const SeedTally tally(shard, "persist-segment-robustness",
-                          "segment-fuzz", "seed-" + std::to_string(seed));
-
-    std::mt19937_64 rng(seed);
-    const auto payloads = random_payloads(rng);
-    std::vector<std::byte> bytes = engine::build_segment(payloads);
-
-    // 1. The untouched segment round-trips: status Ok, every payload
-    //    delivered byte-identically, in order.
-    {
-      std::vector<std::vector<std::byte>> got;
-      const auto parse = engine::parse_segment(
-          bytes, [&](std::span<const std::byte> p) {
-            got.emplace_back(p.begin(), p.end());
-          });
-      tally.point();
-      if (parse.status != engine::SegmentStatus::Ok || got != payloads) {
-        tally.violation(
-            "round-trip",
-            "status=" + std::string(engine::to_string(parse.status)) +
-                " delivered=" + std::to_string(got.size()) + "/" +
-                std::to_string(payloads.size()));
-      }
-    }
-
-    // 2. A seeded mutation must be detected: non-Ok status, zero
-    //    payloads delivered, and the classification is deterministic
-    //    (parsing the same bytes twice agrees).
-    const auto& m = kSegmentMutations[rng() % kSegmentMutations.size()];
-    m.apply(bytes, rng);
-    std::uint64_t delivered = 0;
-    const auto first = engine::parse_segment(
-        bytes, [&](std::span<const std::byte>) { ++delivered; });
-    const auto second = engine::parse_segment(
-        bytes, [](std::span<const std::byte>) {});
-    tally.point();
-    if (first.status == engine::SegmentStatus::Ok || delivered != 0) {
-      tally.violation(
-          m.name,
-          "mutation not detected: status=" +
-              std::string(engine::to_string(first.status)) +
-              " delivered=" + std::to_string(delivered));
-    } else if (first.status != second.status) {
-      tally.violation(
-          m.name,
-          "nondeterministic classification: " +
-              std::string(engine::to_string(first.status)) + " vs " +
-              std::string(engine::to_string(second.status)));
-    }
-
-    // 3. The file loader agrees with the in-memory parse and leaves the
-    //    right artifacts: quarantine for BadMagic/Corrupt, the file
-    //    refused in place for BadVersion.
-    const std::string path =
-        (fs::path(dir) / ("fuzz-" + std::to_string(seed) + ".sgpc"))
-            .string();
-    {
-      std::ofstream out(path, std::ios::binary | std::ios::trunc);
-      out.write(reinterpret_cast<const char*>(bytes.data()),
-                static_cast<std::streamsize>(bytes.size()));
-    }
-    const auto loaded = engine::load_segment_file(
-        path, [](std::span<const std::byte>) {}, nullptr, /*warn=*/false);
-    const bool expect_quarantine =
-        loaded.status == engine::SegmentStatus::BadMagic ||
-        loaded.status == engine::SegmentStatus::Corrupt;
-    const bool quarantined = fs::exists(path + ".quarantine");
-    const bool in_place = fs::exists(path);
-    tally.point();
-    if (loaded.status != first.status) {
-      tally.violation(
-          m.name,
-          "loader/parser disagree: " +
-              std::string(engine::to_string(loaded.status)) + " vs " +
-              std::string(engine::to_string(first.status)));
-    } else if (quarantined != expect_quarantine ||
-               in_place == expect_quarantine) {
-      tally.violation(
-          m.name,
-          "wrong disk artifact for " +
-              std::string(engine::to_string(loaded.status)) +
-              ": quarantined=" + (quarantined ? "yes" : "no") +
-              " in_place=" + (in_place ? "yes" : "no"));
-    }
-    std::error_code ec;
-    fs::remove(path, ec);
-    fs::remove(path + ".quarantine", ec);
-    return shard;
-  });
-}
+// ------------------------------------------------- request fuzzing --
 
 namespace {
 
@@ -635,10 +451,24 @@ std::string random_request_line(std::mt19937_64& rng) {
 /// Line cap for request fuzzing: small, so oversize stays cheap.
 constexpr std::size_t kFuzzMaxLineBytes = 4096;
 
+/// One named, seeded corruption of a request line. The fuzzer picks an
+/// entry with `rng() % kRequestMutations.size()`, so the table's order
+/// is part of the seed-to-mutation mapping.
+struct Mutation {
+  const char* name;
+  void (*apply)(std::string&, std::mt19937_64&);
+  bool must_fail = true;           ///< a guaranteed rejection
+  bool expects_too_large = false;  ///< rejected as ErrorCode::TooLarge
+};
+
 // Structural mutations are guaranteed rejections; byte-level ones may
 // legitimately still parse (a flip inside a string literal).
-const std::array<Mutation<std::string>, 6> kRequestMutations{{
-    {"truncate", truncate<std::string>},
+const std::array<Mutation, 6> kRequestMutations{{
+    // Drops a random non-zero tail.
+    {"truncate",
+     [](std::string& line, std::mt19937_64& rng) {
+       line.resize(rng() % line.size());  // strictly shorter
+     }},
     {.name = "byte-garbage",
      .apply =
          [](std::string& line, std::mt19937_64& rng) {
@@ -1034,9 +864,7 @@ CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
       }
 
       // (c) the engine path, memo-miss then memo-hit replay.
-      engine::SweepEngine eng(engine::EngineOptions{/*jobs=*/1,
-                                                    /*use_cache=*/true,
-                                                    /*persist=*/{}});
+      engine::SweepEngine eng;
       std::vector<engine::SweepPoint> points(count);
       for (std::size_t p = 0; p < count; ++p) {
         points[p] = engine::SweepPoint{&m, &sigs[which[p]], cfgs[p]};

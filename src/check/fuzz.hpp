@@ -65,18 +65,6 @@ CheckReport cachesim_agreement(const machine::MachineDescriptor& m);
 CheckReport fuzz_cachesim(unsigned first_seed, unsigned num_seeds,
                           int jobs = 1);
 
-/// Fuzzes the durable-segment parser (engine/persist.hpp): per seed,
-/// builds a random-but-valid segment of encoded cache entries, checks
-/// it round-trips byte-identically, then applies a seeded mutation
-/// (truncation, bit flip, version bump, magic corruption, trailing
-/// garbage) and demands the loader detect it — never crash, never
-/// deliver a payload from a bad segment, classify deterministically,
-/// and quarantine corrupt files on disk (invariant
-/// "persist-segment-robustness"). Scratch files live under `dir`
-/// (created if missing, one file per seed so shards never collide).
-CheckReport fuzz_segments(unsigned first_seed, unsigned num_seeds,
-                          const std::string& dir, int jobs = 1);
-
 /// Fuzzes the sgp-serve request parser (serve/protocol.hpp): per seed,
 /// builds a random-but-valid request line, checks it parses cleanly,
 /// then applies a seeded mutation (truncation, byte garbage, bad

@@ -20,21 +20,10 @@ std::uint32_t& SimCache::slot_of(const CacheKey& key) {
   }
 }
 
-SimCache::Entry* SimCache::find(const CacheKey& key) {
+const SimCache::Entry* SimCache::find(const CacheKey& key) {
   if (index_.empty()) return nullptr;
   const std::uint32_t slot = slot_of(key);
   return slot == 0 ? nullptr : &entries_[slot - 1];
-}
-
-bool SimCache::emplace(const CacheKey& key, const sim::TimeBreakdown& value,
-                       bool from_disk) {
-  // At most half full, so probes stay short and always end.
-  if ((entries_.size() + 1) * 2 > index_.size()) grow();
-  std::uint32_t& slot = slot_of(key);
-  if (slot != 0) return false;
-  entries_.push_back(Entry{key, value, from_disk, false});
-  slot = static_cast<std::uint32_t>(entries_.size());
-  return true;
 }
 
 void SimCache::grow() {
@@ -53,41 +42,26 @@ void SimCache::lookup_batch(std::span<const CacheKey> keys,
                             std::span<std::uint8_t> hit) {
   std::uint64_t hits = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
-    Entry* e = find(keys[i]);
+    const Entry* e = find(keys[i]);
     hit[i] = e != nullptr;
     if (!e) continue;
     ++hits;
     results[i] = e->value;
-    if (persist_tracking_ && e->from_disk) {
-      ++persist_.hits;
-      obs_persist_hits_.add();
-      if (!e->resume_counted) {
-        e->resume_counted = true;
-        ++persist_.resumed_points;
-        obs_persist_resumed_.add();
-      }
-    }
   }
   const std::uint64_t misses = keys.size() - hits;
   hits_ += hits;
   misses_ += misses;
   if (hits > 0) obs_hits_.add(hits);
-  if (misses > 0) {
-    obs_misses_.add(misses);
-    if (persist_tracking_) {
-      persist_.misses += misses;
-      obs_persist_misses_.add(misses);
-    }
-  }
+  if (misses > 0) obs_misses_.add(misses);
 }
 
-bool SimCache::insert(const CacheKey& key, const sim::TimeBreakdown& value) {
-  return emplace(key, value, /*from_disk=*/false);
-}
-
-void SimCache::insert_loaded(const CacheKey& key,
-                             const sim::TimeBreakdown& value) {
-  (void)emplace(key, value, /*from_disk=*/true);
+void SimCache::insert(const CacheKey& key, const sim::TimeBreakdown& value) {
+  // At most half full, so probes stay short and always end.
+  if ((entries_.size() + 1) * 2 > index_.size()) grow();
+  std::uint32_t& slot = slot_of(key);
+  if (slot != 0) return;
+  entries_.push_back(Entry{key, value});
+  slot = static_cast<std::uint32_t>(entries_.size());
 }
 
 void SimCache::clear() {

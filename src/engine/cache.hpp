@@ -15,12 +15,6 @@
 // threshold; later arrays of that size then came from the heap and
 // stayed resident, doubling sgp-serve's peak RSS on perfbench
 // serve_mixed (24 -> 48 MiB, x86-64).
-//
-// Persistence hooks (used by the engine's durable store, see
-// engine/persist.hpp): entries remember whether they were loaded from
-// disk, and disk-origin hits feed the persist.* counters. insert()
-// reports whether the key was new, so the engine queues each computed
-// point for the store exactly once.
 #pragma once
 
 #include <cstdint>
@@ -59,53 +53,29 @@ struct CacheStats {
   std::uint64_t entries = 0;
 };
 
-/// Per-instance persistence accounting (mirrored process-wide into the
-/// obs registry as persist.hits / persist.misses / persist.resumed_points).
-struct CachePersistStats {
-  std::uint64_t hits = 0;    ///< lookups served by a disk-loaded entry
-  std::uint64_t misses = 0;  ///< lookups that had to compute
-  std::uint64_t resumed_points = 0;  ///< distinct disk entries reused
-};
-
 class SimCache {
  public:
   /// Batched lookup. For every present key it writes the value to
   /// results[i] and sets hit[i] = 1; absent keys leave results[i]
-  /// untouched and hit[i] = 0. Every key counts as one hit or one miss
-  /// (and, with persist tracking, as a persist hit or miss). All three
-  /// spans must have the same length.
+  /// untouched and hit[i] = 0. Every key counts as one hit or one miss.
+  /// All three spans must have the same length.
   void lookup_batch(std::span<const CacheKey> keys,
                     std::span<sim::TimeBreakdown> results,
                     std::span<std::uint8_t> hit);
 
-  /// Stores a freshly-computed entry. Returns false, keeping the stored
-  /// value, when the key is already present (a key asked for twice in
-  /// one batch is priced twice, with identical values). No effect on
-  /// the hit/miss statistics.
-  bool insert(const CacheKey& key, const sim::TimeBreakdown& value);
+  /// Stores a freshly-computed entry, keeping the stored value when the
+  /// key is already present (a key asked for twice in one batch is
+  /// priced twice, with identical values). No effect on the hit/miss
+  /// statistics.
+  void insert(const CacheKey& key, const sim::TimeBreakdown& value);
 
   void clear();
   CacheStats stats() const;
-
-  // ------------------------------------------- persistence hooks --
-
-  /// Turns on disk-origin accounting. Off by default so non-persistent
-  /// engines emit no persist.* counters.
-  void set_persist_tracking(bool on) { persist_tracking_ = on; }
-
-  /// Inserts an entry recovered from the durable store. No effect on
-  /// hit/miss statistics. An entry already present (e.g. duplicated
-  /// across segments) is kept as-is.
-  void insert_loaded(const CacheKey& key, const sim::TimeBreakdown& value);
-
-  CachePersistStats persist_stats() const { return persist_; }
 
  private:
   struct Entry {
     CacheKey key;
     sim::TimeBreakdown value;
-    bool from_disk = false;
-    bool resume_counted = false;  ///< first disk-hit already tallied
   };
 
   /// Slot index a key's probe starts at: the top bits of its hash
@@ -119,10 +89,7 @@ class SimCache {
   /// The index must not be empty.
   std::uint32_t& slot_of(const CacheKey& key);
   /// The entry for `key`, or nullptr.
-  Entry* find(const CacheKey& key);
-  /// Stores `key` unless present; true when it was new.
-  bool emplace(const CacheKey& key, const sim::TimeBreakdown& value,
-               bool from_disk);
+  const Entry* find(const CacheKey& key);
   /// Doubles the index (or allocates the first one) and refills it.
   void grow();
 
@@ -133,8 +100,6 @@ class SimCache {
   int shift_ = 64;  ///< 64 - log2(index_.size())
   std::uint64_t hits_ = 0;
   std::uint64_t misses_ = 0;
-  bool persist_tracking_ = false;
-  CachePersistStats persist_;
   /// Process-wide mirrors of the per-instance statistics, aggregated
   /// over every SimCache in the obs registry ("engine.cache.*"), so a
   /// metrics snapshot carries the cache story without asking each
@@ -143,12 +108,6 @@ class SimCache {
       obs::registry().counter("engine.cache.hits");
   obs::Counter& obs_misses_ =
       obs::registry().counter("engine.cache.misses");
-  obs::Counter& obs_persist_hits_ =
-      obs::registry().counter("persist.hits");
-  obs::Counter& obs_persist_misses_ =
-      obs::registry().counter("persist.misses");
-  obs::Counter& obs_persist_resumed_ =
-      obs::registry().counter("persist.resumed_points");
 };
 
 }  // namespace sgp::engine

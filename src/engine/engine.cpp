@@ -4,7 +4,6 @@
 #include <bit>
 #include <cstdint>
 #include <numeric>
-#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -31,54 +30,7 @@ struct EngineMetrics {
 
 }  // namespace
 
-SweepEngine::SweepEngine(EngineOptions opt) : use_cache_(opt.use_cache) {
-  if (!opt.persist || !use_cache_) return;
-  store_ = std::make_unique<PersistentStore>(opt.persist->store);
-  flush_min_entries_ = std::max<std::size_t>(1, opt.persist->flush_min_entries);
-  cache_.set_persist_tracking(true);
-  {
-    const obs::Span span("SweepEngine::persist_load");
-    store_->load([&](std::span<const std::byte> payload) {
-      if (const auto entry = decode_cache_entry(payload)) {
-        cache_.insert_loaded(entry->first, entry->second);
-      } else {
-        // The frame verified but the payload is not a cache entry this
-        // build understands — count it and move on, never abort.
-        ++undecodable_entries_;
-        obs::registry().counter("persist.undecodable_entries").add();
-      }
-    });
-  }
-}
-
-SweepEngine::~SweepEngine() {
-  if (store_) {
-    // Best-effort final checkpoint; persistence failures must never
-    // take down a process that computed its results successfully.
-    try {
-      flush_persistent();
-    } catch (...) {
-    }
-  }
-}
-
-bool SweepEngine::flush_persistent() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return flush_locked();
-}
-
-bool SweepEngine::flush_locked() {
-  if (!store_ || pending_.empty()) return true;
-  const obs::Span span("SweepEngine::persist_flush");
-  std::vector<std::vector<std::byte>> payloads;
-  payloads.reserve(pending_.size());
-  for (const auto& [key, value] : pending_) {
-    payloads.push_back(encode_cache_entry(key, value));
-  }
-  if (!store_->append(payloads)) return false;  // entries stay queued
-  pending_.clear();
-  return true;
-}
+SweepEngine::SweepEngine(EngineOptions opt) : use_cache_(opt.use_cache) {}
 
 std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     std::span<const SweepPoint> points) {
@@ -177,7 +129,7 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
 
   // Price each group's misses through one sim::Simulator::run_batch.
   // A key asked for twice is priced twice (identical values) but stored
-  // and queued for the store once.
+  // once.
   std::vector<sim::SimConfig> cfgs;
   std::vector<sim::TimeBreakdown> outs;
   std::uint32_t begin = 0;
@@ -196,12 +148,9 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     for (std::size_t k = 0; k < run.size(); ++k) {
       const std::uint32_t i = run[k];
       results[i] = outs[k];
-      if (use_cache_ && cache_.insert(keys[i], outs[k]) && store_) {
-        pending_.emplace_back(keys[i], outs[k]);
-      }
+      if (use_cache_) cache_.insert(keys[i], outs[k]);
     }
   }
-  if (store_ && pending_.size() >= flush_min_entries_) flush_locked();
   return results;
 }
 
@@ -233,13 +182,6 @@ EngineCounters SweepEngine::counters() const {
   out.cache_hits = cs.hits;
   out.cache_misses = cs.misses;
   out.cache_entries = cs.entries;
-  if (store_) {
-    out.persist.enabled = true;
-    out.persist.store = store_->stats();
-    out.persist.cache = cache_.persist_stats();
-    out.persist.undecodable_entries = undecodable_entries_;
-    out.persist.pending_entries = pending_.size();
-  }
   return out;
 }
 

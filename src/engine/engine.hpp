@@ -5,7 +5,9 @@
 // identical to direct Simulator::run calls):
 //   * memoize TimeBreakdowns in a content-addressed cache keyed by
 //     (machine fingerprint, signature fingerprint, SimConfig
-//     fingerprint) — see engine/fingerprint.hpp;
+//     fingerprint) — see engine/fingerprint.hpp. The cache lives in
+//     memory only: a new engine starts cold, since pricing a point
+//     costs less than reloading it from disk did;
 //   * build each machine's Simulator once per engine, not once per
 //     pipeline;
 //   * price each batch's misses on the calling thread, one
@@ -23,27 +25,28 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <span>
+#include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "engine/cache.hpp"
 #include "engine/fingerprint.hpp"
-#include "engine/persist.hpp"
 
 namespace sgp::engine {
 
-/// Durable memo-cache + checkpoint/resume configuration (see
-/// docs/PERSISTENCE.md).
+/// Ignored: the engine keeps its memo in memory only and never touches
+/// the filesystem. Kept only because the benchmark harness still sets
+/// `store.dir` and `store.warn`; remove it together with those
+/// assignments.
 struct EnginePersistence {
-  PersistOptions store;  ///< directory, I/O fault injection, flush retry
-  /// Batch-end flush threshold: a batch that leaves at least this many
-  /// unflushed entries appends them as one segment.
-  std::size_t flush_min_entries = 256;
+  struct Store {
+    std::string dir;
+    bool warn = true;
+  };
+  Store store;
 };
 
 struct EngineOptions {
@@ -55,18 +58,9 @@ struct EngineOptions {
   /// simulator); the tests use it as the reference that cached output
   /// must match byte for byte.
   bool use_cache = true;
-  /// Crash-safe persistence; disabled by default (and ignored when
-  /// use_cache is false — there is nothing to persist).
+  /// Ignored (see EnginePersistence). Kept only because the benchmark
+  /// harness still sets it; remove it together with those assignments.
   std::optional<EnginePersistence> persist = std::nullopt;
-};
-
-/// Persistence-side accounting, filled only when a store is attached.
-struct EnginePersistCounters {
-  bool enabled = false;
-  PersistStats store;       ///< segment-level loads/flushes/quarantines
-  CachePersistStats cache;  ///< persist.hits / misses / resumed_points
-  std::uint64_t undecodable_entries = 0;  ///< verified frames that failed decode
-  std::uint64_t pending_entries = 0;      ///< computed but not yet durable
 };
 
 /// Per-engine accounting. Counts only, no timings: perfbench's
@@ -80,7 +74,13 @@ struct EngineCounters {
   std::uint64_t simulators_built = 0;
   std::uint64_t batches = 0;      ///< run_batch/run_grid calls
   std::uint64_t cache_entries = 0;
-  EnginePersistCounters persist;
+  /// Always zero. Kept only because the benchmark harness still reads
+  /// `persist.store.segments_loaded`; remove it together with that read.
+  struct {
+    struct {
+      std::uint64_t segments_loaded = 0;
+    } store;
+  } persist;
 };
 
 /// One evaluation point for run_batch. The machine and signature are
@@ -94,7 +94,6 @@ struct SweepPoint {
 class SweepEngine {
  public:
   explicit SweepEngine(EngineOptions opt = {});
-  ~SweepEngine();
 
   SweepEngine(const SweepEngine&) = delete;
   SweepEngine& operator=(const SweepEngine&) = delete;
@@ -113,40 +112,15 @@ class SweepEngine {
       std::span<const sim::SimConfig> cfgs);
 
   EngineCounters counters() const;
-  /// Drops all memoized results and per-machine simulators. Computed
-  /// entries not yet flushed stay queued for the store, and durable
-  /// segments on disk are untouched (delete the store directory to
-  /// really start cold).
+  /// Drops all memoized results and per-machine simulators.
   void clear_cache();
 
-  // ----------------------------------------------- persistence --
-
-  /// True when a durable store is attached.
-  bool persistent() const noexcept { return store_ != nullptr; }
-
-  /// Appends every computed entry queued since the last successful
-  /// flush as one segment (write-temp-then-rename, retried under the
-  /// store's policy). Returns true when nothing remains queued; on
-  /// failure the entries stay queued in memory for the next flush. A
-  /// no-op without a store.
-  bool flush_persistent();
-
  private:
-  /// flush_persistent with mu_ already held.
-  bool flush_locked();
-
   const bool use_cache_;
   /// The engine's one lock, guarding every member below: batches,
-  /// flushes, counters() and clear_cache() all take it.
+  /// counters() and clear_cache() all take it.
   mutable std::mutex mu_;
   SimCache cache_;
-
-  // Persistence (all null/zero when EngineOptions.persist is unset).
-  std::unique_ptr<PersistentStore> store_;
-  std::size_t flush_min_entries_ = 0;
-  std::uint64_t undecodable_entries_ = 0;
-  /// Computed entries not yet durable, in insertion order.
-  std::vector<std::pair<CacheKey, sim::TimeBreakdown>> pending_;
 
   /// Node-based, so group pointers stay valid while a batch adds
   /// simulators.

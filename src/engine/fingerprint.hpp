@@ -7,8 +7,7 @@
 //
 // Strings fold byte by byte, every fixed-width field as one 64-bit word
 // (Fnv1a below); each step is a bijection of the state, so changing any
-// one field changes the fingerprint. Stores from builds that folded
-// fields byte by byte load, but their keys never hit (PERSISTENCE.md).
+// one field changes the fingerprint.
 //
 // The machine fingerprint is a bit-exact encoding of every descriptor
 // field. The INI text (machine::to_ini) is a function of those fields,
@@ -28,8 +27,7 @@
 namespace sgp::engine {
 
 /// Incremental 64-bit hasher: FNV-1a over bytes(), one word step per
-/// fixed-width field. The persist checksums feed it only bytes(), so
-/// they depend on the byte step and the offset basis alone.
+/// fixed-width field.
 class Fnv1a {
  public:
   void bytes(const void* data, std::size_t n) noexcept;
@@ -48,8 +46,7 @@ class Fnv1a {
 
  private:
   // The published FNV-1a-64 offset basis, 14695981039346656037, with
-  // its last digit dropped. Every stored checksum depends on it, so it
-  // stays.
+  // its last digit dropped.
   std::uint64_t h_ = 1469598103934665603ull;
 };
 

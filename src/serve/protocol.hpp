@@ -52,7 +52,7 @@ enum class Op {
   Sweep,     ///< kernels x precisions x threads grid on one machine
   Metrics,   ///< obs registry snapshot as JSON
   Stats,     ///< server + engine counters as JSON
-  Drain,     ///< flush persistent segments; keep serving
+  Drain,     ///< ack once every earlier request is answered; keep serving
   Shutdown,  ///< drain, answer, then stop the server loop
 };
 

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <span>
 #include <utility>
 
@@ -63,17 +64,6 @@ std::string bool_str(bool b) { return b ? "true" : "false"; }
 }  // namespace
 
 Server::Server(ServerOptions opt) : opt_(std::move(opt)) {
-  engine::EngineOptions eopt;
-  if (opt_.persist_dir) {
-    engine::EnginePersistence p;
-    p.store.dir = *opt_.persist_dir;
-    p.store.warn = opt_.warn;
-    // Flush at the end of every batch: the daemon's durability story is
-    // "whatever was answered is on disk once the batch retires".
-    p.flush_min_entries = 1;
-    eopt.persist = std::move(p);
-  }
-  engine_ = std::make_unique<engine::SweepEngine>(std::move(eopt));
   worker_ = std::thread([this] { worker_loop(); });
 }
 
@@ -188,7 +178,6 @@ void Server::drain() {
       return queue_.empty() && !worker_busy_;
     });
   }
-  if (engine_->persistent()) engine_->flush_persistent();
 }
 
 void Server::pause() {
@@ -256,8 +245,6 @@ void Server::process_batch(std::vector<Pending> batch) {
     try {
       ResponseBody body;
       switch (req.op) {
-        case Op::Ping:
-          break;
         case Op::Metrics:
           body.raw_json = obs::Registry::to_json(
               obs::registry().snapshot());
@@ -267,25 +254,7 @@ void Server::process_batch(std::vector<Pending> batch) {
           body.raw_json = render_stats_json();
           body.raw_key = "stats";
           break;
-        case Op::Drain:
-        case Op::Shutdown: {
-          bool flushed = true;
-          if (engine_->persistent()) {
-            flushed = engine_->flush_persistent();
-          }
-          const auto counters = engine_->counters();
-          std::string info = "{\"flushed\":";
-          info += bool_str(flushed);
-          info += ",\"pending_entries\":";
-          info += obs::json_number(counters.persist.pending_entries);
-          info += ",\"persistent\":";
-          info += bool_str(engine_->persistent());
-          info += "}";
-          body.raw_json = std::move(info);
-          body.raw_key = req.op == Op::Drain ? "drain" : "shutdown";
-          break;
-        }
-        default:
+        default:  // ping, drain and shutdown answer a plain ack
           break;
       }
       answer(*p, render_ok(req.id, req.op, body), /*is_error=*/false);
@@ -417,7 +386,7 @@ std::string Server::evaluate(
       throw EvaluationCancelled{};
     }
     const std::size_t len = std::min(kChunkPoints, pts.size() - i);
-    auto chunk = engine_->run_batch(
+    auto chunk = engine_.run_batch(
         std::span<const engine::SweepPoint>(pts.data() + i, len));
     results.insert(results.end(), chunk.begin(), chunk.end());
   }
@@ -498,7 +467,7 @@ void Server::answer(Pending& p, std::string line, bool is_error) {
 
 std::string Server::render_stats_json() const {
   const ServerStats s = stats();
-  const auto c = engine_->counters();
+  const auto c = engine_.counters();
   auto u = [](std::uint64_t v) { return obs::json_number(v); };
   std::string out = "{";
   out += "\"lines\":" + u(s.lines);
@@ -520,21 +489,6 @@ std::string Server::render_stats_json() const {
   out += ",\"simulations\":" + u(c.simulations);
   out += ",\"simulators_built\":" + u(c.simulators_built);
   out += ",\"cache_entries\":" + u(c.cache_entries);
-  out += ",\"persistent\":";
-  out += bool_str(c.persist.enabled);
-  if (c.persist.enabled) {
-    out += ",\"persist\":{";
-    out += "\"segments_loaded\":" + u(c.persist.store.segments_loaded);
-    out += ",\"entries_loaded\":" + u(c.persist.store.entries_loaded);
-    out += ",\"quarantined_segments\":" +
-           u(c.persist.store.quarantined_segments);
-    out += ",\"flushes\":" + u(c.persist.store.flushes);
-    out += ",\"entries_flushed\":" + u(c.persist.store.entries_flushed);
-    out += ",\"hits\":" + u(c.persist.cache.hits);
-    out += ",\"resumed_points\":" + u(c.persist.cache.resumed_points);
-    out += ",\"pending_entries\":" + u(c.persist.pending_entries);
-    out += "}";
-  }
   out += "}}";
   return out;
 }

@@ -18,11 +18,9 @@
 //      per-request callback (the pipe/socket transports serialize
 //      writes; tests capture them directly).
 //
-// Warm restarts: with ServerOptions::persist_dir set the engine loads
-// every verified segment at construction and flushes fresh results at
-// batch end / drain / shutdown — a restarted server answers repeated
-// requests from disk with >= 3x fewer Simulator::run calls and
-// byte-identical payloads (tests/serve_test.cpp pins this).
+// The engine's memo lives in memory only: a restarted server starts
+// cold and answers the same lines byte-identically
+// (tests/serve_test.cpp pins this).
 //
 // Everything observable lands in the obs registry under "serve.*".
 #pragma once
@@ -33,7 +31,6 @@
 #include <deque>
 #include <functional>
 #include <iosfwd>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -55,10 +52,13 @@ struct ServerOptions {
   std::size_t max_queue = 256;
   /// Largest number of queued requests one batch drains.
   std::size_t max_batch = 64;
-  /// Durable memo-cache directory; unset = in-memory only.
+  /// Ignored: the server never touches the filesystem. Kept only
+  /// because the benchmark harness still sets it; remove it together
+  /// with that assignment.
   std::optional<std::string> persist_dir;
   ProtocolLimits limits;
-  /// Print skip-and-warn diagnostics (persist quarantines etc).
+  /// Print skip-and-warn diagnostics (sgp-serve's machine-pack
+  /// quarantines).
   bool warn = true;
 };
 
@@ -84,7 +84,7 @@ class Server {
   using Respond = std::function<void(std::string line)>;
 
   explicit Server(ServerOptions opt = {});
-  /// Drains the queue, flushes persistent segments, joins the worker.
+  /// Drains the queue, joins the worker.
   ~Server();
 
   Server(const Server&) = delete;
@@ -96,9 +96,8 @@ class Server {
   /// thread-safe against other responses.
   void submit_line(std::string line, Respond respond);
 
-  /// Stops admitting, waits until every queued request is answered and
-  /// flushes the persistent store. Idempotent; resumes a paused worker
-  /// first (a paused drain would never finish).
+  /// Waits until every queued request is answered. Idempotent;
+  /// resumes a paused worker first (a paused drain would never finish).
   void drain();
 
   /// Holds the worker after its current batch: admitted requests queue
@@ -114,7 +113,7 @@ class Server {
   bool stopped() const;
 
   ServerStats stats() const;
-  const engine::SweepEngine& engine() const { return *engine_; }
+  const engine::SweepEngine& engine() const { return engine_; }
 
   // ------------------------------------------------- transports --
 
@@ -149,7 +148,7 @@ class Server {
   std::string render_stats_json() const;
 
   ServerOptions opt_;
-  std::unique_ptr<engine::SweepEngine> engine_;
+  engine::SweepEngine engine_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;          ///< queue not empty / stopping

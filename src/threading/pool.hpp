@@ -1,4 +1,4 @@
-// A persistent worker pool implementing core::Executor. Used by the
+// A long-lived worker pool implementing core::Executor. Used by the
 // native backend to really run kernels multi-threaded. Chunking is
 // static and contiguous (OpenMP "schedule(static)" semantics), so
 // reduction partials indexed by chunk id are deterministic.

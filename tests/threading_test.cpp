@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
 #include <thread>
@@ -227,13 +228,26 @@ TEST(ThreadPoolExceptions, StaticThrowSurfacesOnCaller) {
 TEST(ThreadPoolExceptions, DynamicThrowSurfacesOnCaller) {
   ThreadPool pool(4);
   std::atomic<int> grains{0};
+  // Set by the throwing grain just before it throws. Every other grain
+  // waits for it and then 1 ms more before returning, so the rest cannot
+  // drain all 1000 grains while the thrower is descheduled before its
+  // throw or still unwinding to the pool's catch. The spin is bounded: a
+  // throw that never comes fails the count below instead of hanging.
+  std::atomic<bool> thrown{false};
   try {
-    pool.parallel_for_dynamic(10000, 10,
-                              [&](std::size_t, std::size_t, int) {
-                                if (grains.fetch_add(1) == 3) {
-                                  throw std::runtime_error("boom");
-                                }
-                              });
+    pool.parallel_for_dynamic(
+        10000, 10, [&](std::size_t, std::size_t, int) {
+          if (grains.fetch_add(1) == 3) {
+            thrown.store(true);
+            throw std::runtime_error("boom");
+          }
+          const auto give_up =
+              std::chrono::steady_clock::now() + std::chrono::seconds(2);
+          while (!thrown.load() && std::chrono::steady_clock::now() < give_up) {
+            std::this_thread::yield();
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
     FAIL() << "expected std::runtime_error";
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "boom");
