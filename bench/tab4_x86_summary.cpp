@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
                "==\n";
   sgp::report::Table t(
       {"CPU", "Clock", "Cores", "Vector", "FP64 vec", "NUMA", "Mem BW"});
-  const auto machines = sgp::machine::x86_machines();
+  const auto& machines = sgp::machine::x86_machines();
   for (const auto& m : machines) {
     const auto& v = *m.core.vector;
     t.add_row({m.name,

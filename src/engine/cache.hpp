@@ -57,17 +57,24 @@ class SimCache {
  public:
   /// Batched lookup. For every present key it writes the value to
   /// results[i] and sets hit[i] = 1; absent keys leave results[i]
-  /// untouched and hit[i] = 0. Every key counts as one hit or one miss.
-  /// All three spans must have the same length.
+  /// untouched, set hit[i] = 0 and get in slot[i] the index slot their
+  /// probe ended at, which insert() resumes from. The index is sized
+  /// here, once per batch, for every absent key, so the inserts that
+  /// follow never grow it and their slots stay valid until the next
+  /// lookup_batch() or clear(). Every key counts as one hit or one miss.
+  /// All four spans must have the same length.
   void lookup_batch(std::span<const CacheKey> keys,
                     std::span<sim::TimeBreakdown> results,
-                    std::span<std::uint8_t> hit);
+                    std::span<std::uint8_t> hit,
+                    std::span<std::uint32_t> slot);
 
-  /// Stores a freshly-computed entry, keeping the stored value when the
-  /// key is already present (a key asked for twice in one batch is
-  /// priced twice, with identical values). No effect on the hit/miss
-  /// statistics.
-  void insert(const CacheKey& key, const sim::TimeBreakdown& value);
+  /// Stores a freshly-computed entry for a key the last lookup_batch()
+  /// missed, probing on from the `slot` it reported; keeps the stored
+  /// value when the key is already present (a key asked for twice in
+  /// one batch is priced twice, with identical values, and stored once).
+  /// No effect on the hit/miss statistics.
+  void insert(const CacheKey& key, std::uint32_t slot,
+              const sim::TimeBreakdown& value);
 
   void clear();
   CacheStats stats() const;
@@ -87,11 +94,10 @@ class SimCache {
 
   /// The slot holding `key`, or the empty slot that ends its probe.
   /// The index must not be empty.
-  std::uint32_t& slot_of(const CacheKey& key);
-  /// The entry for `key`, or nullptr.
-  const Entry* find(const CacheKey& key);
-  /// Doubles the index (or allocates the first one) and refills it.
-  void grow();
+  std::uint32_t probe(const CacheKey& key) const;
+  /// Replaces the index with one of `slots` (a power of two) and refills
+  /// it from the entries.
+  void rehash(std::size_t slots);
 
   std::deque<Entry> entries_;  ///< insertion order; never moved
   /// 0 = empty, else entry position + 1. Empty or a power-of-two size,

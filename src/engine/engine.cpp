@@ -106,8 +106,9 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   }
 
   std::vector<std::uint8_t> hit(points.size(), 0);
+  std::vector<std::uint32_t> slot(use_cache_ ? points.size() : 0);
   if (use_cache_) {
-    cache_.lookup_batch(keys, results, hit);
+    cache_.lookup_batch(keys, results, hit, slot);
   }
   // Counting sort of the misses by group, in point order inside each
   // group: count into miss_end[g], turn the counts into starts, then
@@ -148,7 +149,7 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     for (std::size_t k = 0; k < run.size(); ++k) {
       const std::uint32_t i = run[k];
       results[i] = outs[k];
-      if (use_cache_) cache_.insert(keys[i], outs[k]);
+      if (use_cache_) cache_.insert(keys[i], slot[i], outs[k]);
     }
   }
   return results;

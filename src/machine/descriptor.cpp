@@ -1,7 +1,6 @@
 #include "machine/descriptor.hpp"
 
 #include <algorithm>
-#include <set>
 #include <stdexcept>
 
 namespace sgp::machine {
@@ -51,24 +50,32 @@ void MachineDescriptor::validate() const {
   if (numa.empty()) {
     throw std::invalid_argument(name + ": no NUMA regions");
   }
-  std::set<int> seen;
-  for (const auto& r : numa) {
-    if (r.cores.empty()) {
+  // One flat core -> region table (-1 = unlisted) does the duplicate
+  // check, the coverage count and the straddle check, so validation is
+  // O(cores) with the same first-failure order as a per-core search.
+  std::vector<int> region_of(static_cast<std::size_t>(num_cores), -1);
+  int listed = 0;
+  for (std::size_t r = 0; r < numa.size(); ++r) {
+    if (numa[r].cores.empty()) {
       throw std::invalid_argument(name + ": empty NUMA region");
     }
-    for (int c : r.cores) {
+    for (int c : numa[r].cores) {
       if (c < 0 || c >= num_cores) {
         throw std::invalid_argument(name + ": NUMA core id out of range");
       }
-      if (!seen.insert(c).second) {
+      int& owner = region_of[static_cast<std::size_t>(c)];
+      if (owner >= 0) {
         throw std::invalid_argument(name + ": core in two NUMA regions");
       }
+      owner = static_cast<int>(r);
+      ++listed;
     }
   }
-  if (static_cast<int>(seen.size()) != num_cores) {
+  if (listed != num_cores) {
     throw std::invalid_argument(name + ": cores missing from NUMA map");
   }
-  std::set<int> cseen;
+  std::vector<char> clustered(static_cast<std::size_t>(num_cores), 0);
+  listed = 0;
   for (const auto& cl : clusters) {
     if (cl.empty()) {
       throw std::invalid_argument(name + ": empty cluster");
@@ -77,19 +84,22 @@ void MachineDescriptor::validate() const {
       if (c < 0 || c >= num_cores) {
         throw std::invalid_argument(name + ": cluster core id out of range");
       }
-      if (!cseen.insert(c).second) {
+      char& seen = clustered[static_cast<std::size_t>(c)];
+      if (seen) {
         throw std::invalid_argument(name + ": core in two clusters");
       }
+      seen = 1;
+      ++listed;
     }
     // A cluster must not straddle NUMA regions.
-    const int region = numa_of_core(cl.front());
+    const int region = region_of[static_cast<std::size_t>(cl.front())];
     for (int c : cl) {
-      if (numa_of_core(c) != region) {
+      if (region_of[static_cast<std::size_t>(c)] != region) {
         throw std::invalid_argument(name + ": cluster straddles NUMA regions");
       }
     }
   }
-  if (static_cast<int>(cseen.size()) != num_cores) {
+  if (listed != num_cores) {
     throw std::invalid_argument(name + ": cores missing from cluster map");
   }
   if (!l1d.present() || !l2.present()) {
@@ -480,9 +490,10 @@ std::vector<MachineDescriptor> all_machines() {
           intel_broadwell(), intel_icelake(), intel_sandybridge()};
 }
 
-std::vector<MachineDescriptor> x86_machines() {
-  return {amd_rome(), intel_broadwell(), intel_icelake(),
-          intel_sandybridge()};
+const std::vector<MachineDescriptor>& x86_machines() {
+  static const std::vector<MachineDescriptor> machines{
+      amd_rome(), intel_broadwell(), intel_icelake(), intel_sandybridge()};
+  return machines;
 }
 
 }  // namespace sgp::machine

@@ -163,8 +163,9 @@ MachineDescriptor allwinner_d1();
 
 /// All seven, SG2042 first.
 std::vector<MachineDescriptor> all_machines();
-/// The four x86 parts of Table 4, in the paper's order.
-std::vector<MachineDescriptor> x86_machines();
+/// The four x86 parts of Table 4, in the paper's order: one immutable
+/// list built on first use, so callers may keep pointers into it.
+const std::vector<MachineDescriptor>& x86_machines();
 
 /// Builds singleton or k-wide clusters over contiguous core ids — the
 /// topology the `cluster_width` shorthand of the INI form describes.

@@ -1,7 +1,6 @@
 #include "machine/placement.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace sgp::machine {
@@ -11,56 +10,47 @@ namespace {
 /// Region core list reordered so that consecutive picks land on distinct
 /// L2 clusters (and on distinct contiguous id blocks first, matching the
 /// paper's example: region 0 of the SG2042 yields 0, 16, 4, 20, 1, 17,
-/// 5, 21, ...).
-std::vector<int> cluster_cyclic_order(const MachineDescriptor& m,
-                                      const std::vector<int>& region_cores) {
-  // Identify contiguous id blocks within the region (the SG2042 regions
-  // consist of two non-adjacent blocks of eight).
+/// 5, 21, ...). `cluster_of` and `slot_of` map each core to its cluster
+/// and to its position inside that cluster; `cluster_pos` (one slot per
+/// cluster, -1 = not yet placed) receives each cluster's position inside
+/// its block, in first-core order.
+std::vector<int> cluster_cyclic_order(const std::vector<int>& region_cores,
+                                      const std::vector<int>& cluster_of,
+                                      const std::vector<int>& slot_of,
+                                      std::vector<int>& cluster_pos) {
   struct Key {
-    int idx_in_cluster;
-    int block;
-    int cluster_pos;  // position of the cluster inside its block
-    int core;
+    int slot;         ///< position of the core inside its cluster
+    int cluster_pos;  ///< position of the cluster inside its block
+    int block;        ///< contiguous id block within the region
+    int at;           ///< position in region_cores (the stable tie-break)
   };
   std::vector<Key> keys;
   keys.reserve(region_cores.size());
-
-  // Block index: increases whenever ids stop being consecutive.
-  std::map<int, int> block_of;  // core -> block idx
-  int block = 0;
+  // Block index increases whenever ids stop being consecutive (the
+  // SG2042 regions consist of two non-adjacent blocks of eight); each
+  // block numbers its clusters from 0.
+  std::vector<int> next_pos{0};
   for (std::size_t i = 0; i < region_cores.size(); ++i) {
-    if (i > 0 && region_cores[i] != region_cores[i - 1] + 1) ++block;
-    block_of[region_cores[i]] = block;
-  }
-
-  // Position of each cluster inside its block, in first-core order.
-  std::map<int, int> cluster_pos;  // cluster idx -> position
-  {
-    std::map<int, int> next_pos;  // block -> counter
-    for (int c : region_cores) {
-      const int cl = m.cluster_of_core(c);
-      if (cluster_pos.find(cl) == cluster_pos.end()) {
-        cluster_pos[cl] = next_pos[block_of[c]]++;
-      }
+    const auto c = static_cast<std::size_t>(region_cores[i]);
+    if (i > 0 && region_cores[i] != region_cores[i - 1] + 1) {
+      next_pos.push_back(0);
     }
+    const int block = static_cast<int>(next_pos.size()) - 1;
+    int& pos = cluster_pos[static_cast<std::size_t>(cluster_of[c])];
+    if (pos < 0) pos = next_pos.back()++;
+    keys.push_back(Key{slot_of[c], pos, block, static_cast<int>(i)});
   }
-
-  for (int c : region_cores) {
-    const int cl = m.cluster_of_core(c);
-    const auto& members = m.clusters[static_cast<std::size_t>(cl)];
-    const int idx = static_cast<int>(
-        std::find(members.begin(), members.end(), c) - members.begin());
-    keys.push_back(Key{idx, block_of[c], cluster_pos[cl], c});
-  }
-  std::stable_sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.idx_in_cluster != b.idx_in_cluster)
-      return a.idx_in_cluster < b.idx_in_cluster;
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.slot != b.slot) return a.slot < b.slot;
     if (a.cluster_pos != b.cluster_pos) return a.cluster_pos < b.cluster_pos;
-    return a.block < b.block;
+    if (a.block != b.block) return a.block < b.block;
+    return a.at < b.at;
   });
   std::vector<int> out;
   out.reserve(keys.size());
-  for (const auto& k : keys) out.push_back(k.core);
+  for (const auto& k : keys) {
+    out.push_back(region_cores[static_cast<std::size_t>(k.at)]);
+  }
   return out;
 }
 
@@ -107,10 +97,25 @@ std::vector<int> assign_cores(const MachineDescriptor& m, Placement p,
       return round_robin(per_region, nthreads);
     }
     case Placement::ClusterCyclic: {
+      // Flat core -> cluster and core -> slot tables, built in one pass.
+      const auto cores = static_cast<std::size_t>(m.num_cores);
+      std::vector<int> cluster_of(cores);
+      std::vector<int> slot_of(cores);
+      for (std::size_t cl = 0; cl < m.clusters.size(); ++cl) {
+        const auto& members = m.clusters[cl];
+        for (std::size_t k = 0; k < members.size(); ++k) {
+          const auto c = static_cast<std::size_t>(members[k]);
+          cluster_of[c] = static_cast<int>(cl);
+          slot_of[c] = static_cast<int>(k);
+        }
+      }
+      // Clusters never straddle regions, so one table serves them all.
+      std::vector<int> cluster_pos(m.clusters.size(), -1);
       std::vector<std::vector<int>> per_region;
       per_region.reserve(m.numa.size());
       for (const auto& r : m.numa) {
-        per_region.push_back(cluster_cyclic_order(m, r.cores));
+        per_region.push_back(
+            cluster_cyclic_order(r.cores, cluster_of, slot_of, cluster_pos));
       }
       return round_robin(per_region, nthreads);
     }

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <array>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -34,8 +35,10 @@ constexpr std::string_view to_string(Placement p) noexcept {
   return "?";
 }
 
-/// Core ids assigned to threads 0..nthreads-1 under a policy.
-/// Throws std::invalid_argument if nthreads is not in [1, num_cores].
+/// Core ids assigned to threads 0..nthreads-1 under a policy, for a
+/// descriptor that passes validate(). O(num_cores) apart from one sort
+/// of each region's cores under ClusterCyclic. Throws
+/// std::invalid_argument if nthreads is not in [1, num_cores].
 std::vector<int> assign_cores(const MachineDescriptor& m, Placement p,
                               int nthreads);
 
@@ -51,5 +54,25 @@ struct PlacementStats {
 
 PlacementStats analyze(const MachineDescriptor& m,
                        const std::vector<int>& cores);
+
+/// Read-only view of a PlacementStats, the form the performance models
+/// take: it binds to an analyze() result (which must outlive it) or to a
+/// row of sim::Simulator's flat placement table.
+struct PlacementView {
+  std::span<const int> threads_per_numa;
+  std::span<const int> threads_per_cluster;
+  int regions_spanned = 0;
+  int max_per_numa = 0;
+  int max_per_cluster = 0;
+
+  PlacementView() = default;
+  /// Implicit, so analyze() results pass straight to the models.
+  PlacementView(const PlacementStats& s) noexcept
+      : threads_per_numa(s.threads_per_numa),
+        threads_per_cluster(s.threads_per_cluster),
+        regions_spanned(s.regions_spanned),
+        max_per_numa(s.max_per_numa),
+        max_per_cluster(s.max_per_cluster) {}
+};
 
 }  // namespace sgp::machine

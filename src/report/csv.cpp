@@ -7,17 +7,20 @@ namespace sgp::report {
 
 namespace {
 
-std::string escape(const std::string& cell) {
+/// Appends `cell` to `out`, quoted only when it must be.
+void append_escaped(std::string& out, const std::string& cell) {
   // RFC 4180: quote on comma, quote, LF *and* CR — a bare \r inside an
   // unquoted field desynchronises strict readers.
-  if (cell.find_first_of(",\"\n\r") == std::string::npos) return cell;
-  std::string out = "\"";
+  if (cell.find_first_of(",\"\n\r") == std::string::npos) {
+    out += cell;
+    return;
+  }
+  out += '"';
   for (char ch : cell) {
     if (ch == '"') out += '"';
     out += ch;
   }
   out += '"';
-  return out;
 }
 
 }  // namespace
@@ -41,7 +44,7 @@ std::string CsvWriter::text() const {
   auto emit = [&out](const std::vector<std::string>& row) {
     for (std::size_t c = 0; c < row.size(); ++c) {
       if (c) out += ',';
-      out += escape(row[c]);
+      append_escaped(out, row[c]);
     }
     out += '\n';
   };

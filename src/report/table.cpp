@@ -1,7 +1,8 @@
 #include "report/table.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 
 namespace sgp::report {
@@ -21,9 +22,16 @@ void Table::add_row(std::vector<std::string> cells) {
 }
 
 std::string Table::num(double v, int decimals) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
-  return buf;
+  if (decimals > kMaxDecimals) {
+    throw std::invalid_argument("Table::num: more than " +
+                                std::to_string(kMaxDecimals) + " decimals");
+  }
+  // Every integer digit of the largest double, a sign, a point and the
+  // decimals.
+  char buf[std::numeric_limits<double>::max_exponent10 + 4 + kMaxDecimals];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                                 std::chars_format::fixed, decimals);
+  return std::string(buf, res.ptr);
 }
 
 std::string Table::render() const {

@@ -18,7 +18,14 @@ class Table {
 
   std::size_t rows() const noexcept { return rows_.size(); }
 
-  /// Fixed-precision double formatting helper ("%.2f"-style).
+  /// Most decimals num() formats.
+  static constexpr int kMaxDecimals = 64;
+
+  /// Fixed-precision double formatting helper: byte-identical to
+  /// printf("%.*f", decimals, v), "nan", "-inf" and "-0.00" included,
+  /// and every integer digit is kept however large |v| is. A negative
+  /// `decimals` means 6, as in printf; more than kMaxDecimals throws
+  /// std::invalid_argument.
   static std::string num(double v, int decimals = 2);
 
  private:

@@ -12,7 +12,7 @@ constexpr double kUsableFraction = 0.75;
 }  // namespace
 
 MemLevel CacheModel::serving_level(double ws_total_bytes,
-                                   const machine::PlacementStats& stats,
+                                   const machine::PlacementView& stats,
                                    int nthreads) const {
   if (nthreads < 1) throw std::invalid_argument("serving_level: nthreads");
   const double ws_per_thread = ws_total_bytes / nthreads;
@@ -42,7 +42,7 @@ MemLevel CacheModel::serving_level(double ws_total_bytes,
 }
 
 double CacheModel::per_thread_bw_gbs(MemLevel level,
-                                     const machine::PlacementStats& stats,
+                                     const machine::PlacementView& stats,
                                      int nthreads) const {
   // The whole-machine memory derating (the VisionFive V1 anomaly) slows
   // the entire uncore, shared caches included.

@@ -29,13 +29,13 @@ class CacheModel {
   /// `ws_total_bytes` is the whole kernel's footprint; threads partition
   /// it. Clusters must hold the slices of all their active threads.
   MemLevel serving_level(double ws_total_bytes,
-                         const machine::PlacementStats& stats,
+                         const machine::PlacementView& stats,
                          int nthreads) const;
 
   /// Per-thread sustained bandwidth out of a cache level, GB/s.
   /// DRAM is the MemoryModel's job and is rejected here.
   double per_thread_bw_gbs(MemLevel level,
-                           const machine::PlacementStats& stats,
+                           const machine::PlacementView& stats,
                            int nthreads) const;
 
  private:

@@ -45,7 +45,7 @@ double MemoryModel::region_bandwidth_gbs(std::size_t region, int n,
   return ramp * derate;
 }
 
-double MemoryModel::per_thread_bw_gbs(const machine::PlacementStats& stats,
+double MemoryModel::per_thread_bw_gbs(const machine::PlacementView& stats,
                                       int nthreads,
                                       SharedLevel level) const {
   if (nthreads < 1) throw std::invalid_argument("per_thread_bw_gbs: n");

@@ -27,7 +27,7 @@ class MemoryModel {
   /// region), which OMP_PROC_BIND=true + parallel initialisation gives.
   /// Applies the per-cluster mesh-port cap, the single-core limit and
   /// the machine derating.
-  double per_thread_bw_gbs(const machine::PlacementStats& stats,
+  double per_thread_bw_gbs(const machine::PlacementView& stats,
                            int nthreads, SharedLevel level) const;
 
   /// Threads per region after which the derate kicks in.

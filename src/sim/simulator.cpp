@@ -1,6 +1,7 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <stdexcept>
 
@@ -85,32 +86,41 @@ Simulator::Simulator(machine::MachineDescriptor m)
   m_.validate();
   // Placement tables for every (placement, nthreads). assign_cores(p, n)
   // is a prefix of assign_cores(p, num_cores) under all three policies,
-  // so one running PlacementStats extended core by core yields every
-  // row. validate() guarantees each core sits in exactly one region and
-  // one cluster, so the two lookups below are total.
+  // so each row is the previous one extended by one core. validate()
+  // guarantees each core sits in exactly one region and one cluster, so
+  // the two lookups below are total.
   const auto cores = static_cast<std::size_t>(m_.num_cores);
+  const std::size_t regions = m_.numa.size();
+  const std::size_t clusters = m_.clusters.size();
   std::vector<std::size_t> region_of(cores);
   std::vector<std::size_t> cluster_of(cores);
-  for (std::size_t r = 0; r < m_.numa.size(); ++r) {
+  for (std::size_t r = 0; r < regions; ++r) {
     for (int c : m_.numa[r].cores) region_of[static_cast<std::size_t>(c)] = r;
   }
-  for (std::size_t cl = 0; cl < m_.clusters.size(); ++cl) {
+  for (std::size_t cl = 0; cl < clusters; ++cl) {
     for (int c : m_.clusters[cl]) cluster_of[static_cast<std::size_t>(c)] = cl;
   }
+  const std::size_t per_row = regions + clusters;
+  placement_rows_.reserve(machine::all_placements.size() * cores);
+  placement_counts_.assign(machine::all_placements.size() * cores * per_row,
+                           0);
+  int* counts = placement_counts_.data();
   for (const auto p : machine::all_placements) {
-    auto& table = placement_stats_[static_cast<std::size_t>(p)];
-    table.reserve(cores);
-    machine::PlacementStats st;
-    st.threads_per_numa.assign(m_.numa.size(), 0);
-    st.threads_per_cluster.assign(m_.clusters.size(), 0);
+    machine::PlacementView st;  // the previous row; empty before the first
     for (const int c : machine::assign_cores(m_, p, m_.num_cores)) {
+      if (!st.threads_per_numa.empty()) {
+        std::copy(counts - per_row, counts, counts);
+      }
       const auto core = static_cast<std::size_t>(c);
-      int& in_region = st.threads_per_numa[region_of[core]];
-      if (in_region++ == 0) ++st.regions_spanned;
+      const int in_region = ++counts[region_of[core]];
+      if (in_region == 1) ++st.regions_spanned;
       st.max_per_numa = std::max(st.max_per_numa, in_region);
-      int& in_cluster = st.threads_per_cluster[cluster_of[core]];
-      st.max_per_cluster = std::max(st.max_per_cluster, ++in_cluster);
-      table.push_back(st);
+      const int in_cluster = ++counts[regions + cluster_of[core]];
+      st.max_per_cluster = std::max(st.max_per_cluster, in_cluster);
+      st.threads_per_numa = {counts, regions};
+      st.threads_per_cluster = {counts + regions, clusters};
+      placement_rows_.push_back(st);
+      counts += per_row;
     }
   }
 }
@@ -169,7 +179,7 @@ void Simulator::price(const core::KernelSignature& sig,
       throw std::invalid_argument("Simulator::run: nthreads out of range");
     }
     const auto& cb = ctx.combo(cfg.precision, cfg.compiler, cfg.vector_mode);
-    const machine::PlacementStats& stats =
+    const machine::PlacementView& stats =
         placement_stats(cfg.placement, cfg.nthreads);
     const auto prec = static_cast<std::size_t>(cfg.precision);
 

@@ -9,12 +9,10 @@
 // once and memoizes the (precision, compiler, vector mode) codegen
 // plans and core costs on first use, then prices every point in one
 // pass with no heap allocation. Placement-occupancy statistics for
-// every (placement, nthreads) pair are precomputed at construction in
-// O(num_cores) per placement, so neither path walks the topology per
-// point.
+// every (placement, nthreads) pair are precomputed at construction into
+// two flat tables, so neither path walks the topology per point.
 #pragma once
 
-#include <array>
 #include <span>
 #include <string>
 #include <string_view>
@@ -23,6 +21,7 @@
 #include "compiler/model.hpp"
 #include "core/signature.hpp"
 #include "machine/descriptor.hpp"
+#include "machine/placement.hpp"
 #include "sim/cache_model.hpp"
 #include "sim/config.hpp"
 #include "sim/core_model.hpp"
@@ -60,6 +59,9 @@ class Simulator {
   /// Takes ownership of the descriptor; validates it, then precomputes
   /// the placement-occupancy tables for every (placement, nthreads).
   explicit Simulator(machine::MachineDescriptor m);
+  /// The models and the placement rows point into this object.
+  Simulator(const Simulator&) = delete;
+  Simulator& operator=(const Simulator&) = delete;
 
   const machine::MachineDescriptor& machine() const noexcept { return m_; }
 
@@ -83,12 +85,13 @@ class Simulator {
 
   /// Occupancy of the first `nthreads` cores under `p`, equal field by
   /// field to machine::analyze(m, machine::assign_cores(m, p, nthreads))
-  /// (the reference implementation) but filled incrementally at
-  /// construction; nthreads must be in [1, num_cores].
-  const machine::PlacementStats& placement_stats(machine::Placement p,
-                                                 int nthreads) const {
-    return placement_stats_[static_cast<std::size_t>(p)]
-                           [static_cast<std::size_t>(nthreads - 1)];
+  /// (the reference implementation) but read from the flat table filled
+  /// at construction; nthreads must be in [1, num_cores].
+  const machine::PlacementView& placement_stats(machine::Placement p,
+                                                int nthreads) const {
+    return placement_rows_[static_cast<std::size_t>(p) *
+                               static_cast<std::size_t>(m_.num_cores) +
+                           static_cast<std::size_t>(nthreads - 1)];
   }
 
  private:
@@ -102,8 +105,12 @@ class Simulator {
   MemoryModel memory_;
   CoreModel core_;
   SyncModel sync_;
-  /// [placement][nthreads - 1]: row n extends row n - 1 by one core.
-  std::array<std::vector<machine::PlacementStats>, 3> placement_stats_;
+  /// The placement tables, flat: row p * num_cores + nthreads - 1 views
+  /// the occupancy of (p, nthreads), and row n extends row n - 1 by one
+  /// core. Each row's per-region then per-cluster thread counts sit
+  /// back to back in placement_counts_.
+  std::vector<machine::PlacementView> placement_rows_;
+  std::vector<int> placement_counts_;
 };
 
 }  // namespace sgp::sim

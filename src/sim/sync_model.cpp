@@ -5,7 +5,7 @@
 namespace sgp::sim {
 
 double SyncModel::seconds_per_rep(const core::KernelSignature& sig,
-                                  const machine::PlacementStats& stats,
+                                  const machine::PlacementView& stats,
                                   int nthreads) const {
   if (nthreads <= 1) return 0.0;
   const double per_region_us =

@@ -16,7 +16,7 @@ class SyncModel {
   /// grows with thread count and with the number of NUMA regions the
   /// team spans — cross-mesh barriers are expensive on the SG2042.
   double seconds_per_rep(const core::KernelSignature& sig,
-                         const machine::PlacementStats& stats,
+                         const machine::PlacementView& stats,
                          int nthreads) const;
 
  private:

@@ -164,8 +164,9 @@ void ThreadPool::parallel_for_dynamic(std::size_t n, std::size_t grain,
     return;
   }
   // Wrap the user functor in a work-stealing loop; each invocation of
-  // the wrapper (one per worker) drains the shared counter. Once any
-  // grain throws (abort_ set by run_chunk), the others stop pulling.
+  // the wrapper (one per worker) drains the shared counter. A throwing
+  // grain raises abort_ before its exception leaves the wrapper, so the
+  // other workers stop pulling grains while it unwinds.
   std::atomic<std::size_t> next{0};
   const ChunkFn wrapper = [&](std::size_t, std::size_t, int worker) {
     while (!abort_.load(std::memory_order_acquire)) {
@@ -173,7 +174,12 @@ void ThreadPool::parallel_for_dynamic(std::size_t n, std::size_t grain,
           next.fetch_add(grain, std::memory_order_relaxed);
       if (begin >= n) break;
       const std::size_t end = std::min(begin + grain, n);
-      fn(begin, end, worker);
+      try {
+        fn(begin, end, worker);
+      } catch (...) {
+        abort_.store(true, std::memory_order_release);
+        throw;
+      }
     }
   };
   // Dispatch the wrapper once per worker via the static machinery; the

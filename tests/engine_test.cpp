@@ -430,6 +430,39 @@ sim::TimeBreakdown value_of(double v) {
   return tb;
 }
 
+/// One batch through the memo the way SweepEngine runs it: a lookup,
+/// then an insert of value_of(key index + offset) for each of the first
+/// `priced` misses (a throw part-way through the batch prices fewer).
+/// Returns the number of hits.
+std::size_t lookup_then_insert(SimCache& cache,
+                               std::span<const CacheKey> keys, double offset,
+                               std::size_t priced = SIZE_MAX) {
+  std::vector<sim::TimeBreakdown> results(keys.size());
+  std::vector<std::uint8_t> hit(keys.size());
+  std::vector<std::uint32_t> slot(keys.size());
+  cache.lookup_batch(keys, results, hit, slot);
+  for (std::size_t i = 0; i < keys.size() && priced > 0; ++i) {
+    if (hit[i]) continue;
+    cache.insert(keys[i], slot[i], value_of(static_cast<double>(i) + offset));
+    --priced;
+  }
+  return static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 1));
+}
+
+/// How many of `keys` the memo holds with value_of(i + offset).
+std::size_t found_with(SimCache& cache, std::span<const CacheKey> keys,
+                       double offset) {
+  std::vector<sim::TimeBreakdown> results(keys.size());
+  std::vector<std::uint8_t> hit(keys.size());
+  std::vector<std::uint32_t> slot(keys.size());
+  cache.lookup_batch(keys, results, hit, slot);
+  std::size_t found = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    found += hit[i] && results[i].total_s == static_cast<double>(i) + offset;
+  }
+  return found;
+}
+
 TEST(SimCache, FlatTableKeepsEveryKeyThroughGrowthAndClear) {
   // 100,000 keys whose hashes all end in the same 16 bits, so a table
   // indexed by low hash bits would put every key in one probe chain.
@@ -443,33 +476,69 @@ TEST(SimCache, FlatTableKeepsEveryKeyThroughGrowthAndClear) {
   const std::span<const CacheKey> absent(keys.data() + kKeys, kKeys);
 
   SimCache cache;
-  std::vector<sim::TimeBreakdown> results(kKeys);
-  std::vector<std::uint8_t> hit(kKeys);
   for (const double offset : {0.0, 0.5}) {  // the second pass reuses
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      cache.insert(stored[i], value_of(i + offset));
-      cache.insert(stored[i], value_of(-1.0));
-    }
+    // One batch far larger than the empty index: sized once, every
+    // miss inserted from where its lookup probe ended.
+    EXPECT_EQ(lookup_then_insert(cache, stored, offset), 0u);
     EXPECT_EQ(cache.stats().entries, kKeys);
-
-    // Duplicates keep the first value.
-    cache.lookup_batch(stored, results, hit);
-    std::size_t found = 0;
-    for (std::size_t i = 0; i < kKeys; ++i) {
-      found += hit[i] && results[i].total_s == i + offset;
-    }
-    EXPECT_EQ(found, kKeys);
-    cache.lookup_batch(absent, results, hit);
-    EXPECT_EQ(std::count(hit.begin(), hit.end(), 0), kKeys);
+    // A second batch of the same keys hits every one and keeps the
+    // first value.
+    EXPECT_EQ(lookup_then_insert(cache, stored, -1.0), kKeys);
+    EXPECT_EQ(found_with(cache, stored, offset), kKeys);
+    EXPECT_EQ(found_with(cache, absent, 0.0), 0u);
 
     cache.clear();
     EXPECT_EQ(cache.stats().entries, 0u);
-    cache.lookup_batch(stored.first(1), results, hit);
-    EXPECT_EQ(hit[0], 0);
+    EXPECT_EQ(found_with(cache, stored.first(1), offset), 0u);
   }
   const CacheStats st = cache.stats();
-  EXPECT_EQ(st.hits, 2 * kKeys);
-  EXPECT_EQ(st.misses, 2 * kKeys + 2);
+  EXPECT_EQ(st.hits, 4 * kKeys);
+  EXPECT_EQ(st.misses, 4 * kKeys + 2);
+}
+
+TEST(SimCache, MissThenInsertHandlesGrowthDuplicatesAndPartialBatches) {
+  // Keys sharing their low 16 hash bits, as above, so probe chains are
+  // long and resumed probes really walk.
+  std::vector<CacheKey> keys;
+  for (std::uint64_t i = 0; i < 3000; ++i) {
+    keys.push_back(key_with_hash(i << 16 | 0x1234));
+  }
+  const std::span<const CacheKey> all(keys);
+  SimCache cache;
+
+  // A small batch, then one larger than the index it leaves (64 slots):
+  // the lookup grows the index once and the inserts still land.
+  EXPECT_EQ(lookup_then_insert(cache, all.first(10), 0.0), 0u);
+  EXPECT_EQ(lookup_then_insert(cache, all.first(1000), 0.0), 10u);
+  EXPECT_EQ(cache.stats().entries, 1000u);
+  EXPECT_EQ(found_with(cache, all.first(1000), 0.0), 1000u);
+
+  // The same key twice in one batch (and next to a new one): both miss,
+  // both are inserted, one entry is stored with the first value.
+  const std::vector<CacheKey> twice{keys[1000], keys[1001], keys[1000]};
+  EXPECT_EQ(lookup_then_insert(cache, twice, 0.0), 0u);
+  EXPECT_EQ(cache.stats().entries, 1002u);
+  std::vector<sim::TimeBreakdown> results(twice.size());
+  std::vector<std::uint8_t> hit(twice.size());
+  std::vector<std::uint32_t> slot(twice.size());
+  cache.lookup_batch(twice, results, hit, slot);
+  EXPECT_EQ(std::count(hit.begin(), hit.end(), 1), 3);
+  EXPECT_EQ(results[0].total_s, 0.0);
+  EXPECT_EQ(results[1].total_s, 1.0);
+  EXPECT_EQ(results[2].total_s, 0.0);
+
+  // A batch that stops part-way, as when a group throws: the misses
+  // priced before the stop stay found, the rest stay absent, and the
+  // next full batch fills them in.
+  const auto tail = all.subspan(1000);  // keys 1000.. (two already held)
+  EXPECT_EQ(lookup_then_insert(cache, tail, 0.0, 500), 2u);
+  EXPECT_EQ(cache.stats().entries, 1502u);
+  EXPECT_EQ(found_with(cache, tail.first(502), 0.0), 502u);
+  EXPECT_EQ(found_with(cache, tail.subspan(502), 502.0), 0u);
+  EXPECT_EQ(lookup_then_insert(cache, tail, 0.0), 502u);
+  EXPECT_EQ(cache.stats().entries, keys.size());
+  EXPECT_EQ(found_with(cache, all.first(1000), 0.0), 1000u);
+  EXPECT_EQ(found_with(cache, tail, 0.0), tail.size());
 }
 
 }  // namespace

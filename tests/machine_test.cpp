@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "machine/descriptor.hpp"
 
@@ -101,7 +103,7 @@ TEST(Sg2042, ClustersAreFourConsecutiveCores) {
 
 // --------------------------------------------------------------- x86 --
 TEST(X86Machines, MatchesTable4) {
-  const auto xs = x86_machines();
+  const auto& xs = x86_machines();
   ASSERT_EQ(xs.size(), 4u);
   EXPECT_EQ(xs[0].num_cores, 64);   // Rome
   EXPECT_EQ(xs[1].num_cores, 18);   // Broadwell
@@ -136,16 +138,34 @@ TEST(VisionFive, V1IsDeratedV2IsNot) {
 }
 
 // ------------------------------------------------- validation errors --
+// Each failure pins validate()'s exact message, so a rewrite of the
+// checks keeps both which error wins and its wording.
+void expect_invalid(const MachineDescriptor& m, const std::string& what) {
+  try {
+    m.validate();
+    ADD_FAILURE() << "validate() accepted " << m.name << "; expected: "
+                  << what;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_EQ(std::string(e.what()), what);
+  }
+}
+
 TEST(Validation, CatchesMissingCores) {
   auto m = sg2042();
   m.numa[0].cores.pop_back();
-  EXPECT_THROW(m.validate(), std::invalid_argument);
+  expect_invalid(m, "Sophon SG2042: cores missing from NUMA map");
 }
 
 TEST(Validation, CatchesDuplicateNumaMembership) {
   auto m = sg2042();
   m.numa[1].cores.push_back(0);  // core 0 already in region 0
-  EXPECT_THROW(m.validate(), std::invalid_argument);
+  expect_invalid(m, "Sophon SG2042: core in two NUMA regions");
+}
+
+TEST(Validation, CatchesDuplicateCoreInsideOneRegion) {
+  auto m = visionfive_v2();
+  m.numa[0].cores = {0, 1, 1, 2, 3};
+  expect_invalid(m, "StarFive VisionFive V2: core in two NUMA regions");
 }
 
 TEST(Validation, CatchesClusterStraddlingNuma) {
@@ -153,27 +173,66 @@ TEST(Validation, CatchesClusterStraddlingNuma) {
   // Swap a core between clusters so one straddles regions 0 and 1.
   m.clusters[1] = {4, 5, 6, 8};
   m.clusters[2] = {7, 9, 10, 11};
-  EXPECT_THROW(m.validate(), std::invalid_argument);
+  expect_invalid(m, "Sophon SG2042: cluster straddles NUMA regions");
 }
 
 TEST(Validation, CatchesWrongClusterWidth) {
   auto m = sg2042();
   m.clusters[0].pop_back();
-  EXPECT_THROW(m.validate(), std::invalid_argument);
+  expect_invalid(m, "Sophon SG2042: cores missing from cluster map");
+}
+
+TEST(Validation, CatchesDuplicateClusterMembership) {
+  auto m = sg2042();
+  m.clusters[1].push_back(0);  // core 0 already in cluster 0
+  expect_invalid(m, "Sophon SG2042: core in two clusters");
+}
+
+TEST(Validation, CatchesOutOfRangeClusterCore) {
+  auto m = sg2042();
+  m.clusters[3].back() = 64;
+  expect_invalid(m, "Sophon SG2042: cluster core id out of range");
+  m.clusters[3].back() = -1;
+  expect_invalid(m, "Sophon SG2042: cluster core id out of range");
+}
+
+TEST(Validation, CatchesEmptyRegionAndEmptyCluster) {
+  auto m = sg2042();
+  m.numa.push_back(NumaRegion{});
+  expect_invalid(m, "Sophon SG2042: empty NUMA region");
+  m = sg2042();
+  m.clusters.insert(m.clusters.begin() + 2, std::vector<int>{});
+  expect_invalid(m, "Sophon SG2042: empty cluster");
+}
+
+TEST(Validation, FirstFailureWins) {
+  // A region error is reported before any cluster error, and inside the
+  // NUMA map the first offending core in list order wins.
+  auto m = sg2042();
+  m.clusters[0].clear();
+  m.numa[2].cores.push_back(70);
+  m.numa[3].cores.push_back(0);
+  expect_invalid(m, "Sophon SG2042: NUMA core id out of range");
+  m = sg2042();
+  m.clusters[5].push_back(99);  // out of range, in a later cluster
+  m.clusters[1] = {4, 5, 6, 8};  // straddles, in an earlier cluster
+  expect_invalid(m, "Sophon SG2042: cluster straddles NUMA regions");
 }
 
 TEST(Validation, CatchesBadDerating) {
   auto m = visionfive_v1();
   m.memory_derating = 0.0;
-  EXPECT_THROW(m.validate(), std::invalid_argument);
+  expect_invalid(m, "StarFive VisionFive V1: memory_derating must be in (0,1]");
   m.memory_derating = 1.5;
-  EXPECT_THROW(m.validate(), std::invalid_argument);
+  expect_invalid(m, "StarFive VisionFive V1: memory_derating must be in (0,1]");
 }
 
 TEST(Validation, CatchesOutOfRangeCoreIds) {
   auto m = visionfive_v2();
   m.numa[0].cores.back() = 99;
-  EXPECT_THROW(m.validate(), std::invalid_argument);
+  expect_invalid(m, "StarFive VisionFive V2: NUMA core id out of range");
+  m.numa[0].cores.back() = -3;
+  expect_invalid(m, "StarFive VisionFive V2: NUMA core id out of range");
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 // tables and CSV output.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "report/csv.hpp"
 #include "report/ratio.hpp"
@@ -141,6 +146,69 @@ TEST(Table, RejectsEmptyHeader) {
 TEST(Table, NumFormatsFixed) {
   EXPECT_EQ(Table::num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::num(-1.0, 0), "-1");
+}
+
+/// printf("%.*f") into a buffer that holds any double in full.
+std::string printf_fixed(double v, int decimals) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
+  return buf;
+}
+
+TEST(Table, NumIsByteIdenticalToPrintfFixed) {
+  std::vector<double> values{
+      std::numeric_limits<double>::quiet_NaN(),
+      -std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      0.0, -0.0, -0.001, -0.0049, 0.5, 1.5, 2.5, -2.5, 0.125, 0.375,
+      1.0005, 2.675, 1e-300, std::numeric_limits<double>::denorm_min(),
+      1e59, -1e59, 1e60, 123456789.0e60, 1e300, -1e300,
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest()};
+  // Exact binary halves at every decimal count (round-half-even).
+  for (int d = 0; d <= 6; ++d) {
+    for (int k = 0; k < 40; ++k) {
+      values.push_back((2.0 * k + 1.0) / std::ldexp(1.0, d + 1));
+    }
+  }
+  // A seeded sweep over magnitudes 1e-8 .. 1e70 and both signs.
+  std::mt19937_64 rng(20240417);
+  std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+  std::uniform_int_distribution<int> exponent(-8, 70);
+  for (int i = 0; i < 20000; ++i) {
+    const double v = mantissa(rng) * std::pow(10.0, exponent(rng));
+    values.push_back(i % 2 ? -v : v);
+  }
+  std::size_t mismatches = 0;
+  for (const double v : values) {
+    for (int d = 0; d <= 6; ++d) {
+      const std::string got = Table::num(v, d);
+      if (got != printf_fixed(v, d) && ++mismatches <= 5) {
+        ADD_FAILURE() << "num(" << printf_fixed(v, 17) << ", " << d
+                      << ") = " << got << ", printf: " << printf_fixed(v, d);
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Table, NumKeepsEveryDigitOfLargeValues) {
+  // A 64-byte buffer would cut these at 63 characters; num() keeps the
+  // whole number.
+  EXPECT_EQ(Table::num(5e59, 2).size(), 63u);  // 60 integer digits
+  EXPECT_EQ(Table::num(5e60, 2).size(), 64u);
+  EXPECT_EQ(Table::num(-5e60, 2).size(), 65u);
+  EXPECT_EQ(Table::num(-5e60, 2), printf_fixed(-5e60, 2));
+  const std::string max = Table::num(std::numeric_limits<double>::max(), 6);
+  EXPECT_EQ(max.size(), 309u + 7u);
+  EXPECT_EQ(max, printf_fixed(std::numeric_limits<double>::max(), 6));
+  // Negative decimals mean printf's default of 6; too many throw.
+  EXPECT_EQ(Table::num(1.0, -1), "1.000000");
+  EXPECT_EQ(Table::num(0.1, Table::kMaxDecimals),
+            printf_fixed(0.1, Table::kMaxDecimals));
+  EXPECT_THROW((void)Table::num(1.0, Table::kMaxDecimals + 1),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------- csv --

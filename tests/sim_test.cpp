@@ -348,8 +348,14 @@ int expect_placement_tables_match(const machine::MachineDescriptor& m) {
         return m.name + " " + std::string(machine::to_string(p)) + " n=" +
                std::to_string(n);
       };
-      EXPECT_EQ(got.threads_per_numa, want.threads_per_numa) << where();
-      EXPECT_EQ(got.threads_per_cluster, want.threads_per_cluster) << where();
+      EXPECT_EQ(std::vector<int>(got.threads_per_numa.begin(),
+                                 got.threads_per_numa.end()),
+                want.threads_per_numa)
+          << where();
+      EXPECT_EQ(std::vector<int>(got.threads_per_cluster.begin(),
+                                 got.threads_per_cluster.end()),
+                want.threads_per_cluster)
+          << where();
       EXPECT_EQ(got.regions_spanned, want.regions_spanned) << where();
       EXPECT_EQ(got.max_per_numa, want.max_per_numa) << where();
       EXPECT_EQ(got.max_per_cluster, want.max_per_cluster) << where();

@@ -257,6 +257,39 @@ TEST(ThreadPoolExceptions, DynamicThrowSurfacesOnCaller) {
   EXPECT_LT(grains.load(), 1000);
 }
 
+TEST(ThreadPoolExceptions, DynamicStopsPullingGrainsAfterAThrow) {
+  // Grain 3 throws once grains 0-2 are running on the three other
+  // workers. Every other grain waits (bounded) until the thrower's
+  // chunk has finished, which the pool records in worker_busy_s() only
+  // after the abort flag is up; from then on no worker may pull a new
+  // grain, so exactly the four grains run.
+  ThreadPool pool(4);
+  std::atomic<int> grains{0};
+  std::atomic<int> thrower{-1};
+  try {
+    pool.parallel_for_dynamic(1000, 1, [&](std::size_t, std::size_t, int w) {
+      if (grains.fetch_add(1) == 3) {
+        thrower.store(w);
+        throw std::runtime_error("boom");
+      }
+      auto thrower_done = [&] {
+        const int t = thrower.load();
+        return t >= 0 &&
+               pool.worker_busy_s()[static_cast<std::size_t>(t)] > 0.0;
+      };
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(2);
+      while (!thrower_done() && std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::yield();
+      }
+    });
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+  EXPECT_EQ(grains.load(), 4);
+}
+
 TEST(ThreadPoolExceptions, CallerChunkThrowIsAlsoCaught) {
   ThreadPool pool(4);
   // Chunk 0 runs on the calling thread; its exception must take the
