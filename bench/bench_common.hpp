@@ -131,12 +131,9 @@ inline void obs_exit_finalizer() {
       const engine::SweepEngine& eng = engine::shared_engine();
       const engine::EngineCounters c = eng.counters();
       man.add("engine", "requests", c.requests);
-      man.add("engine", "cache_hits", c.cache_hits);
-      man.add("engine", "cache_misses", c.cache_misses);
       man.add("engine", "simulations", c.simulations);
       man.add("engine", "simulators_built", c.simulators_built);
       man.add("engine", "batches", c.batches);
-      man.add("engine", "cache_entries", c.cache_entries);
       man.write(exit_metrics_path(), obs::registry().snapshot());
     }
   } catch (const std::exception& e) {
@@ -160,11 +157,6 @@ inline engine::SweepEngine& configure_engine(const BenchOptions& opt) {
     detail::exit_metrics_path() = opt.metrics_path.value_or("");
     detail::exit_tool() = opt.tool.empty() ? "bench" : opt.tool;
     if (opt.trace_path) obs::Tracer::instance().enable();
-    // Pull gauge: cache occupancy at snapshot time (the shared engine
-    // is a leaked singleton, so the capture stays valid in atexit).
-    obs::registry().gauge_callback("engine.cache.entries", [&eng] {
-      return static_cast<double>(eng.counters().cache_entries);
-    });
     std::atexit(&detail::obs_exit_finalizer);
   }
   return eng;
@@ -175,10 +167,7 @@ inline void print_perf(std::ostream& out,
                        const engine::EngineCounters& c) {
   out << "== engine perf counters ==\n";
   out << "requests:         " << c.requests << "\n";
-  out << "cache hits:       " << c.cache_hits << "\n";
-  out << "cache misses:     " << c.cache_misses << "\n";
   out << "simulations run:  " << c.simulations << "\n";
-  out << "cache entries:    " << c.cache_entries << "\n";
   out << "simulators built: " << c.simulators_built << "\n";
   out << "batches:          " << c.batches << "\n";
 }

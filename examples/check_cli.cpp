@@ -5,18 +5,16 @@
 //   3. asserts the streaming cachesim replay engine and the reference
 //      vector path (the two replay paths) produce bit-identical
 //      statistics on every paper machine plus random fuzzed ones;
-//   4. re-executes every figure/table pipeline through the sweep engine
-//      twice — memo cache on and off — and requires byte-identical CSV
-//      artifacts;
-//   5. diffs the cached artifacts against the pinned goldens under
-//      tests/golden/ with per-column tolerances, reporting the first
-//      divergent cell;
-//   6. fuzzes the sgp-serve request parser and the machine INI
+//   4. with --golden, runs every figure/table pipeline through the
+//      sweep engine and diffs the CSV artifacts against the pinned
+//      goldens (tests/golden/) with per-column tolerances, reporting
+//      the first divergent cell;
+//   5. fuzzes the sgp-serve request parser and the machine INI
 //      round-trip;
-//   7. fuzzes the batched evaluation paths: ragged random batches on
+//   6. fuzzes the batched evaluation paths: ragged random batches on
 //      random machines must be bit-identical across per-point
-//      Simulator::run, one Simulator::run_batch per kernel, and the
-//      engine's memo-miss and memo-hit batch paths.
+//      Simulator::run, one Simulator::run_batch per kernel, and two
+//      engine batches.
 //
 // --jobs shards the invariant grid and the fuzzers over a thread pool;
 // reports are merged in deterministic order, so serial and parallel
@@ -340,54 +338,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 4 + 5. Pipelines: cached vs uncached byte-identity, then the golden
-  // differential. Two private engines so the comparison cannot share a
-  // memo cache with anything else in the process.
-  {
-    engine::SweepEngine cached;
-    engine::SweepEngine uncached(engine::EngineOptions{.use_cache = false});
-    const auto cached_artifacts = check::run_all_artifacts(cached);
-    const auto uncached_artifacts = check::run_all_artifacts(uncached);
-
-    for (std::size_t i = 0; i < cached_artifacts.size(); ++i) {
-      const auto& c = cached_artifacts[i];
-      const auto& u = uncached_artifacts[i];
-      if (c.csv.text() != u.csv.text()) {
+  // 4. Pipelines: the golden differential.
+  if (opt.golden_dir) {
+    engine::SweepEngine eng;
+    const auto artifacts = check::run_all_artifacts(eng);
+    for (const auto& a : artifacts) {
+      const std::string path = *opt.golden_dir + "/" + a.name + ".csv";
+      const auto golden = read_file(path);
+      if (!golden) {
         failed = true;
-        const auto diff = check::diff_csv(c.csv.text(), u.csv.text());
-        std::cout << "DIVERGENCE " << c.name
-                  << ": cached and uncached engine outputs differ";
-        if (diff) std::cout << " — " << to_string(*diff);
-        std::cout << "\n";
+        std::cout << "DIVERGENCE " << a.name << ": missing golden " << path
+                  << "\n";
+        continue;
+      }
+      if (const auto diff = check::diff_csv(*golden, a.csv.text(), a.policy)) {
+        failed = true;
+        std::cout << "DIVERGENCE " << a.name << " vs " << path << ": "
+                  << to_string(*diff) << "\n";
       }
     }
-    std::cout << "cached/uncached identity: " << cached_artifacts.size()
-              << " artifacts compared\n";
-
-    if (opt.golden_dir) {
-      for (const auto& a : cached_artifacts) {
-        const std::string path = *opt.golden_dir + "/" + a.name + ".csv";
-        const auto golden = read_file(path);
-        if (!golden) {
-          failed = true;
-          std::cout << "DIVERGENCE " << a.name << ": missing golden "
-                    << path << "\n";
-          continue;
-        }
-        if (const auto diff =
-                check::diff_csv(*golden, a.csv.text(), a.policy)) {
-          failed = true;
-          std::cout << "DIVERGENCE " << a.name << " vs " << path << ": "
-                    << to_string(*diff) << "\n";
-        }
-      }
-      std::cout << "golden diff: " << cached_artifacts.size()
-                << " artifacts checked against " << *opt.golden_dir
-                << "\n";
-    }
+    std::cout << "golden diff: " << artifacts.size()
+              << " artifacts checked against " << *opt.golden_dir << "\n";
   }
 
-  // 6. sgp-serve request parser robustness fuzzing.
+  // 5. sgp-serve request parser robustness fuzzing.
   if (opt.fuzz_request_seeds > 0) {
     const auto report =
         check::fuzz_requests(4000, opt.fuzz_request_seeds, opt.jobs);
@@ -400,7 +374,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 6b. Machine INI serializer/parser + registry round-trip fuzzing.
+  // 5b. Machine INI serializer/parser + registry round-trip fuzzing.
   if (opt.fuzz_ini_seeds > 0) {
     const auto report =
         check::fuzz_ini_roundtrip(5000, opt.fuzz_ini_seeds, opt.jobs);
@@ -413,8 +387,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 7. Batched-path identity fuzzing: scalar run vs run_batch vs the
-  // engine's batched memo path, bit-for-bit.
+  // 6. Batched-path identity fuzzing: scalar run vs run_batch vs the
+  // engine's batches, bit-for-bit.
   if (opt.fuzz_batch_seeds > 0) {
     const auto report =
         check::fuzz_batch_identity(6000, opt.fuzz_batch_seeds, opt.jobs);

@@ -1,4 +1,4 @@
-// sgp-serve: simulation-as-a-service over the memoized SweepEngine.
+// sgp-serve: simulation-as-a-service over the sweep engine.
 //
 // Modes:
 //   sgp_serve                      # pipe mode: requests on stdin,

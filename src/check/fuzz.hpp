@@ -92,8 +92,8 @@ CheckReport fuzz_ini_roundtrip(unsigned first_seed, unsigned num_seeds,
 /// ragged random batches — empty, single-point and larger mixed-kernel
 /// grids — through (a) per-point Simulator::run, (b) one
 /// Simulator::run_batch per kernel, and (c) SweepEngine::run_batch
-/// twice (memo-miss pass, then the memo-hit replay), and demands every
-/// TimeBreakdown field match bit-for-bit across all paths.
+/// twice (the second batch reuses the engine's Simulator), and demands
+/// every TimeBreakdown field match bit-for-bit across all paths.
 CheckReport fuzz_batch_identity(unsigned first_seed, unsigned num_seeds,
                                 int jobs = 1);
 

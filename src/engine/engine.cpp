@@ -1,6 +1,5 @@
 #include "engine/engine.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <numeric>
@@ -12,8 +11,7 @@ namespace sgp::engine {
 
 namespace {
 
-/// Process-wide engine metrics, aggregated over every SweepEngine
-/// (the cache's hit/miss mirrors live in SimCache itself).
+/// Process-wide engine metrics, aggregated over every SweepEngine.
 struct EngineMetrics {
   obs::Counter& requests = obs::registry().counter("engine.requests");
   obs::Counter& simulations =
@@ -30,7 +28,7 @@ struct EngineMetrics {
 
 }  // namespace
 
-SweepEngine::SweepEngine(EngineOptions opt) : use_cache_(opt.use_cache) {}
+SweepEngine::SweepEngine(EngineOptions) {}
 
 std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     std::span<const SweepPoint> points) {
@@ -45,20 +43,15 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   EngineMetrics::get().requests.add(points.size());
 
   // Group the batch by (machine, signature) identity, in order of first
-  // appearance: the fingerprint prefix (machine_fingerprint walks every
-  // descriptor field; a signature's comes from the kernel table or
-  // hashes ~30 fields) is found once per group, so each point only
-  // hashes its SimConfig.
+  // appearance; a machine's Simulator is found (machine_fingerprint
+  // walks every descriptor field) once per batch.
   struct Group {
     const machine::MachineDescriptor* machine;
     const core::KernelSignature* signature;
     const sim::Simulator* simulator;
-    std::uint64_t machine_fp;
-    std::uint64_t signature_fp;
   };
   struct MachineEntry {
     const machine::MachineDescriptor* machine;
-    std::uint64_t fp;
     const sim::Simulator* simulator;
   };
   std::vector<Group> groups;
@@ -70,7 +63,6 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
   const std::size_t mask = index.size() - 1;
   const int shift = 64 - std::countr_zero(index.size());
   std::vector<std::uint32_t> point_group(points.size());
-  std::vector<CacheKey> keys(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
     const SweepPoint& p = points[i];
     const std::uint64_t h =
@@ -86,59 +78,43 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
       std::size_t me = 0;
       while (me < machines.size() && machines[me].machine != p.machine) ++me;
       if (me == machines.size()) {
-        const std::uint64_t fp = machine_fingerprint(*p.machine);
-        const auto [it, built] = sims_.try_emplace(fp, *p.machine);
+        const auto [it, built] =
+            sims_.try_emplace(machine_fingerprint(*p.machine), *p.machine);
         if (built) {
           ++simulators_built_;
           EngineMetrics::get().simulators_built.add();
         }
-        machines.push_back(MachineEntry{p.machine, fp, &it->second});
+        machines.push_back(MachineEntry{p.machine, &it->second});
       }
-      groups.push_back(Group{p.machine, p.signature, machines[me].simulator,
-                             machines[me].fp,
-                             table_signature_fingerprint(*p.signature)});
+      groups.push_back(
+          Group{p.machine, p.signature, machines[me].simulator});
       index[slot] = static_cast<std::uint32_t>(groups.size());
     }
-    const Group& g = groups[index[slot] - 1];
     point_group[i] = index[slot] - 1;
-    keys[i] = CacheKey{g.machine_fp, g.signature_fp,
-                       config_fingerprint(p.config)};
   }
 
-  std::vector<std::uint8_t> hit(points.size(), 0);
-  std::vector<std::uint32_t> slot(use_cache_ ? points.size() : 0);
-  if (use_cache_) {
-    cache_.lookup_batch(keys, results, hit, slot);
-  }
-  // Counting sort of the misses by group, in point order inside each
-  // group: count into miss_end[g], turn the counts into starts, then
-  // advance each start past its group's misses, which leaves group g's
-  // run of `miss` at [miss_end[g - 1], miss_end[g]).
-  std::vector<std::uint32_t> miss_end(groups.size(), 0);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!hit[i]) ++miss_end[point_group[i]];
-  }
-  std::exclusive_scan(miss_end.begin(), miss_end.end(), miss_end.begin(),
+  // Counting sort of the points by group, in point order inside each
+  // group: count into group_end[g], turn the counts into starts, then
+  // advance each start past its group's points, which leaves group g's
+  // run of `order` at [group_end[g - 1], group_end[g]).
+  std::vector<std::uint32_t> group_end(groups.size(), 0);
+  for (const std::uint32_t g : point_group) ++group_end[g];
+  std::exclusive_scan(group_end.begin(), group_end.end(), group_end.begin(),
                       std::uint32_t{0});
-  std::vector<std::uint32_t> miss(
-      static_cast<std::size_t>(std::count(hit.begin(), hit.end(), 0)));
+  std::vector<std::uint32_t> order(points.size());
   for (std::size_t i = 0; i < points.size(); ++i) {
-    if (!hit[i]) {
-      miss[miss_end[point_group[i]]++] = static_cast<std::uint32_t>(i);
-    }
+    order[group_end[point_group[i]]++] = static_cast<std::uint32_t>(i);
   }
 
-  // Price each group's misses through one sim::Simulator::run_batch.
-  // A key asked for twice is priced twice (identical values) but stored
-  // once.
+  // Price each group through one sim::Simulator::run_batch and scatter
+  // its results back into point order.
   std::vector<sim::SimConfig> cfgs;
   std::vector<sim::TimeBreakdown> outs;
   std::uint32_t begin = 0;
   for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    const std::span<const std::uint32_t> run(miss.data() + begin,
-                                             miss_end[gi] - begin);
-    begin = miss_end[gi];
-    if (run.empty()) continue;
+    const std::span<const std::uint32_t> run(order.data() + begin,
+                                             group_end[gi] - begin);
+    begin = group_end[gi];
     const Group& g = groups[gi];
     cfgs.clear();
     for (const std::uint32_t i : run) cfgs.push_back(points[i].config);
@@ -146,11 +122,7 @@ std::vector<sim::TimeBreakdown> SweepEngine::run_batch(
     g.simulator->run_batch(*g.signature, cfgs, outs);
     simulations_ += cfgs.size();
     EngineMetrics::get().simulations.add(cfgs.size());
-    for (std::size_t k = 0; k < run.size(); ++k) {
-      const std::uint32_t i = run[k];
-      results[i] = outs[k];
-      if (use_cache_) cache_.insert(keys[i], slot[i], outs[k]);
-    }
+    for (std::size_t k = 0; k < run.size(); ++k) results[run[k]] = outs[k];
   }
   return results;
 }
@@ -179,17 +151,7 @@ EngineCounters SweepEngine::counters() const {
   out.simulations = simulations_;
   out.simulators_built = simulators_built_;
   out.batches = batches_;
-  const CacheStats cs = cache_.stats();
-  out.cache_hits = cs.hits;
-  out.cache_misses = cs.misses;
-  out.cache_entries = cs.entries;
   return out;
-}
-
-void SweepEngine::clear_cache() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_.clear();
-  sims_.clear();
 }
 
 SweepEngine& shared_engine() {

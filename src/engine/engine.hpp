@@ -1,27 +1,23 @@
-// The sweep/evaluation engine: a scheduling and caching layer over
-// sim::Simulator for the figure/table experiment pipelines.
+// The sweep/evaluation engine: the scheduling layer between the
+// figure/table experiment pipelines and sim::Simulator.
 //
 // Responsibilities (the models stay untouched — results are bit
 // identical to direct Simulator::run calls):
-//   * memoize TimeBreakdowns in a content-addressed cache keyed by
-//     (machine fingerprint, signature fingerprint, SimConfig
-//     fingerprint) — see engine/fingerprint.hpp. The cache lives in
-//     memory only: a new engine starts cold, since pricing a point
-//     costs less than reloading it from disk did;
 //   * build each machine's Simulator once per engine, not once per
-//     pipeline;
-//   * price each batch's misses on the calling thread, one
+//     pipeline, keyed by machine_fingerprint (engine/fingerprint.hpp);
+//   * price every point of a batch on the calling thread, one
 //     Simulator::run_batch per (machine, signature) group, behind the
-//     engine's one mutex: concurrent callers take turns, so a key is
-//     never priced by two of them;
-//   * count everything (requests, hits, Simulator::run executions,
+//     engine's one mutex: concurrent callers take turns. Nothing is
+//     memoized, since pricing a point costs less than looking it up
+//     would; a point asked for twice is priced twice;
+//   * count everything (requests, Simulator::run executions,
 //     simulators built, batches) for the bench binaries' --perf flag
 //     and the engine tests' simulation pin. Where the time goes is
 //     the tracer's job (obs/trace.hpp), not the engine's.
 //
 // Exception contract (docs/RESILIENCE.md): if any point throws, the
 // batch stops, the exception propagates to the caller, and the engine
-// remains usable (groups priced before the throw stay cached).
+// remains usable.
 #pragma once
 
 #include <cstdint>
@@ -32,15 +28,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/cache.hpp"
 #include "engine/fingerprint.hpp"
+#include "sim/simulator.hpp"
 
 namespace sgp::engine {
 
-/// Ignored: the engine keeps its memo in memory only and never touches
-/// the filesystem. Kept only because the benchmark harness still sets
-/// `store.dir` and `store.warn`; remove it together with those
-/// assignments.
+/// Ignored: the engine never touches the filesystem. Kept only because
+/// the benchmark harness still sets `store.dir` and `store.warn`;
+/// remove it together with those assignments.
 struct EnginePersistence {
   struct Store {
     std::string dir;
@@ -54,10 +49,6 @@ struct EngineOptions {
   /// because the benchmark harness still sets it; remove it together
   /// with those assignments.
   int jobs = 0;
-  /// false replicates the pre-engine behaviour (every request runs the
-  /// simulator); the tests use it as the reference that cached output
-  /// must match byte for byte.
-  bool use_cache = true;
   /// Ignored (see EnginePersistence). Kept only because the benchmark
   /// harness still sets it; remove it together with those assignments.
   std::optional<EnginePersistence> persist = std::nullopt;
@@ -67,13 +58,10 @@ struct EngineOptions {
 /// --trace records where the time goes (sim.batch_ns_per_point,
 /// sim.run_ns_p50).
 struct EngineCounters {
-  std::uint64_t requests = 0;      ///< evaluation points asked for
-  std::uint64_t cache_hits = 0;    ///< served from the memo cache
-  std::uint64_t cache_misses = 0;  ///< memo cache lookups that missed
-  std::uint64_t simulations = 0;   ///< actual Simulator::run executions
+  std::uint64_t requests = 0;     ///< evaluation points asked for
+  std::uint64_t simulations = 0;  ///< points priced; equals requests
   std::uint64_t simulators_built = 0;
-  std::uint64_t batches = 0;      ///< run_batch/run_grid calls
-  std::uint64_t cache_entries = 0;
+  std::uint64_t batches = 0;  ///< run_batch/run_grid calls
   /// Always zero. Kept only because the benchmark harness still reads
   /// `persist.store.segments_loaded`; remove it together with that read.
   struct {
@@ -112,15 +100,11 @@ class SweepEngine {
       std::span<const sim::SimConfig> cfgs);
 
   EngineCounters counters() const;
-  /// Drops all memoized results and per-machine simulators.
-  void clear_cache();
 
  private:
-  const bool use_cache_;
-  /// The engine's one lock, guarding every member below: batches,
-  /// counters() and clear_cache() all take it.
+  /// The engine's one lock, guarding every member below: batches and
+  /// counters() take it.
   mutable std::mutex mu_;
-  SimCache cache_;
 
   /// Node-based, so group pointers stay valid while a batch adds
   /// simulators.
@@ -133,7 +117,7 @@ class SweepEngine {
 };
 
 /// The process-wide engine the convenience experiment overloads use, so
-/// every bench binary and test in one process shares one cache.
+/// every bench binary and test in one process shares its simulators.
 SweepEngine& shared_engine();
 
 }  // namespace sgp::engine

@@ -1,11 +1,6 @@
 #include "engine/fingerprint.hpp"
 
 #include <bit>
-#include <functional>
-#include <span>
-#include <vector>
-
-#include "kernels/register_all.hpp"
 
 namespace sgp::engine {
 
@@ -87,70 +82,6 @@ std::uint64_t machine_fingerprint(const machine::MachineDescriptor& m) {
   h.flag(m.l3_memory_side);
   h.f64(m.memory_derating);
   h.f64(m.atomic_rtt_ns);
-  return h.digest();
-}
-
-std::uint64_t signature_fingerprint(const core::KernelSignature& sig) {
-  Fnv1a h;
-  h.str(sig.name);
-  h.i32(static_cast<int>(sig.group));
-  h.f64(sig.iters_per_rep);
-  h.f64(sig.reps);
-  h.f64(sig.parallel_regions_per_rep);
-  h.f64(sig.seq_fraction);
-  h.f64(sig.mix.fadd);
-  h.f64(sig.mix.fmul);
-  h.f64(sig.mix.ffma);
-  h.f64(sig.mix.fdiv);
-  h.f64(sig.mix.fspecial);
-  h.f64(sig.mix.fcmp);
-  h.f64(sig.mix.iops);
-  h.f64(sig.mix.loads);
-  h.f64(sig.mix.stores);
-  h.f64(sig.mix.branches);
-  h.f64(sig.streamed_reads_per_iter);
-  h.f64(sig.streamed_writes_per_iter);
-  h.f64(sig.working_set_elems);
-  h.i32(static_cast<int>(sig.pattern));
-  for (const auto* f : {&sig.gcc, &sig.clang}) {
-    h.flag(f->vectorizes);
-    h.flag(f->runtime_vector_path);
-    h.f64(f->efficiency);
-    h.f64(f->memory_efficiency);
-  }
-  h.flag(sig.integer_dominated);
-  h.flag(sig.atomic);
-  h.flag(sig.recurrence);
-  return h.digest();
-}
-
-std::uint64_t table_signature_fingerprint(const core::KernelSignature& sig) {
-  struct Table {
-    std::span<const core::KernelSignature> sigs;
-    std::vector<std::uint64_t> fps;  ///< aligned with sigs
-  };
-  static const Table table = [] {
-    Table t{kernels::all_signatures(), {}};
-    t.fps.reserve(t.sigs.size());
-    for (const auto& s : t.sigs) t.fps.push_back(signature_fingerprint(s));
-    return t;
-  }();
-  // std::less orders unrelated pointers too.
-  const std::less<const core::KernelSignature*> before;
-  if (!before(&sig, table.sigs.data()) &&
-      before(&sig, table.sigs.data() + table.sigs.size())) {
-    return table.fps[static_cast<std::size_t>(&sig - table.sigs.data())];
-  }
-  return signature_fingerprint(sig);
-}
-
-std::uint64_t config_fingerprint(const sim::SimConfig& cfg) {
-  Fnv1a h;
-  h.i32(static_cast<int>(cfg.precision));
-  h.i32(static_cast<int>(cfg.compiler));
-  h.i32(static_cast<int>(cfg.vector_mode));
-  h.i32(cfg.nthreads);
-  h.i32(static_cast<int>(cfg.placement));
   return h.digest();
 }
 

@@ -1,9 +1,8 @@
-// Content-addressed fingerprints for the sweep engine's memoization
-// cache. A cache key is the triple of 64-bit fingerprints of the
-// machine descriptor, the kernel signature and the SimConfig; two
-// evaluation points with equal fingerprints are guaranteed (up to hash
-// collision, ~2^-64 per pair) to be the same pure-function input to
-// Simulator::run and therefore to produce bit-identical TimeBreakdowns.
+// Content fingerprints. The sweep engine keys its per-machine
+// Simulators by machine_fingerprint, so two equal descriptors (a
+// registry entry and its INI round trip, say) share one Simulator;
+// sgp-serve fingerprints request content with Fnv1a to coalesce equal
+// requests, and the bench manifest records each machine's fingerprint.
 //
 // Strings fold byte by byte, every fixed-width field as one 64-bit word
 // (Fnv1a below); each step is a bijection of the state, so changing any
@@ -20,9 +19,7 @@
 #include <cstdint>
 #include <string_view>
 
-#include "core/signature.hpp"
 #include "machine/descriptor.hpp"
-#include "sim/config.hpp"
 
 namespace sgp::engine {
 
@@ -52,19 +49,5 @@ class Fnv1a {
 
 /// Fingerprint of everything Simulator::run reads from the descriptor.
 std::uint64_t machine_fingerprint(const machine::MachineDescriptor& m);
-
-/// Fingerprint of every field of a kernel signature (not just its name,
-/// so mutated copies of a registry signature key separately).
-std::uint64_t signature_fingerprint(const core::KernelSignature& sig);
-
-/// signature_fingerprint(sig), read from a table computed once per
-/// process when `sig` is an entry of kernels::all_signatures(). Any
-/// other signature (a serve copy, a fuzzer mutation) is hashed: only
-/// that immutable table is matched by address, since a mutated copy
-/// may reuse a freed one.
-std::uint64_t table_signature_fingerprint(const core::KernelSignature& sig);
-
-/// Fingerprint of a SimConfig.
-std::uint64_t config_fingerprint(const sim::SimConfig& cfg);
 
 }  // namespace sgp::engine

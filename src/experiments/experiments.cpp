@@ -48,27 +48,37 @@ SimConfig best_threads_cfg(Precision prec, int n) {
   return c;
 }
 
-/// best_sg2042_threads for every class at once, indexed by group: one
-/// {32, 64} grid over the suite; each class's times are summed in suite
-/// order and the first strictly smaller total wins.
-std::array<int, core::all_groups.size()> best_threads_by_group(
-    Precision prec, SweepEngine& eng) {
+/// The best-thread search's {32, 64} grid over the suite and, per
+/// class, the candidate it picked.
+struct BestThreads {
+  static constexpr int kCandidates[] = {32, 64};
+  /// Row-major by candidate: times[c * sigs.size() + s].
+  std::vector<sim::TimeBreakdown> times;
+  /// Index into kCandidates, by group.
+  std::array<std::size_t, core::all_groups.size()> pick{};
+};
+
+/// best_sg2042_threads for every class at once: each class's times are
+/// summed in suite order and the first strictly smaller total wins.
+BestThreads best_threads_by_group(Precision prec, SweepEngine& eng) {
   const auto& sigs = kernels::all_signatures();
-  const int candidates[] = {32, 64};
-  const SimConfig cfgs[] = {best_threads_cfg(prec, candidates[0]),
-                            best_threads_cfg(prec, candidates[1])};
-  const auto times = eng.run_grid(pipeline_machine(), sigs, cfgs);
-  std::array<int, core::all_groups.size()> best{};
+  const SimConfig cfgs[] = {
+      best_threads_cfg(prec, BestThreads::kCandidates[0]),
+      best_threads_cfg(prec, BestThreads::kCandidates[1])};
+  BestThreads best;
+  best.times = eng.run_grid(pipeline_machine(), sigs, cfgs);
   for (const Group g : core::all_groups) {
     double best_time = 0.0;
     for (std::size_t c = 0; c < 2; ++c) {
       double total = 0.0;
       for (std::size_t s = 0; s < sigs.size(); ++s) {
-        if (sigs[s].group == g) total += times[c * sigs.size() + s].total_s;
+        if (sigs[s].group == g) {
+          total += best.times[c * sigs.size() + s].total_s;
+        }
       }
       if (best_time == 0.0 || total < best_time) {
         best_time = total;
-        best[static_cast<std::size_t>(g)] = candidates[c];
+        best.pick[static_cast<std::size_t>(g)] = c;
       }
     }
   }
@@ -281,7 +291,8 @@ std::vector<Fig3Row> figure3(SweepEngine& eng) {
 }
 
 int best_sg2042_threads(Group g, Precision prec, SweepEngine& eng) {
-  return best_threads_by_group(prec, eng)[static_cast<std::size_t>(g)];
+  return BestThreads::kCandidates[best_threads_by_group(prec, eng)
+                                      .pick[static_cast<std::size_t>(g)]];
 }
 
 void reset_best_threads_memo() {}
@@ -294,21 +305,19 @@ std::vector<RatioSeries> x86_comparison(Precision prec, bool multithreaded,
   const auto& sg = pipeline_machine();
 
   // SG2042 baseline: single core, or the most performant thread count
-  // per class with cluster placement (Section 3.2's best practice).
+  // per class with cluster placement (Section 3.2's best practice),
+  // read from the search's own grid.
   std::vector<double> baseline;
-  {
-    std::array<int, core::all_groups.size()> threads;
-    threads.fill(1);
-    if (multithreaded) threads = best_threads_by_group(prec, eng);
+  if (multithreaded) {
     const auto& sigs = kernels::all_signatures();
-    std::vector<engine::SweepPoint> points;
-    points.reserve(sigs.size());
-    for (const auto& sig : sigs) {
-      const int n = threads[static_cast<std::size_t>(sig.group)];
-      points.push_back(
-          engine::SweepPoint{&sg, &sig, best_threads_cfg(prec, n)});
+    const BestThreads best = best_threads_by_group(prec, eng);
+    baseline.reserve(sigs.size());
+    for (std::size_t s = 0; s < sigs.size(); ++s) {
+      const std::size_t c = best.pick[static_cast<std::size_t>(sigs[s].group)];
+      baseline.push_back(best.times[c * sigs.size() + s].total_s);
     }
-    for (const auto& t : eng.run_batch(points)) baseline.push_back(t.total_s);
+  } else {
+    baseline = kernel_times(sg, best_threads_cfg(prec, 1), eng);
   }
 
   std::vector<RatioSeries> out;

@@ -2,10 +2,8 @@
 // thin printer over these functions, and the integration tests assert
 // the paper's qualitative findings on the same structured outputs.
 //
-// Every pipeline runs on the sweep engine (src/engine): evaluation
-// points are memoized in a content-addressed cache, so pipelines sharing
-// points (the x86 baselines, the scaling tables, repeated invocations
-// from tests and bench binaries in one process) stop re-simulating them.
+// Every pipeline runs on the sweep engine (src/engine), which prices
+// every point it is asked for, in batches, and memoizes nothing.
 // Callers pass the engine (usually the process-wide
 // engine::shared_engine()). Per-kernel values are vectors aligned with
 // kernels::all_signatures(); inside a class that is ascending name
@@ -113,8 +111,7 @@ std::vector<RatioSeries> x86_comparison(core::Precision prec,
 
 /// The most performant SG2042 thread count for a class (the paper found
 /// 32 beats 64 for some classes); candidates {32, 64}, cluster placement.
-/// Prices the whole suite's candidate grid; a repeated ask is served by
-/// the engine's memo.
+/// Prices the whole suite's candidate grid on every call.
 int best_sg2042_threads(core::Group g, core::Precision prec,
                         engine::SweepEngine& eng);
 

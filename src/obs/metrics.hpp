@@ -1,5 +1,5 @@
 // Process-wide metrics registry: the single place every subsystem
-// (simulator, sweep engine, memo cache, thread pool)
+// (simulator, sweep engine, thread pool, server)
 // publishes its counts, so one snapshot describes a whole run.
 //
 // Design rules:
@@ -7,8 +7,8 @@
 //     are single relaxed atomic RMWs; registration (name lookup) takes
 //     a mutex but happens once per call site, which then holds a
 //     stable reference;
-//   * metrics are process-wide aggregates. Two SimCaches incrementing
-//     "engine.cache.hits" add into the same counter; per-instance
+//   * metrics are process-wide aggregates. Two SweepEngines incrementing
+//     "engine.requests" add into the same counter; per-instance
 //     accounting (the engine's A/B counters) stays with the instance;
 //   * metrics are never destroyed, so cached references stay valid for
 //     the life of the process. reset() zeroes values in place.

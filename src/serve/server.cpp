@@ -484,11 +484,8 @@ std::string Server::render_stats_json() const {
   out += ",\"points\":" + u(s.points);
   out += ",\"engine\":{";
   out += "\"requests\":" + u(c.requests);
-  out += ",\"cache_hits\":" + u(c.cache_hits);
-  out += ",\"cache_misses\":" + u(c.cache_misses);
   out += ",\"simulations\":" + u(c.simulations);
   out += ",\"simulators_built\":" + u(c.simulators_built);
-  out += ",\"cache_entries\":" + u(c.cache_entries);
   out += "}}";
   return out;
 }

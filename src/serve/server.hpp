@@ -1,5 +1,5 @@
 // Simulation-as-a-service: a long-running request/response server over
-// the shared memoized SweepEngine.
+// the sweep engine.
 //
 // Lifecycle of one request line:
 //   1. parse + validate (serve/protocol.hpp) — malformed input gets a
@@ -18,8 +18,8 @@
 //      per-request callback (the pipe/socket transports serialize
 //      writes; tests capture them directly).
 //
-// The engine's memo lives in memory only: a restarted server starts
-// cold and answers the same lines byte-identically
+// The engine memoizes nothing, so a restarted server prices every
+// point afresh and answers the same lines byte-identically
 // (tests/serve_test.cpp pins this).
 //
 // Everything observable lands in the obs registry under "serve.*".

@@ -60,11 +60,12 @@ double MemoryModel::per_thread_bw_gbs(const machine::PlacementView& stats,
   }
   // Single-core limit.
   worst = std::min(worst, m_.core.stream_bw_gbs);
-  // Cluster mesh-port cap (four cores behind one L2 port on the SG2042).
-  if (m_.cluster_bw_gbs > 0.0) {
-    for (int k : stats.threads_per_cluster) {
-      if (k > 0) worst = std::min(worst, m_.cluster_bw_gbs / k);
-    }
+  // Cluster mesh-port cap (four cores behind one L2 port on the SG2042),
+  // set by the fullest cluster: division is correctly rounded and so
+  // monotonic in k, and the minimum of cluster_bw_gbs / k over occupied
+  // clusters is cluster_bw_gbs / max_per_cluster, bit for bit.
+  if (m_.cluster_bw_gbs > 0.0 && stats.max_per_cluster > 0) {
+    worst = std::min(worst, m_.cluster_bw_gbs / stats.max_per_cluster);
   }
   return worst * m_.memory_derating;
 }

@@ -21,10 +21,10 @@ namespace sgp::threading {
 /// Resolves a user-facing `--jobs` request to a worker count: values
 /// >= 1 are clamped to [1, 4 * hardware_concurrency]; 0 (or negative)
 /// means "one per hardware thread" (at least 1 when the runtime cannot
-/// tell). Shared by the sweep engine and the bench binaries so every
-/// surface resolves jobs the same way. A clamp is no longer silent: it
-/// bumps the "pool.jobs_clamped" obs counter and records the resolved
-/// count in the "pool.jobs_clamp_last" gauge.
+/// tell). Its one caller is the invariant checker's sharded sweeps
+/// (check/invariants.cpp). A clamp is no longer silent: it bumps the
+/// "pool.jobs_clamped" obs counter and records the resolved count in
+/// the "pool.jobs_clamp_last" gauge.
 int recommended_jobs(int requested) noexcept;
 
 /// The pure resolution rule behind recommended_jobs, parameterized on

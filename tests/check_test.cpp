@@ -381,13 +381,14 @@ TEST(Artifacts, Tab4MatchesItsPolicyColumns) {
   EXPECT_EQ(rows.size(), 5u);  // header + the four x86 parts
 }
 
-TEST(Artifacts, CachedAndUncachedEnginesRenderIdentically) {
-  engine::SweepEngine cached;
-  engine::SweepEngine uncached(engine::EngineOptions{.use_cache = false});
-  const auto a = run_artifact("fig1", cached);
-  const auto b = run_artifact("fig1", uncached);
+TEST(Artifacts, ReusedAndFreshEnginesRenderIdentically) {
+  engine::SweepEngine reused, fresh;
+  (void)run_artifact("fig1", reused);
+  const auto a = run_artifact("fig1", reused);
+  const auto b = run_artifact("fig1", fresh);
   EXPECT_EQ(a.csv.text(), b.csv.text());
   EXPECT_FALSE(diff_csv(a.csv.text(), b.csv.text(), a.policy).has_value());
+  EXPECT_EQ(reused.counters().simulations, 2 * fresh.counters().simulations);
 }
 
 }  // namespace

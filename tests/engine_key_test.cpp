@@ -1,10 +1,10 @@
-// Cache-key fingerprints: every model-relevant field of a machine
-// descriptor, kernel signature and SimConfig must feed the fingerprint,
-// so two evaluation points differing in any single field never share a
-// cache slot. Also: serializing a machine and parsing it back must not
-// change its fingerprint (content-addressing is stable across the INI
-// round trip). Every bit of every fixed-width field feeds its
-// fingerprint too (the one exception: the sign of a 0.0, normalised).
+// Machine fingerprints: every model-relevant field of a machine
+// descriptor must feed the fingerprint, so two machines differing in
+// any single field never share the engine's Simulator. Also:
+// serializing a machine and parsing it back must not change its
+// fingerprint (content-addressing is stable across the INI round trip).
+// Every bit of every fixed-width field feeds it too (the one exception:
+// the sign of a 0.0, normalised).
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "engine/fingerprint.hpp"
-#include "kernels/register_all.hpp"
 #include "machine/serialize.hpp"
 
 namespace sgp::engine {
@@ -132,95 +131,6 @@ TEST(MachineFingerprint, PaperMachinesAllDistinct) {
   }
 }
 
-TEST(SignatureFingerprint, FieldMutationsChangeIt) {
-  const auto base = kernels::all_signatures().front();
-  const auto base_fp = signature_fingerprint(base);
-  std::set<std::uint64_t> seen{base_fp};
-
-  auto check = [&](const char* what, auto mutate) {
-    auto s = base;
-    mutate(s);
-    const auto fp = signature_fingerprint(s);
-    EXPECT_NE(fp, base_fp) << what;
-    EXPECT_TRUE(seen.insert(fp).second) << what;
-  };
-  check("name", [](auto& s) { s.name += "_X"; });
-  check("group", [](auto& s) {
-    s.group = s.group == core::Group::Basic ? core::Group::Stream
-                                            : core::Group::Basic;
-  });
-  check("iters_per_rep", [](auto& s) { s.iters_per_rep += 1.0; });
-  check("reps", [](auto& s) { s.reps += 1.0; });
-  check("parallel_regions",
-        [](auto& s) { s.parallel_regions_per_rep += 1.0; });
-  check("seq_fraction", [](auto& s) { s.seq_fraction += 1e-7; });
-  check("mix.fadd", [](auto& s) { s.mix.fadd += 1.0; });
-  check("mix.ffma", [](auto& s) { s.mix.ffma += 1.0; });
-  check("mix.loads", [](auto& s) { s.mix.loads += 1.0; });
-  check("streamed_reads",
-        [](auto& s) { s.streamed_reads_per_iter += 1.0; });
-  check("streamed_writes",
-        [](auto& s) { s.streamed_writes_per_iter += 1.0; });
-  check("working_set", [](auto& s) { s.working_set_elems += 1.0; });
-  check("gcc.vectorizes",
-        [](auto& s) { s.gcc.vectorizes = !s.gcc.vectorizes; });
-  check("gcc.efficiency", [](auto& s) { s.gcc.efficiency += 1e-7; });
-  check("clang.memory_efficiency",
-        [](auto& s) { s.clang.memory_efficiency -= 1e-7; });
-  check("integer_dominated",
-        [](auto& s) { s.integer_dominated = !s.integer_dominated; });
-  check("atomic", [](auto& s) { s.atomic = !s.atomic; });
-  check("recurrence", [](auto& s) { s.recurrence = !s.recurrence; });
-}
-
-TEST(SignatureFingerprint, SuiteSignaturesAllDistinct) {
-  std::set<std::uint64_t> seen;
-  for (const auto& s : kernels::all_signatures()) {
-    EXPECT_TRUE(seen.insert(signature_fingerprint(s)).second) << s.name;
-  }
-}
-
-TEST(SignatureFingerprint, KernelTableValuesEqualTheHashedOnes) {
-  // The engine reads a table entry's fingerprint from a table computed
-  // once per process; memo keys and stored segments depend on it being
-  // signature_fingerprint's value.
-  for (const auto& s : kernels::all_signatures()) {
-    EXPECT_EQ(table_signature_fingerprint(s), signature_fingerprint(s))
-        << s.name;
-    // A copy lives outside the table and is hashed.
-    auto copy = s;
-    EXPECT_EQ(table_signature_fingerprint(copy), signature_fingerprint(s))
-        << s.name;
-    copy.iters_per_rep *= 2.0;
-    EXPECT_EQ(table_signature_fingerprint(copy), signature_fingerprint(copy))
-        << s.name;
-    EXPECT_NE(table_signature_fingerprint(copy), signature_fingerprint(s))
-        << s.name;
-  }
-}
-
-TEST(ConfigFingerprint, FieldMutationsChangeIt) {
-  sim::SimConfig base;
-  const auto base_fp = config_fingerprint(base);
-  std::set<std::uint64_t> seen{base_fp};
-
-  auto check = [&](const char* what, auto mutate) {
-    auto c = base;
-    mutate(c);
-    const auto fp = config_fingerprint(c);
-    EXPECT_NE(fp, base_fp) << what;
-    EXPECT_TRUE(seen.insert(fp).second) << what;
-  };
-  check("precision",
-        [](auto& c) { c.precision = core::Precision::FP32; });
-  check("compiler", [](auto& c) { c.compiler = core::CompilerId::Clang; });
-  check("vector_mode",
-        [](auto& c) { c.vector_mode = core::VectorMode::Scalar; });
-  check("nthreads", [](auto& c) { c.nthreads = 2; });
-  check("placement",
-        [](auto& c) { c.placement = machine::Placement::ClusterCyclic; });
-}
-
 // --------------------------------------- every bit of every field --
 
 template <std::size_t N>
@@ -315,59 +225,6 @@ TEST(MachineFingerprint, EveryBitOfEveryFixedWidthFieldChangesIt) {
   // 64 core ids in NUMA regions and 64 in clusters, 32 bits each,
   // dominate the count; the scalar fields add over a thousand more.
   EXPECT_GT(flips, 2 * 64 * 32 + 1000);
-}
-
-TEST(SignatureFingerprint, EveryBitOfEveryFixedWidthFieldChangesIt) {
-  auto obj = kernels::all_signatures().front();
-  const auto fp = [](const core::KernelSignature& s) {
-    return signature_fingerprint(s);
-  };
-  int flips = 0;
-  SGP_FLIP(obj.group);
-  SGP_FLIP(obj.iters_per_rep);
-  SGP_FLIP(obj.reps);
-  SGP_FLIP(obj.parallel_regions_per_rep);
-  SGP_FLIP(obj.seq_fraction);
-  SGP_FLIP(obj.mix.fadd);
-  SGP_FLIP(obj.mix.fmul);
-  SGP_FLIP(obj.mix.ffma);
-  SGP_FLIP(obj.mix.fdiv);
-  SGP_FLIP(obj.mix.fspecial);
-  SGP_FLIP(obj.mix.fcmp);
-  SGP_FLIP(obj.mix.iops);
-  SGP_FLIP(obj.mix.loads);
-  SGP_FLIP(obj.mix.stores);
-  SGP_FLIP(obj.mix.branches);
-  SGP_FLIP(obj.streamed_reads_per_iter);
-  SGP_FLIP(obj.streamed_writes_per_iter);
-  SGP_FLIP(obj.working_set_elems);
-  SGP_FLIP(obj.pattern);
-  for (auto* f : {&obj.gcc, &obj.clang}) {
-    SGP_FLIP(f->vectorizes);
-    SGP_FLIP(f->runtime_vector_path);
-    SGP_FLIP(f->efficiency);
-    SGP_FLIP(f->memory_efficiency);
-  }
-  SGP_FLIP(obj.integer_dominated);
-  SGP_FLIP(obj.atomic);
-  SGP_FLIP(obj.recurrence);
-  // 21 doubles (63 or 64 bits each: a 0.0 skips its sign bit), two
-  // 8-bit enums and seven flags.
-  EXPECT_GE(flips, 21 * 63 + 2 * 8 + 7);
-}
-
-TEST(ConfigFingerprint, EveryBitOfEveryFixedWidthFieldChangesIt) {
-  sim::SimConfig obj;
-  const auto fp = [](const sim::SimConfig& c) {
-    return config_fingerprint(c);
-  };
-  int flips = 0;
-  SGP_FLIP(obj.precision);
-  SGP_FLIP(obj.compiler);
-  SGP_FLIP(obj.vector_mode);
-  SGP_FLIP(obj.nthreads);
-  SGP_FLIP(obj.placement);
-  EXPECT_EQ(flips, 3 * 8 + 32 + 32);
 }
 
 #undef SGP_FLIP

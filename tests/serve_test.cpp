@@ -410,11 +410,14 @@ const std::vector<std::string>& mixed_requests() {
 }
 
 /// One server lifetime over mixed_requests(): responses by id (the
-/// malformed line's under "<null>") and the engine's counters.
+/// malformed line's under "<null>") and the engine's counters. The
+/// worker is paused while the lines are submitted, so they form one
+/// batch and the counters do not depend on timing.
 engine::EngineCounters run_session(const serve::ServerOptions& opt,
                                    std::map<std::string, std::string>& by_id) {
   serve::Server server(opt);
   Collector out;
+  server.pause();
   for (const auto& line : mixed_requests()) {
     server.submit_line(line, out.sink());
   }
@@ -450,8 +453,7 @@ TEST(Server, RestartAnswersEveryLineByteIdentically) {
   EXPECT_NE(first.at("dead").find("deadline-exceeded"), std::string::npos);
   EXPECT_NE(second.at("dead").find("deadline-exceeded"), std::string::npos);
 
-  // Duplicate content answers identically apart from the id, whether it
-  // was coalesced into one evaluation or served from the memo.
+  // Duplicate content answers identically apart from the id.
   EXPECT_EQ(strip_id(first.at("e1")), strip_id(first.at("e3")));
   EXPECT_EQ(strip_id(first.at("e2")), strip_id(first.at("e6")));
 
@@ -461,8 +463,10 @@ TEST(Server, RestartAnswersEveryLineByteIdentically) {
                                    << " changed across restart";
   }
 
-  // Each server starts cold and prices the same distinct points once.
-  EXPECT_GT(first_counters.simulations, 0u);
+  // Each server prices the four distinct sweeps' two points once: the
+  // duplicates coalesce and the past-deadline request prices nothing.
+  EXPECT_EQ(first_counters.simulations, 8u);
+  EXPECT_EQ(first_counters.requests, 8u);
   EXPECT_EQ(second_counters.simulations, first_counters.simulations);
 }
 
@@ -481,9 +485,8 @@ TEST(Server, HarnessPersistDirWritesNothingAndChangesNothing) {
   const auto without_counters = run_session(plain, without);
 
   EXPECT_EQ(with, without);
-  // Only counts that do not depend on how the worker batched the lines.
   EXPECT_EQ(with_counters.simulations, without_counters.simulations);
-  EXPECT_EQ(with_counters.cache_entries, without_counters.cache_entries);
+  EXPECT_EQ(with_counters.requests, without_counters.requests);
   EXPECT_EQ(with_counters.persist.store.segments_loaded, 0u);
 
   std::vector<std::string> created;

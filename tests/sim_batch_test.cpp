@@ -1,8 +1,8 @@
 // Contract tests for the batched evaluation path: Simulator::run_batch
 // must be bit-identical to per-point Simulator::run (also for the
 // points written before a throwing one), the structured note fields
-// must render the exact historical strings, the engine's batched memo
-// path must survive concurrent run_grid callers, and the sgp-serve note
+// must render the exact historical strings, the engine's batched path
+// must survive concurrent run_grid callers, and the sgp-serve note
 // output is pinned against a golden captured before notes became
 // structured.
 #include <gtest/gtest.h>
@@ -208,7 +208,8 @@ TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
   // Several threads hammer one engine with the same grid: they take
   // turns on the engine's mutex (the TSan lane rebuilds this test
   // instrumented), every caller must see the serial result
-  // bit-for-bit, and only the first caller prices anything.
+  // bit-for-bit, and every caller's points are priced on the one
+  // Simulator the engine built.
   engine::SweepEngine shared;
   constexpr int kCallers = 8;
   std::vector<std::vector<sim::TimeBreakdown>> got(kCallers);
@@ -232,7 +233,8 @@ TEST(SimBatch, ConcurrentRunGridCallersAgreeWithSerialReference) {
   const auto counters = shared.counters();
   EXPECT_EQ(counters.requests,
             static_cast<std::uint64_t>(kCallers) * reference.size());
-  EXPECT_EQ(counters.simulations, reference.size());
+  EXPECT_EQ(counters.simulations, counters.requests);
+  EXPECT_EQ(counters.simulators_built, 1u);
 }
 
 // ---------------------------------------------- serve note golden --

@@ -2,6 +2,7 @@
 // bandwidth sharing, core pricing and the simulator's invariants.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "check/fuzz.hpp"
@@ -134,6 +135,30 @@ TEST(MemoryModel, ClusterPortCapsPerThreadBandwidth) {
       stats_for(m, Placement::ClusterCyclic, 4), 4, SharedLevel::Dram);
   EXPECT_NEAR(packed, m.cluster_bw_gbs / 4.0, 1e-9);
   EXPECT_GT(spread, 3.0 * packed);
+
+  // Uneven ClusterCyclic placements (some clusters hold one thread more
+  // than others): the cap comes from the fullest cluster, bit for bit
+  // the value of a walk over every occupied cluster.
+  for (const int t : {20, 36, 50}) {
+    const auto st = stats_for(m, Placement::ClusterCyclic, t);
+    int least = t;
+    for (const int k : st.threads_per_cluster) {
+      if (k > 0) least = std::min(least, k);
+    }
+    ASSERT_LT(least, st.max_per_cluster) << t;
+    for (const auto level : {SharedLevel::Dram, SharedLevel::MemorySideL3}) {
+      double walk = m.core.stream_bw_gbs;
+      for (std::size_t r = 0; r < st.threads_per_numa.size(); ++r) {
+        const int n = st.threads_per_numa[r];
+        if (n > 0) walk = std::min(walk, mm.region_bandwidth_gbs(r, n, level) / n);
+      }
+      for (const int k : st.threads_per_cluster) {
+        if (k > 0) walk = std::min(walk, m.cluster_bw_gbs / k);
+      }
+      EXPECT_EQ(mm.per_thread_bw_gbs(st, t, level), walk * m.memory_derating)
+          << t;
+    }
+  }
 }
 
 TEST(MemoryModel, MemorySideL3SlicesAcrossRegions) {
